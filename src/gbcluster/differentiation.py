@@ -4,12 +4,13 @@ Two balls are adjacent when the gap between their surfaces is below an
 adjustment coefficient tau = min(radius) / (1 + min(overlap count)); the more
 a ball already overlaps its neighbours, the stricter the criterion gets.
 Clusters are the connected components of the adjacency graph over non-noise
-balls, found with a disjoint-set union in a single pass.  Singleton (noise)
-balls sit out of the merge and are attached to the nearest cluster afterwards
-or labelled noise.
+balls.  Singleton (noise) balls sit out of the merge and are attached to the
+nearest cluster afterwards or labelled noise.
 
-Only ball centers and radii enter this stage, never point pairs; the module
-counts its distance evaluations so that budget is checkable.
+Only ball centers and radii enter this stage, never point pairs, and only
+centres close enough to matter are compared: a grid over the centres yields
+candidate pairs in place of all m^2 / 2.  The module counts its distance
+evaluations so that budget is checkable.
 """
 
 from __future__ import annotations
@@ -30,7 +31,10 @@ def reset_distance_counter() -> None:
 
 
 def distance_evaluations() -> int:
-    """Distance evaluations performed by this module since the last reset."""
+    """Distance evaluations performed by this module since the last reset.
+
+    One per candidate ball pair and one per (noise point, candidate ball).
+    """
     return _DIST_EVALS
 
 
@@ -39,128 +43,187 @@ def _count(n: int) -> None:
     _DIST_EVALS += n
 
 
-class UnionFind:
-    """Disjoint-set union with path compression and union by size."""
+class _Grid:
+    """Centres bucketed into square cells over their (at most) two widest coordinates.
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
+    Projecting onto some coordinates never lengthens a distance, so two
+    points closer than ``cell`` lie in the same or in neighbouring cells.
+    """
 
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
+    def __init__(self, centers: np.ndarray, cell: float):
+        low = centers.min(axis=0)
+        span = centers.max(axis=0) - low
+        self.axes = np.argsort(-span, kind="stable")[:2]
+        self.origin = low[self.axes]
+        # A coarser grid stays exact; at most 2**20 cells a side keeps keys in int64.
+        self.cell = max(cell, float(span.max()) / 2 ** 20) or 1.0
+        cells = self._cells(centers, np.full(2, 2 ** 21))
+        self.limit = cells.max(axis=0) + 1
+        self.stride = int(self.limit[1]) + 3
+        keys = self._keys(cells)
+        self.order = np.argsort(keys, kind="stable")  # ascending ball position within a cell
+        self.keys = keys[self.order]
 
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
+    def _cells(self, points: np.ndarray, high: np.ndarray) -> np.ndarray:
+        """Cell coordinates, clipped to [-1, high]; a second column of zeros in 1-d."""
+        k = self.axes.size
+        scaled = np.floor((points[:, self.axes] - self.origin) / self.cell)
+        cells = np.zeros((len(points), 2), dtype=np.int64)
+        cells[:, :k] = np.clip(scaled, -1, high[:k])
+        return cells
+
+    def _keys(self, cells: np.ndarray) -> np.ndarray:
+        return (cells[:, 0] + 1) * self.stride + cells[:, 1] + 1
+
+    def _ranges(self, keys: np.ndarray, offsets) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted positions [lo, hi) of every cell ``key + offset``, offsets outermost."""
+        wanted = np.concatenate([keys + off for off in offsets])
+        return (np.searchsorted(self.keys, wanted, side="left"),
+                np.searchsorted(self.keys, wanted, side="right"))
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every unordered pair (a, b), a < b, of centres in the same or neighbouring cells."""
+        m = self.keys.size
+        s = self.stride
+        # the cell itself (later positions only) and its four forward neighbours
+        lo, hi = self._ranges(self.keys, (1, s - 1, s, s + 1))
+        lo = np.concatenate([np.arange(1, m + 1), lo])
+        hi = np.concatenate([np.searchsorted(self.keys, self.keys, side="right"), hi])
+        rows, flat = _expand(lo, hi)
+        a, b = self.order[rows % m], self.order[flat]
+        return np.minimum(a, b), np.maximum(a, b)
+
+    def near(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(point row, centre position) for every centre in a point's cell or its neighbours."""
+        s = self.stride
+        keys = self._keys(self._cells(points, self.limit))
+        offsets = [dx * s + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
+        rows, flat = _expand(*self._ranges(keys, offsets))
+        return rows % len(points), self.order[flat]
 
 
-def _pairwise_center_distances(centers: np.ndarray) -> np.ndarray:
-    """Symmetric center-distance matrix; counts m*(m-1)/2 evaluations."""
-    m = centers.shape[0]
-    _count(m * (m - 1) // 2)
-    diff = centers[:, None, :] - centers[None, :, :]
-    return np.sqrt((diff ** 2).sum(axis=2))
+def _expand(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated ranges [lo[k], hi[k]) as (k, value) for every value."""
+    counts = hi - lo
+    rows = np.repeat(np.arange(counts.size), counts)
+    return rows, np.arange(rows.size) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
 
 
-def count_overlaps(ballset: BallSet, _center_dists: np.ndarray | None = None) -> np.ndarray:
+def _live_geometry(ballset: BallSet, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centres (k, d) and radii (k,) of the balls ``live``."""
+    return (np.array([ballset.balls[i].center for i in live]),
+            np.array([ballset.balls[i].radius for i in live]))
+
+
+def _radii(ballset: BallSet) -> np.ndarray:
+    return np.array([b.radius for b in ballset.balls])
+
+
+def _pairwise_center_distances(ballset: BallSet) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate pairs of non-noise balls, (E, 2) ball indices i < j, and their centre distances.
+
+    Overlap needs d_ij < r_i + r_j and adjacency d_ij < r_i + r_j + tau, with
+    tau <= min(r_i, r_j); both stay below 3 * r_max.  Centres are bucketed
+    into cells of side 4 * r_max, so every such pair is a candidate.  Counts
+    one distance evaluation per candidate.
+    """
+    live = np.flatnonzero(~ballset.noise_ball_flags)
+    if live.size < 2:
+        return np.empty((0, 2), dtype=np.int64), np.empty(0)
+    centers, radii = _live_geometry(ballset, live)
+    a, b = _Grid(centers, 4 * radii.max()).pairs()
+    _count(a.size)
+    dists = np.sqrt(((centers[a] - centers[b]) ** 2).sum(axis=1))
+    return np.column_stack((live[a], live[b])), dists
+
+
+def count_overlaps(ballset: BallSet,
+                   _pairs: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Number of other non-noise balls strictly overlapping each ball.
 
     Noise balls neither overlap nor are overlapped; their count is 0.
     """
-    counts = np.zeros(len(ballset), dtype=np.int64)
-    live = np.flatnonzero(~ballset.noise_ball_flags)
-    if live.size < 2:
-        return counts
-    radii = np.array([ballset.balls[i].radius for i in live])
-    if _center_dists is None:
-        centers = np.array([ballset.balls[i].center for i in live])
-        _center_dists = _pairwise_center_distances(centers)
-    overlap = _center_dists < radii[:, None] + radii[None, :]
-    np.fill_diagonal(overlap, False)
-    counts[live] = overlap.sum(axis=1)
-    return counts
+    pairs, dists = _pairwise_center_distances(ballset) if _pairs is None else _pairs
+    radii = _radii(ballset)
+    hit = pairs[dists < radii[pairs[:, 0]] + radii[pairs[:, 1]]]
+    return np.bincount(hit.ravel(), minlength=len(ballset))
 
 
-def tau(r_i: float, r_j: float, o_i: int, o_j: int) -> float:
-    """Adjacency slack: the smaller radius, shrunk by prior overlap count."""
-    return min(r_i, r_j) / (1 + min(o_i, o_j))
+def tau(r_i, r_j, o_i, o_j):
+    """Adjacency slack: the smaller radius, shrunk by prior overlap count.
+
+    Works elementwise on arrays as well as on scalars.
+    """
+    return np.minimum(r_i, r_j) / (1 + np.minimum(o_i, o_j))
 
 
 def are_adjacent(ball_i, ball_j, o_i: int, o_j: int) -> bool:
     """True when the surface gap between two balls is below their tau."""
     _count(1)
     gap = float(np.sqrt(((ball_i.center - ball_j.center) ** 2).sum())) - (ball_i.radius + ball_j.radius)
-    return gap < tau(ball_i.radius, ball_j.radius, o_i, o_j)
+    return bool(gap < tau(ball_i.radius, ball_j.radius, o_i, o_j))
 
 
 @dataclass(frozen=True, eq=False)
 class AdjacencyGraph:
     """Undirected adjacency over non-noise balls.
 
-    ``nodes`` are ball indices; ``edges`` hold (i, j) ball-index pairs with
-    i < j, so the relation is symmetric by construction and self-loop free.
+    ``nodes`` are ball indices; ``edges`` is an (E, 2) array of ball-index
+    pairs (i, j) with i < j, so the relation is symmetric by construction
+    and self-loop free.
     """
 
     nodes: np.ndarray
-    edges: list[tuple[int, int]]
+    edges: np.ndarray
 
 
-def adjacency_graph(ballset: BallSet, _center_dists: np.ndarray | None = None) -> AdjacencyGraph:
-    """Evaluate the adjacency criterion over every pair of non-noise balls.
+def adjacency_graph(ballset: BallSet,
+                    _pairs: tuple[np.ndarray, np.ndarray] | None = None) -> AdjacencyGraph:
+    """Evaluate the adjacency criterion over the candidate pairs of non-noise balls.
 
     Requires ballset.overlap_counts to be filled in (two-pass scheme: counts
     first, adjacency second).
     """
-    live = np.flatnonzero(~ballset.noise_ball_flags)
-    if live.size < 2:
-        return AdjacencyGraph(nodes=live, edges=[])
-    radii = np.array([ballset.balls[i].radius for i in live])
-    overlaps = ballset.overlap_counts[live]
-    if _center_dists is None:
-        centers = np.array([ballset.balls[i].center for i in live])
-        _center_dists = _pairwise_center_distances(centers)
-    gaps = _center_dists - (radii[:, None] + radii[None, :])
-    slack = np.minimum(radii[:, None], radii[None, :]) / (
-        1 + np.minimum(overlaps[:, None], overlaps[None, :]))
-    edges = [(int(live[a]), int(live[b]))
-             for a, b in zip(*np.nonzero(np.triu(gaps < slack, k=1)))]
-    return AdjacencyGraph(nodes=live, edges=edges)
+    pairs, dists = _pairwise_center_distances(ballset) if _pairs is None else _pairs
+    radii, overlaps = _radii(ballset), ballset.overlap_counts
+    i, j = pairs[:, 0], pairs[:, 1]
+    adjacent = dists - (radii[i] + radii[j]) < tau(radii[i], radii[j], overlaps[i], overlaps[j])
+    return AdjacencyGraph(nodes=np.flatnonzero(~ballset.noise_ball_flags), edges=pairs[adjacent])
 
 
-def merge_adjacent(ballset: BallSet, _center_dists: np.ndarray | None = None) -> np.ndarray:
+def _components(n: int, edges: np.ndarray) -> np.ndarray:
+    """Per node, the lowest node index of its connected component.
+
+    Min-label hooking of roots over the edges, then pointer jumping until
+    every node points at its root; an edge is dropped once both ends agree.
+    """
+    root = np.arange(n)
+    a, b = edges[:, 0], edges[:, 1]
+    while a.size:
+        ra, rb = root[a], root[b]
+        apart = ra != rb
+        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
+        np.minimum.at(root, ra, rb)
+        np.minimum.at(root, rb, ra)
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+    return root
+
+
+def merge_adjacent(ballset: BallSet,
+                   _pairs: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Cluster id per ball: connected components of the adjacency graph.
 
-    One disjoint-set pass over the adjacency edges; no iteration.  Components
-    are numbered 0..K-1 in order of the smallest ball index they contain;
-    noise balls get -1.
+    Components are numbered 0..K-1 in order of the smallest ball index they
+    contain; noise balls get -1.
     """
     ids = np.full(len(ballset), NOISE, dtype=np.int64)
-    graph = adjacency_graph(ballset, _center_dists)
-    live = graph.nodes
-    if live.size == 0:
-        return ids
-    pos = {int(ball_idx): p for p, ball_idx in enumerate(live)}
-    uf = UnionFind(live.size)
-    for i, j in graph.edges:
-        uf.union(pos[i], pos[j])
-    next_id = 0
-    root_to_id: dict[int, int] = {}
-    for p, ball_idx in enumerate(live):
-        root = uf.find(p)
-        if root not in root_to_id:
-            root_to_id[root] = next_id
-            next_id += 1
-        ids[ball_idx] = root_to_id[root]
+    graph = adjacency_graph(ballset, _pairs)
+    root = _components(len(ballset), graph.edges)
+    ids[graph.nodes] = np.unique(root[graph.nodes], return_inverse=True)[1]
     return ids
 
 
@@ -168,8 +231,9 @@ def assign_noise(dataset: Dataset, ballset: BallSet, ball_cluster_ids: np.ndarra
     """Turn ball cluster ids into per-point labels.
 
     Points of noise balls join the cluster of the nearest non-noise ball
-    (nearest by gap: point-to-center distance minus radius) when that gap is
-    within the mean non-noise radius; otherwise they are labelled -1.
+    (nearest by gap: point-to-center distance minus radius, ties to the
+    lowest ball index) when that gap is within the mean non-noise radius;
+    otherwise they are labelled -1.
     """
     labels = np.full(len(dataset), NOISE, dtype=np.int64)
     live = np.flatnonzero(~ballset.noise_ball_flags)
@@ -178,16 +242,19 @@ def assign_noise(dataset: Dataset, ballset: BallSet, ball_cluster_ids: np.ndarra
     noise_idx = np.flatnonzero(ballset.noise_ball_flags)
     if live.size == 0 or noise_idx.size == 0:
         return ClusterAssignment(labels=labels)
-    centers = np.array([ballset.balls[i].center for i in live])
-    radii = np.array([ballset.balls[i].radius for i in live])
+    centers, radii = _live_geometry(ballset, live)
     mean_radius = float(radii.mean())
-    for i in noise_idx:
-        for p in ballset.balls[i].members:
-            _count(live.size)
-            gaps = np.sqrt(((centers - dataset.points[p]) ** 2).sum(axis=1)) - radii
-            nearest = int(np.argmin(gaps))
-            if gaps[nearest] <= mean_radius:
-                labels[p] = ball_cluster_ids[live[nearest]]
+    points = np.concatenate([ballset.balls[i].members for i in noise_idx])
+    # A winning ball has gap <= mean_radius, so its centre lies within
+    # 2 * r_max of the point: inside the point's cell or a neighbour.
+    row, ball = _Grid(centers, 4 * radii.max()).near(dataset.points[points])
+    _count(row.size)
+    gaps = np.sqrt(((centers[ball] - dataset.points[points[row]]) ** 2).sum(axis=1)) - radii[ball]
+    order = np.lexsort((ball, gaps, row))
+    row, ball, gaps = row[order], ball[order], gaps[order]
+    nearest = np.r_[True, row[1:] != row[:-1]]
+    won = nearest & (gaps <= mean_radius)
+    labels[points[row[won]]] = ball_cluster_ids[live[ball[won]]]
     return ClusterAssignment(labels=labels)
 
 
@@ -199,13 +266,9 @@ def cluster(dataset: Dataset, config: DivisionConfig | None = None,
     constants of the division loop.
     """
     ballset = generate_balls(dataset, config, trace)
-    live = np.flatnonzero(~ballset.noise_ball_flags)
-    dists = None
-    if live.size >= 2:
-        # one center-distance matrix serves both the overlap and adjacency passes
-        centers = np.array([ballset.balls[i].center for i in live])
-        dists = _pairwise_center_distances(centers)
-    ballset.overlap_counts = count_overlaps(ballset, dists)
-    ids = merge_adjacent(ballset, dists)
+    # one set of candidate pairs serves both the overlap and adjacency passes
+    pairs = _pairwise_center_distances(ballset)
+    ballset.overlap_counts = count_overlaps(ballset, pairs)
+    ids = merge_adjacent(ballset, pairs)
     assignment = assign_noise(dataset, ballset, ids)
     return assignment, ballset

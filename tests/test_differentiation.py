@@ -1,8 +1,15 @@
 """Ball differentiation: overlap counts, adjacency, merging, noise points."""
 
+import hashlib
+import os
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import gbcluster
 from gbcluster.core import BallSet, Dataset, GranularBall, fit_ball
 from gbcluster.data import BUNDLED_DATASETS, GeneratorSpec, generate
 from gbcluster.differentiation import (adjacency_graph, are_adjacent,
@@ -92,7 +99,7 @@ def test_adjacency_graph_matches_pairwise_predicate():
         graph = adjacency_graph(bs)
         assert set(graph.nodes) == {i for i, b in enumerate(balls) if b.size > 1}
         assert all(i < j for i, j in graph.edges)  # no self-loops, one edge per pair
-        edge_set = set(graph.edges)
+        edge_set = set(map(tuple, graph.edges.tolist()))
         live = list(graph.nodes)
         for a in range(len(live)):
             for b in range(a + 1, len(live)):
@@ -124,6 +131,27 @@ def test_merge_all_noise():
     assert _merged(balls, [True, True]).tolist() == [-1, -1]
 
 
+def _closure_oracle(bs):
+    """Cluster id per ball from the transitive closure of are_adjacent over all live pairs."""
+    balls, live = bs.balls, np.flatnonzero(~bs.noise_ball_flags)
+    adj = np.eye(live.size, dtype=bool)
+    for a in range(live.size):
+        for b in range(live.size):
+            if a != b:
+                adj[a, b] |= are_adjacent(balls[live[a]], balls[live[b]],
+                                          int(bs.overlap_counts[live[a]]),
+                                          int(bs.overlap_counts[live[b]]))
+    for _ in range(live.size):  # boolean transitive closure
+        adj = adj | (adj @ adj)
+    expected = np.full(len(balls), -1, dtype=int)
+    next_id = 0
+    for a in range(live.size):
+        if expected[live[a]] == -1:
+            expected[live[np.flatnonzero(adj[a])]] = next_id
+            next_id += 1
+    return expected.tolist()
+
+
 def test_merge_matches_transitive_closure_oracle():
     rng = np.random.default_rng(23)
     for _ in range(40):
@@ -132,25 +160,7 @@ def test_merge_matches_transitive_closure_oracle():
         flags = rng.uniform(size=m) < 0.2
         bs = _ballset(balls, flags)
         bs.overlap_counts = count_overlaps(bs)
-        got = merge_adjacent(bs)
-
-        live = np.flatnonzero(~bs.noise_ball_flags)
-        adj = np.eye(live.size, dtype=bool)
-        for a in range(live.size):
-            for b in range(live.size):
-                if a != b:
-                    adj[a, b] |= are_adjacent(balls[live[a]], balls[live[b]],
-                                              int(bs.overlap_counts[live[a]]),
-                                              int(bs.overlap_counts[live[b]]))
-        for _ in range(live.size):  # boolean transitive closure
-            adj = adj | (adj @ adj)
-        expected = np.full(m, -1, dtype=int)
-        next_id = 0
-        for a in range(live.size):
-            if expected[live[a]] == -1:
-                expected[live[np.flatnonzero(adj[a])]] = next_id
-                next_id += 1
-        assert got.tolist() == expected.tolist()
+        assert merge_adjacent(bs).tolist() == _closure_oracle(bs)
 
 
 def test_assign_noise_examples():
@@ -166,6 +176,15 @@ def test_assign_noise_examples():
     a = assign_noise(ds, bs, ids)
     assert a.labels[4] == a.labels[0]     # gap <= 0: absorbed
     assert a.labels[5] == -1              # far beyond the mean radius: noise
+
+    # a point at equal gap 0.5 from two unit balls in different clusters
+    # joins the ball with the lower index
+    ds = Dataset(points=np.array([[2.0, 0.0], [4.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [1.5, 0.0]]))
+    bs = BallSet(balls=[fit_ball(ds, [0, 1]), fit_ball(ds, [2, 3]), fit_ball(ds, [4])])
+    bs.overlap_counts = count_overlaps(bs)
+    ids = merge_adjacent(bs)
+    assert ids.tolist() == [0, 1, -1]
+    assert assign_noise(ds, bs, ids).labels.tolist() == [0, 0, 1, 1, 0]
 
 
 def test_assign_noise_identity_without_singletons():
@@ -222,3 +241,96 @@ def test_distance_budget_scales_with_balls_not_points():
     m = len(ballset)
     assert 0 < evals <= m * m
     assert evals < len(ds) ** 2 / 10
+
+
+def _sha(values):
+    return hashlib.sha256(np.ascontiguousarray(values, dtype=np.int64).tobytes()).hexdigest()
+
+
+# sha256 of the int64 bytes of (labels, overlap_counts) from cluster(); computed
+# with the dense all-pairs geometry pass, before the grid-bucketed one replaced it.
+GOLDEN = {
+    "moons1k": ("d4232cf82015742bc86fad9f7039342df970c5e033bb164ccb9d0de60b4201c0",
+                "34a26699bc16a0073da2f1b4440ca0e07c96b47cd5261f9938694229f9b5f27c"),
+    "blobs5": ("eab93d3c31c846d8a32438e0b0c74167d5deaffa9b558b71a9bc4c62a12f2f3c",
+               "2fc314eaa88e697740b207355a1a72b4e57d03bb187a896efcc1ea5fe857597a"),
+    "circles3": ("67db9936cfbd7ab7af771a5e101b157b94a751be571806f1f4290cb9d69ec6d6",
+                 "c582c769c4e0696fcad143a0876b15579d7c8b09daf39c5f2e018a693c9cc25d"),
+    "spirals2": ("7b694bdbe3fea1540354ab2c2b62ae6b2f4450bde29ace40f05c1a3e95dd2076",
+                 "73300f38518e6491911e0df13a7dd6e1311dd48f58a69345b30c17c8861572f5"),
+    "blobs10k": ("794d998949b8ece9cd9b6cd36ba7e31ecce6978258f5948ec0d104f18035a8c7",
+                 "a210990334aaf124f866cd527a1a86fc7bcaaf5c7e05f00e45f89219548164d6"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_cluster_matches_golden_digests(name):
+    assignment, ballset = cluster(generate(BUNDLED_DATASETS[name]))
+    assert (_sha(assignment.labels), _sha(ballset.overlap_counts)) == GOLDEN[name]
+
+
+def _random_ballset(rng, d):
+    m = int(rng.integers(1, 40))
+    centers = rng.uniform(0, 5, (m, d))
+    if rng.uniform() < 0.3:  # coincident centres
+        centers[rng.integers(0, m, m // 2)] = centers[0]
+    radii = rng.choice([np.zeros(m), np.full(m, rng.uniform(0.2, 1.5)), rng.uniform(0, 1.5, m)])
+    balls = [_ball(c, r) for c, r in zip(centers, radii)]
+    return _ballset(balls, rng.uniform(size=m) < 0.2)
+
+
+def test_overlaps_and_merge_match_all_pairs_oracle():
+    rng = np.random.default_rng(7)
+    for trial in range(400):
+        bs = _random_ballset(rng, d=(1, 2, 3, 8)[trial % 4])
+        balls, live = bs.balls, np.flatnonzero(~bs.noise_ball_flags)
+        expected = np.zeros(len(balls), dtype=np.int64)
+        for i in live:
+            for j in live:
+                dist = np.sqrt(((balls[i].center - balls[j].center) ** 2).sum())
+                expected[i] += i != j and dist < balls[i].radius + balls[j].radius
+        bs.overlap_counts = count_overlaps(bs)
+        assert bs.overlap_counts.tolist() == expected.tolist()
+        assert merge_adjacent(bs).tolist() == _closure_oracle(bs)
+
+
+@pytest.mark.parametrize("points, expected", [
+    (np.zeros((1, 2)), (1, 0, 1)),
+    (np.ones((50, 2)), (1, 1, 0)),
+    (np.linspace(0, 1, 300)[:, None], (16, 1, 0)),
+    (np.random.default_rng(0).normal(size=(500, 32)), (39, 1, 0)),
+], ids=["n=1", "identical", "1-d", "d=32"])
+def test_cluster_edge_inputs(points, expected):
+    # (balls, clusters, noise points) as the dense all-pairs geometry pass gave them
+    assignment, ballset = cluster(Dataset(points=points))
+    assert (len(ballset), assignment.cluster_count, assignment.noise_count) == expected
+
+
+def test_geometry_pass_memory_stays_linear_in_balls():
+    # 5,000 balls of radius 0.5 on a 100 x 50 grid with spacing 1: a dense
+    # (m, m, 2) float64 array alone would take 400 MB.
+    xy = np.stack(np.meshgrid(np.arange(100.0), np.arange(50.0)), axis=-1).reshape(-1, 2)
+    bs = _ballset([_ball(c, 0.5) for c in xy])
+    tracemalloc.start()
+    try:
+        bs.overlap_counts = count_overlaps(bs)
+        ids = merge_adjacent(bs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2 ** 20
+    assert not bs.overlap_counts.any()
+    assert ids.max() == 0  # gap 0 < tau = 0.5: the whole grid is one cluster
+
+
+def test_clustering_does_not_import_scipy():
+    # a fresh interpreter, so that no other test's imports count
+    src = os.path.dirname(os.path.dirname(gbcluster.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = ("import sys, numpy as np, gbcluster, gbcluster.cli\n"
+            "points = np.random.default_rng(0).normal(size=(300, 2))\n"
+            "gbcluster.cluster(gbcluster.Dataset(points=points))\n"
+            "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
