@@ -3,7 +3,7 @@ algorithmic parameters, plus K-Means/DBSCAN/DPeak baselines, evaluation
 metrics, synthetic data generators, and a benchmarking CLI."""
 
 from .core import (NOISE, BallSet, ClusterAssignment, Dataset, GranularBall,
-                   average_distance, farthest_pair_seed, fit_ball)
+                   farthest_pair_seed, fit_ball)
 from .differentiation import cluster
 from .division import DivisionConfig, DivisionTrace, generate_balls
 from .data import GeneratorSpec, generate, load_csv, save_results
@@ -19,7 +19,6 @@ __all__ = [
     "DivisionTrace",
     "GeneratorSpec",
     "GranularBall",
-    "average_distance",
     "cluster",
     "farthest_pair_seed",
     "fit_ball",

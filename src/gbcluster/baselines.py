@@ -9,7 +9,6 @@ algorithm's structure rather than index tricks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -192,17 +191,3 @@ def dpeak(dataset: Dataset, config: DpeakConfig) -> ClusterAssignment:
             labels[i] = labels[state.nearest_denser[i]]
     return ClusterAssignment(labels=labels)
 
-
-def grid_search(configs: Iterable, runner: Callable, score: Callable[[ClusterAssignment], float]):
-    """Pick the config maximizing score(runner(config)); ties keep the first.
-
-    Helper for tuning baseline parameters against a reference labelling,
-    e.g. ``grid_search(cfgs, lambda c: dbscan(ds, c), lambda a: rand_index(truth, a.labels))``.
-    """
-    best = None
-    best_score = -np.inf
-    for cfg in configs:
-        s = float(score(runner(cfg)))
-        if s > best_score:
-            best, best_score = cfg, s
-    return best, best_score

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 from typing import Sequence
@@ -59,14 +58,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("GBCLUSTER_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gbcluster", description=__doc__)
     parser.add_argument("--version", action="version", version=f"gbcluster {__version__}")
@@ -96,8 +87,6 @@ def _build_parser() -> _Parser:
     run.add_argument("--min-pts", type=int, default=None, help="core threshold (dbscan)")
     run.add_argument("--dc", type=float, default=None, help="cutoff distance (dpeak)")
     run.add_argument("--verbose", action="store_true", help="print division trace")
-    run.add_argument("--threads", type=int, default=_default_threads(),
-                     help="worker threads (results are identical for any value)")
 
     ev = sub.add_parser("eval", help="Rand index between two label columns")
     ev.add_argument("--truth", required=True, help="CSV with ground-truth labels")
@@ -116,14 +105,7 @@ def _build_parser() -> _Parser:
     bench.add_argument("--repetitions", type=int, default=3,
                        help="timing repetitions per cell; the median is reported (default 3)")
     bench.add_argument("--out", default=None, help="write the table as CSV (+ .json summary)")
-    bench.add_argument("--threads", type=int, default=_default_threads(),
-                       help="worker threads (results are identical for any value)")
     return parser
-
-
-def _check_threads(value: int) -> None:
-    if value < 1:
-        raise UsageError(f"--threads must be >= 1, got {value}")
 
 
 def _cmd_gen(args) -> int:
@@ -180,7 +162,6 @@ def _make_runner(args):
 
 
 def _cmd_run(args) -> int:
-    _check_threads(args.threads)
     if args.algo == "gbc":
         extra = _baseline_flags(args)
         if extra:
@@ -203,6 +184,7 @@ def _cmd_run(args) -> int:
                   f"splits={r.split_count} oversized={r.oversized_count}")
         if trace.round_cap_hit:
             print("warning: refinement round cap reached with oversized balls left")
+        print(f"refinement stopped: {trace.stop_reason}")
 
     save_results(args.out, dataset, assignment, ballset)
     ri = None
@@ -259,7 +241,6 @@ def _bench_runner(algo: str, dataset_name: str):
 
 
 def _cmd_bench(args) -> int:
-    _check_threads(args.threads)
     if args.repetitions < 1:
         raise UsageError(f"--repetitions must be >= 1, got {args.repetitions}")
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]

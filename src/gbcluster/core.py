@@ -9,7 +9,7 @@ All distances are Euclidean (L2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -71,30 +71,66 @@ class GranularBall:
     def size(self) -> int:
         return self.members.size
 
+    @classmethod
+    def from_fit(cls, members, center, radius, sum_radius) -> GranularBall:
+        """A ball from a fit's values; ``avg_distance`` is sum_radius / size."""
+        sum_radius = float(sum_radius)
+        return cls(members=members, center=center, radius=float(radius),
+                   sum_radius=sum_radius, avg_distance=sum_radius / members.size)
+
 
 @dataclass(eq=False)
 class BallSet:
-    """The final partition of a dataset into balls.
+    """The final partition of a dataset into balls, as arrays.
 
-    ``overlap_counts[i]`` is the number of other non-noise balls whose region
-    intersects ball i (zero until the differentiation stage fills it in).
-    ``noise_ball_flags[i]`` marks single-point balls, which sit out of the
-    merging stage.
+    ``order`` is a permutation of the point indices in which every ball is a
+    contiguous slice, ball i's members ``order[starts[i]:starts[i] +
+    sizes[i]]`` in ascending order; ``starts`` is the exclusive cumsum of
+    ``sizes``.  Row i of ``centers``, ``radii`` and ``sum_radius`` is ball i's
+    geometry.  ``overlap_counts[i]`` is the number of other non-noise balls
+    whose region intersects ball i (zero until the differentiation stage
+    fills it in).  ``noise_ball_flags[i]`` marks single-point balls, which sit
+    out of the merging stage.
     """
 
-    balls: list[GranularBall]
+    order: np.ndarray
+    sizes: np.ndarray
+    centers: np.ndarray
+    radii: np.ndarray
+    sum_radius: np.ndarray
     overlap_counts: np.ndarray | None = None
     noise_ball_flags: np.ndarray | None = None
 
     def __post_init__(self):
-        m = len(self.balls)
         if self.overlap_counts is None:
-            self.overlap_counts = np.zeros(m, dtype=np.int64)
+            self.overlap_counts = np.zeros(len(self), dtype=np.int64)
         if self.noise_ball_flags is None:
-            self.noise_ball_flags = np.array([b.size == 1 for b in self.balls], dtype=bool)
+            self.noise_ball_flags = self.sizes == 1
+
+    @classmethod
+    def from_balls(cls, balls: Sequence[GranularBall], overlap_counts=None,
+                   noise_ball_flags=None) -> BallSet:
+        """A ball set laid out from ball objects, members in the given order."""
+        return cls(order=np.concatenate([b.members for b in balls]).astype(np.int64),
+                   sizes=np.array([b.size for b in balls], dtype=np.int64),
+                   centers=np.array([b.center for b in balls], dtype=np.float64),
+                   radii=np.array([b.radius for b in balls], dtype=np.float64),
+                   sum_radius=np.array([b.sum_radius for b in balls], dtype=np.float64),
+                   overlap_counts=overlap_counts, noise_ball_flags=noise_ball_flags)
+
+    @property
+    def starts(self) -> np.ndarray:
+        return np.cumsum(self.sizes) - self.sizes
+
+    @property
+    def balls(self) -> list[GranularBall]:
+        """Read-only ball views; members are slices of ``order``."""
+        members = np.split(self.order, np.cumsum(self.sizes)[:-1])
+        return [GranularBall.from_fit(mem, c, r, s) for mem, c, r, s in
+                zip(members, self.centers, self.radii, self.sum_radius)]
 
     def __len__(self) -> int:
-        return len(self.balls)
+        return self.sizes.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,6 +158,79 @@ class ClusterAssignment:
         return self.labels.size
 
 
+def segments(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start of each segment of a concatenation, and the segment of each element."""
+    return np.cumsum(sizes) - sizes, np.repeat(np.arange(sizes.size), sizes)
+
+
+def segment_sums(x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``x[s:e].sum()`` of every segment, bit for bit.
+
+    numpy sums a contiguous float64 run pairwise: up to 128 items in 8
+    interleaved lanes over the leading multiple of 8, combined in a fixed
+    tree, then the tail in order from there (fewer than 8 items: in order
+    from 0).  Longer runs split in halves, and are summed one by one here.
+    """
+    starts, seg = segments(sizes)
+    local = np.arange(x.size) - starts[seg]
+    lead = sizes & ~7
+    in_lanes = local < lead[seg]
+    # (an empty bincount is int64 even with weights)
+    lanes = np.bincount(seg[in_lanes] * 8 + (local[in_lanes] & 7), weights=x[in_lanes],
+                        minlength=8 * sizes.size).astype(np.float64).reshape(-1, 8)
+    out = ((lanes[:, 0] + lanes[:, 1]) + (lanes[:, 2] + lanes[:, 3])) + \
+          ((lanes[:, 4] + lanes[:, 5]) + (lanes[:, 6] + lanes[:, 7]))
+    for t in range(7):
+        tail = sizes - lead > t
+        out[tail] += x[starts[tail] + lead[tail] + t]
+    for i in np.flatnonzero(sizes > 128):
+        out[i] = x[starts[i]:starts[i] + sizes[i]].sum()
+    return out
+
+
+def distances(pts: np.ndarray, to: np.ndarray) -> np.ndarray:
+    """Row-wise Euclidean distance between pts and to (broadcast)."""
+    return np.sqrt(((pts - to) ** 2).sum(axis=1))
+
+
+def fit_segments(pts: np.ndarray, sizes: np.ndarray):
+    """Fit one ball to every segment of rows of pts, members in ascending index order.
+
+    Returns the centres (k, d), each row's distance to its centre, and the
+    radii and distance sums (k,), bit-identical to fitting each ball alone:
+    with d >= 2 numpy's mean sums the rows in order, which ``bincount``
+    repeats per column, and a single column is summed pairwise.
+    """
+    starts, seg = segments(sizes)
+    if pts.shape[1] == 1:
+        sums = segment_sums(pts[:, 0], sizes)[:, None]
+    else:
+        sums = np.column_stack([np.bincount(seg, weights=col, minlength=sizes.size)
+                                for col in pts.T])
+    centers = sums / sizes[:, None]
+    dists = distances(pts, centers[seg])
+    return centers, dists, np.maximum.reduceat(dists, starts), segment_sums(dists, sizes)
+
+
+def first_argmax(x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Position in x of the first maximum of every segment."""
+    starts, seg = segments(sizes)
+    top = np.maximum.reduceat(x, starts)
+    return np.minimum.reduceat(np.where(x == top[seg], np.arange(x.size), x.size), starts)
+
+
+def farthest_pairs(pts: np.ndarray, sizes: np.ndarray, dists: np.ndarray):
+    """Rows of the split seeds of every segment of pts.
+
+    p1 is the member farthest from the centre (``dists``), p2 the member
+    farthest from p1.  Ties go to the first row, which is the lowest point
+    index, so splitting stays deterministic.
+    """
+    p1 = first_argmax(dists, sizes)
+    p2 = first_argmax(distances(pts, np.repeat(pts[p1], sizes, axis=0)), sizes)
+    return p1, p2
+
+
 def fit_ball(dataset: Dataset, members: Iterable[int]) -> GranularBall:
     """Fit a ball to the given member indices.
 
@@ -133,22 +242,8 @@ def fit_ball(dataset: Dataset, members: Iterable[int]) -> GranularBall:
         raise ValueError("cannot fit a ball to an empty member set")
     if idx[0] < 0 or idx[-1] >= len(dataset):
         raise ValueError(f"member index out of range for dataset of size {len(dataset)}")
-    pts = dataset.points[idx]
-    center = pts.mean(axis=0)
-    dists = np.sqrt(((pts - center) ** 2).sum(axis=1))
-    sum_radius = float(dists.sum())
-    return GranularBall(
-        members=idx,
-        center=center,
-        radius=float(dists.max()),
-        sum_radius=sum_radius,
-        avg_distance=sum_radius / idx.size,
-    )
-
-
-def average_distance(ball: GranularBall) -> float:
-    """Quality of a ball: mean member-to-center distance (0 for singletons)."""
-    return ball.sum_radius / ball.size
+    centers, _, radii, sums = fit_segments(dataset.points[idx], np.array([idx.size]))
+    return GranularBall.from_fit(idx, centers[0], radii[0], sums[0])
 
 
 def farthest_pair_seed(dataset: Dataset, ball: GranularBall) -> tuple[int, int]:
@@ -161,8 +256,5 @@ def farthest_pair_seed(dataset: Dataset, ball: GranularBall) -> tuple[int, int]:
     if ball.size < 2:
         raise ValueError("seed selection needs a ball with at least 2 members")
     pts = dataset.points[ball.members]
-    d_center = np.sqrt(((pts - ball.center) ** 2).sum(axis=1))
-    p1 = int(ball.members[int(np.argmax(d_center))])
-    d_p1 = np.sqrt(((pts - dataset.points[p1]) ** 2).sum(axis=1))
-    p2 = int(ball.members[int(np.argmax(d_p1))])
-    return p1, p2
+    p1, p2 = farthest_pairs(pts, np.array([ball.size]), distances(pts, ball.center))
+    return int(ball.members[p1[0]]), int(ball.members[p2[0]])

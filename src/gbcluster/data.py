@@ -266,8 +266,11 @@ def save_results(path_prefix, dataset: Dataset, assignment: ClusterAssignment,
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([f"c{i}" for i in range(dataset.dim)]
                         + ["radius", "cluster", "overlaps", "points"])
-        for i, ball in enumerate(ballset.balls if ballset is not None else []):
-            cluster = int(assignment.labels[ball.members[0]])
-            writer.writerow([format(v, _FMT) for v in ball.center]
-                            + [format(ball.radius, _FMT), str(cluster),
-                               str(int(ballset.overlap_counts[i])), str(ball.size)])
+        if ballset is None:
+            return
+        clusters = assignment.labels[ballset.order[ballset.starts]]
+        for center, radius, cluster, overlaps, size in zip(
+                ballset.centers, ballset.radii.tolist(), clusters.tolist(),
+                ballset.overlap_counts.tolist(), ballset.sizes.tolist()):
+            writer.writerow([format(v, _FMT) for v in center]
+                            + [format(radius, _FMT), str(cluster), str(overlaps), str(size)])

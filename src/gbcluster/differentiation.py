@@ -109,16 +109,6 @@ def _expand(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, np.arange(rows.size) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
 
 
-def _live_geometry(ballset: BallSet, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Centres (k, d) and radii (k,) of the balls ``live``."""
-    return (np.array([ballset.balls[i].center for i in live]),
-            np.array([ballset.balls[i].radius for i in live]))
-
-
-def _radii(ballset: BallSet) -> np.ndarray:
-    return np.array([b.radius for b in ballset.balls])
-
-
 def _pairwise_center_distances(ballset: BallSet) -> tuple[np.ndarray, np.ndarray]:
     """Candidate pairs of non-noise balls, (E, 2) ball indices i < j, and their centre distances.
 
@@ -130,7 +120,7 @@ def _pairwise_center_distances(ballset: BallSet) -> tuple[np.ndarray, np.ndarray
     live = np.flatnonzero(~ballset.noise_ball_flags)
     if live.size < 2:
         return np.empty((0, 2), dtype=np.int64), np.empty(0)
-    centers, radii = _live_geometry(ballset, live)
+    centers, radii = ballset.centers[live], ballset.radii[live]
     a, b = _Grid(centers, 4 * radii.max()).pairs()
     _count(a.size)
     dists = np.sqrt(((centers[a] - centers[b]) ** 2).sum(axis=1))
@@ -144,7 +134,7 @@ def count_overlaps(ballset: BallSet,
     Noise balls neither overlap nor are overlapped; their count is 0.
     """
     pairs, dists = _pairwise_center_distances(ballset) if _pairs is None else _pairs
-    radii = _radii(ballset)
+    radii = ballset.radii
     hit = pairs[dists < radii[pairs[:, 0]] + radii[pairs[:, 1]]]
     return np.bincount(hit.ravel(), minlength=len(ballset))
 
@@ -185,7 +175,7 @@ def adjacency_graph(ballset: BallSet,
     first, adjacency second).
     """
     pairs, dists = _pairwise_center_distances(ballset) if _pairs is None else _pairs
-    radii, overlaps = _radii(ballset), ballset.overlap_counts
+    radii, overlaps = ballset.radii, ballset.overlap_counts
     i, j = pairs[:, 0], pairs[:, 1]
     adjacent = dists - (radii[i] + radii[j]) < tau(radii[i], radii[j], overlaps[i], overlaps[j])
     return AdjacencyGraph(nodes=np.flatnonzero(~ballset.noise_ball_flags), edges=pairs[adjacent])
@@ -235,16 +225,15 @@ def assign_noise(dataset: Dataset, ballset: BallSet, ball_cluster_ids: np.ndarra
     lowest ball index) when that gap is within the mean non-noise radius;
     otherwise they are labelled -1.
     """
+    flags = ballset.noise_ball_flags
     labels = np.full(len(dataset), NOISE, dtype=np.int64)
-    live = np.flatnonzero(~ballset.noise_ball_flags)
-    for i in live:
-        labels[ballset.balls[i].members] = ball_cluster_ids[i]
-    noise_idx = np.flatnonzero(ballset.noise_ball_flags)
-    if live.size == 0 or noise_idx.size == 0:
+    labels[ballset.order] = np.repeat(np.where(flags, NOISE, ball_cluster_ids), ballset.sizes)
+    live = np.flatnonzero(~flags)
+    if live.size == 0 or live.size == flags.size:
         return ClusterAssignment(labels=labels)
-    centers, radii = _live_geometry(ballset, live)
+    centers, radii = ballset.centers[live], ballset.radii[live]
     mean_radius = float(radii.mean())
-    points = np.concatenate([ballset.balls[i].members for i in noise_idx])
+    points = ballset.order[np.repeat(flags, ballset.sizes)]
     # A winning ball has gap <= mean_radius, so its centre lies within
     # 2 * r_max of the point: inside the point's cell or a neighbour.
     row, ball = _Grid(centers, 4 * radii.max()).near(dataset.points[points])

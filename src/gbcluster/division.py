@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .core import BallSet, Dataset, GranularBall, farthest_pair_seed, fit_ball
+from .core import (BallSet, Dataset, GranularBall, distances, farthest_pairs, fit_ball,
+                   fit_segments, segments)
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,9 @@ class DivisionTrace:
     ``accepted_splits`` records (parent AD, child ADs) for every quality-
     accepted split.  With ``capture_partitions`` set, the member arrays of
     every ball are snapshotted after each round (costly; tests only).
+    ``stop_reason`` says why the oversized-ball cleanup ended: "converged"
+    (no oversized ball left), "round_cap" or "split_failed" (a split of an
+    oversized ball put every member on one side).
     """
 
     capture_partitions: bool = False
@@ -61,48 +64,70 @@ class DivisionTrace:
     accepted_splits: list[tuple[float, float, float]] = field(default_factory=list)
     partitions: list[list[np.ndarray]] = field(default_factory=list)
     round_cap_hit: bool = False
+    stop_reason: str | None = None
 
-    def _snapshot(self, balls):
+    def _snapshot(self, members: list[np.ndarray], sizes: list[np.ndarray]):
+        """Record the balls whose members are the runs ``sizes`` of ``members``."""
         if self.capture_partitions:
-            self.partitions.append([b.members.copy() for b in balls])
+            sizes = np.concatenate(sizes)
+            self.partitions.append([m.copy() for m in np.split(np.concatenate(members),
+                                                               np.cumsum(sizes)[:-1])])
 
 
-def split_once(dataset: Dataset, ball: GranularBall):
-    """Split a ball in a single assignment pass.
+def _split(pts: np.ndarray, sizes: np.ndarray, centers: np.ndarray, dists: np.ndarray):
+    """Split every ball, a run ``sizes`` of the rows of pts, in one assignment pass.
 
     The initial child centers are the midpoints between the ball center and
     each seed; every member then joins the nearer one (ties go to the first
-    child).  Returns the two fitted children, or None when one side ends up
-    empty (coincident members).
+    child).  ``dists`` holds each row's distance to its ball's centre.
+    Returns ``ok`` (k,), False where one side ends up empty (coincident
+    members); the rows of the ok balls, each ball's first child before its
+    second, members still ascending; and the child sizes and fit, in the
+    order a0, b0, a1, b1, ...
+    """
+    p1, p2 = farthest_pairs(pts, sizes, dists)
+    seg = segments(sizes)[1]
+    c1 = (centers + pts[p1]) / 2.0
+    c2 = (centers + pts[p2]) / 2.0
+    to_a = distances(pts, c1[seg]) <= distances(pts, c2[seg])
+    n_a = np.bincount(seg, weights=to_a, minlength=sizes.size).astype(np.int64)
+    ok = (n_a > 0) & (n_a < sizes)
+    keep = ok[seg]
+    rows = np.flatnonzero(keep)[np.argsort(seg[keep] * 2 + ~to_a[keep], kind="stable")]
+    child_sizes = np.column_stack((n_a[ok], sizes[ok] - n_a[ok])).ravel()
+    return (ok, rows, child_sizes) + fit_segments(pts[rows], child_sizes)
+
+
+def split_once(dataset: Dataset, ball: GranularBall):
+    """Split a ball in a single assignment pass (see ``_split``).
+
+    Returns the two fitted children, or None when one side ends up empty
+    (coincident members).
     """
     if ball.size < 2:
         raise ValueError("cannot split a ball with fewer than 2 members")
-    p1, p2 = farthest_pair_seed(dataset, ball)
-    c1 = (ball.center + dataset.points[p1]) / 2.0
-    c2 = (ball.center + dataset.points[p2]) / 2.0
     pts = dataset.points[ball.members]
-    d1 = np.sqrt(((pts - c1) ** 2).sum(axis=1))
-    d2 = np.sqrt(((pts - c2) ** 2).sum(axis=1))
-    to_a = d1 <= d2
-    if to_a.all() or not to_a.any():
+    ok, rows, sizes, centers, _, radii, sums = _split(
+        pts, np.array([ball.size]), ball.center[None], distances(pts, ball.center))
+    if not ok[0]:
         return None
-    return (fit_ball(dataset, ball.members[to_a]),
-            fit_ball(dataset, ball.members[~to_a]))
+    members = np.split(ball.members[rows], sizes[:1])
+    return tuple(GranularBall.from_fit(members[i], centers[i], radii[i], sums[i]) for i in (0, 1))
 
 
-def should_split(parent: GranularBall, child_a: GranularBall, child_b: GranularBall) -> bool:
-    """Accept a split only when both children strictly improve the parent."""
-    return (child_a.avg_distance < parent.avg_distance
-            and child_b.avg_distance < parent.avg_distance)
+def should_split(parent_ad, child_a_ad, child_b_ad):
+    """Accept a split only when both children strictly improve the parent's
+    average distance; elementwise on arrays."""
+    return (child_a_ad < parent_ad) & (child_b_ad < parent_ad)
 
 
-def detect_oversized(balls: Sequence[GranularBall]) -> set[int]:
-    """Indices of balls with radius > 2 * max(mean radius, median radius)."""
-    if len(balls) == 0:
+def detect_oversized(radii) -> np.ndarray:
+    """Ascending indices of balls with radius > 2 * max(mean radius, median radius)."""
+    radii = np.asarray(radii, dtype=np.float64)
+    if radii.size == 0:
         raise ValueError("detect_oversized needs at least one ball")
-    radii = np.array([b.radius for b in balls])
     threshold = 2.0 * max(float(radii.mean()), float(np.median(radii)))
-    return {i for i in range(len(balls)) if radii[i] > threshold}
+    return np.flatnonzero(radii > threshold)
 
 
 def generate_balls(dataset: Dataset, config: DivisionConfig | None = None,
@@ -112,69 +137,89 @@ def generate_balls(dataset: Dataset, config: DivisionConfig | None = None,
     Returns a BallSet whose member sets partition the dataset.  Singleton
     balls are flagged as noise; overlap counts are left zeroed for the
     differentiation stage.  Pass a DivisionTrace to observe per-round
-    progress and the round-cap warning flag.
+    progress, the round-cap warning flag and why refinement stopped.
+
+    Each round splits all of its balls at once, on arrays.  A list of balls
+    is a run of point indices per ball, members ascending, plus per-ball
+    sizes, centres, radii and distance sums; every point keeps its distance
+    to its ball's centre, so each ball is fitted once.
     """
     if config is None:
         config = DivisionConfig()
     if trace is None:
         trace = DivisionTrace()
+    points = dataset.points
+    root = fit_ball(dataset, range(len(dataset)))
+    idx, sizes, centers = root.members, np.array([root.size]), root.center[None]
+    radii, sums = np.array([root.radius]), np.array([root.sum_radius])
+    dist = distances(points, root.center)
 
     # Phase 1: quality-driven splitting.  Each ball is examined once; a ball
     # whose split fails or is rejected is final, its children otherwise
-    # re-enter the queue.
-    pending = [fit_ball(dataset, np.arange(len(dataset)))]
-    final: list[GranularBall] = []
-    while pending:
-        next_pending: list[GranularBall] = []
-        split_count = 0
-        for ball in pending:
-            if ball.size < config.min_split_size:
-                final.append(ball)
-                continue
-            children = split_once(dataset, ball)
-            if children is not None and should_split(ball, *children):
-                trace.accepted_splits.append(
-                    (ball.avg_distance, children[0].avg_distance, children[1].avg_distance))
-                next_pending.extend(children)
-                split_count += 1
-            else:
-                final.append(ball)
-        pending = next_pending
-        trace.rounds.append(RoundStats("divide", len(final) + len(pending), split_count, 0))
-        trace._snapshot(final + pending)
+    # re-enter the queue.  Final balls keep the order of the per-ball loop
+    # that defines the method, since phase 2's mean radius sums in it.
+    final = []  # per round: (members, their distances, sizes, centres, radii, sums)
+    while sizes.size:
+        seg = segments(sizes)[1]
+        big = sizes >= config.min_split_size
+        rows, tried = big[seg], np.flatnonzero(big)
+        ok, child_rows, c_sizes, c_centers, c_dist, c_radii, c_sums = _split(
+            points[idx[rows]], sizes[tried], centers[tried], dist[rows])
+        parent_ad = sums[tried[ok]] / sizes[tried[ok]]
+        child_ad = (c_sums / c_sizes).reshape(-1, 2)
+        better = should_split(parent_ad, child_ad[:, 0], child_ad[:, 1])
+        trace.accepted_splits.extend(zip(parent_ad[better].tolist(), *child_ad[better].T.tolist()))
+        split = np.zeros(sizes.size, dtype=bool)
+        split[tried[ok][better]] = True
+        stay = ~split[seg]
+        final.append((idx[stay], dist[stay], sizes[~split], centers[~split], radii[~split], sums[~split]))
+        moved = np.repeat(better, c_sizes[::2] + c_sizes[1::2])
+        kids = np.repeat(better, 2)
+        idx, dist = idx[rows][child_rows][moved], c_dist[moved]
+        sizes, centers, radii, sums = c_sizes[kids], c_centers[kids], c_radii[kids], c_sums[kids]
+        trace.rounds.append(RoundStats("divide", sum(f[2].size for f in final) + sizes.size,
+                                       int(better.sum()), 0))
+        trace._snapshot([f[0] for f in final] + [idx], [f[2] for f in final] + [sizes])
+    order, dist, sizes, centers, radii, sums = (np.concatenate(a) for a in zip(*final))
 
     # Phase 2: force-split oversized balls, recomputing the radius statistics
-    # each round because splits shift the mean and median.
+    # each round because splits shift the mean and median.  Children take
+    # their parent's place, in the list and in ``order``.
+    trace.stop_reason = "converged"
     rounds = 0
     while True:
-        oversized = detect_oversized(final)
-        if not oversized:
+        oversized = detect_oversized(radii)
+        if not oversized.size:
             break
         if rounds >= config.max_refinement_rounds:
             trace.round_cap_hit = True
+            trace.stop_reason = "round_cap"
             warnings.warn("ball refinement hit the round cap with oversized balls remaining",
                           RuntimeWarning, stacklevel=2)
             break
         rounds += 1
-        refined: list[GranularBall] = []
-        split_count = 0
-        split_failed = False
-        for i, ball in enumerate(final):
-            if i not in oversized:
-                refined.append(ball)
-                continue
-            children = split_once(dataset, ball)
-            if children is None:
-                split_failed = True  # degenerate ball; keep it as-is
-                refined.append(ball)
-            else:
-                refined.extend(children)
-                split_count += 1
-        final = refined
-        trace.rounds.append(RoundStats("refine", len(final), split_count, len(oversized)))
-        trace._snapshot(final)
-        if split_failed:
+        pos = np.flatnonzero(np.isin(segments(sizes)[1], oversized))
+        ok, child_rows, c_sizes, c_centers, c_dist, c_radii, c_sums = _split(
+            points[order[pos]], sizes[oversized], centers[oversized], dist[pos])
+        split_pos = pos[np.repeat(ok, sizes[oversized])]
+        order[split_pos], dist[split_pos] = order[pos][child_rows], c_dist
+        copies = np.ones(sizes.size, dtype=np.int64)
+        copies[oversized[ok]] = 2
+        first = (np.cumsum(copies) - copies)[oversized[ok]]
+        slots = np.column_stack((first, first + 1)).ravel()
+        tables = [a[np.repeat(np.arange(copies.size), copies)] for a in (sizes, centers, radii, sums)]
+        for table, children in zip(tables, (c_sizes, c_centers, c_radii, c_sums)):
+            table[slots] = children
+        sizes, centers, radii, sums = tables
+        trace.rounds.append(RoundStats("refine", sizes.size, int(ok.sum()), oversized.size))
+        trace._snapshot([order], [sizes])
+        if not ok.all():
+            trace.stop_reason = "split_failed"  # degenerate ball; kept as-is
             break
 
-    final.sort(key=lambda b: int(b.members[0]))
-    return BallSet(balls=final)
+    # Balls are numbered by their smallest member; the stable sort keeps
+    # members ascending within each ball.
+    by = np.argsort(order[segments(sizes)[0]])
+    order = order[np.argsort(np.repeat(np.argsort(by), sizes), kind="stable")]
+    return BallSet(order=order, sizes=sizes[by], centers=centers[by], radii=radii[by],
+                   sum_radius=sums[by])

@@ -91,7 +91,7 @@ def test_criterion_5_no_oversized_balls_on_bundled_data():
     with _criterion(5, "final ball sets satisfy the oversized-radius rule on bundled data"):
         for name in BUNDLED_DATASETS:
             _, _, ballset, trace, _, _ = _pipeline(name)
-            assert detect_oversized(ballset.balls) == set(), name
+            assert detect_oversized(ballset.radii).size == 0, name
             assert not trace.round_cap_hit, name
 
 
@@ -181,7 +181,7 @@ def test_criterion_6f_merge_matches_transitive_closure():
             m = int(rng.integers(1, 21))
             balls = [_random_ball(rng, size=int(rng.integers(1, 4) * 2)) for _ in range(m)]
             flags = rng.uniform(size=m) < 0.25
-            bs = BallSet(balls=balls, noise_ball_flags=flags)
+            bs = BallSet.from_balls(balls, noise_ball_flags=flags)
             bs.overlap_counts = count_overlaps(bs)
             got = merge_adjacent(bs)
 

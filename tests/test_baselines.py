@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gbcluster.baselines import (DbscanConfig, DpeakConfig, KMeansConfig,
-                                 dbscan, dpeak, dpeak_state, grid_search, kmeans)
+                                 dbscan, dpeak, dpeak_state, kmeans)
 from gbcluster.core import Dataset
 from gbcluster.data import GeneratorSpec, generate
 from gbcluster.metrics import rand_index
@@ -178,11 +178,3 @@ def test_config_validation():
     with pytest.raises(ValueError):
         DpeakConfig(dc=1.0, k=0)
 
-
-def test_grid_search_picks_best_config():
-    ds = _two_blobs()
-    configs = [DbscanConfig(eps=e, min_pts=3) for e in (0.05, 1.0, 3.0)]
-    best, score = grid_search(configs, lambda c: dbscan(ds, c),
-                              lambda a: rand_index(ds.labels, a.labels))
-    assert score == 1.0
-    assert best.eps in (1.0, 3.0)

@@ -14,7 +14,9 @@ def _gen(tmp_path, name="moons.csv", dataset="moons1k"):
 def test_gen_run_happy_path(tmp_path, capsys):
     data = _gen(tmp_path)
     prefix = tmp_path / "res"
-    assert main(["run", "--algo", "gbc", "--in", str(data), "--out", str(prefix)]) == EXIT_OK
+    assert main(["run", "--algo", "gbc", "--in", str(data), "--out", str(prefix),
+                 "--verbose"]) == EXIT_OK
+    assert "refinement stopped: converged" in capsys.readouterr().out
     assert (tmp_path / "res_points.csv").exists()
     assert (tmp_path / "res_balls.csv").exists()
     summary = json.loads((tmp_path / "res_summary.json").read_text())
@@ -66,11 +68,6 @@ def test_unparsable_csv_is_validation_error(tmp_path, capsys):
 
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["run", "--algo", "gbc", "--frobnicate"]) == EXIT_USAGE
-
-
-def test_threads_must_be_positive(tmp_path, capsys):
-    data = _gen(tmp_path)
-    assert main(["run", "--algo", "gbc", "--in", str(data), "--threads", "0"]) == EXIT_USAGE
 
 
 def test_eval_perfect_match(tmp_path, capsys):
@@ -133,18 +130,6 @@ def test_baseline_run_writes_empty_balls_file(tmp_path):
     summary = json.loads((tmp_path / "db_summary.json").read_text())
     assert summary["ball_count"] is None
     assert summary["round_cap_hit"] is None
-
-
-def test_threads_default_from_environment(tmp_path, monkeypatch, capsys):
-    data = _gen(tmp_path)
-    monkeypatch.setenv("GBCLUSTER_THREADS", "4")
-    assert main(["run", "--algo", "gbc", "--in", str(data),
-                 "--out", str(tmp_path / "env")]) == EXIT_OK
-    monkeypatch.setenv("GBCLUSTER_THREADS", "not-a-number")  # falls back to 1
-    assert main(["run", "--algo", "gbc", "--in", str(data),
-                 "--out", str(tmp_path / "env2")]) == EXIT_OK
-    assert ((tmp_path / "env_points.csv").read_bytes()
-            == (tmp_path / "env2_points.csv").read_bytes())
 
 
 def test_eval_headerless_files(tmp_path, capsys):

@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gbcluster.core import (ClusterAssignment, Dataset, average_distance,
-                            farthest_pair_seed, fit_ball)
+from gbcluster.core import ClusterAssignment, Dataset, farthest_pair_seed, fit_ball
 
 
 def test_dataset_validation():
@@ -92,11 +91,11 @@ def test_ball_geometry_invariants():
 
 def test_average_distance_examples():
     single = Dataset(points=[[3.0, 4.0]])
-    assert average_distance(fit_ball(single, [0])) == 0.0
+    assert fit_ball(single, [0]).avg_distance == 0.0
     pair = Dataset(points=[[0.0, 0.0], [2.0, 0.0]])
-    assert average_distance(fit_ball(pair, [0, 1])) == 1.0
+    assert fit_ball(pair, [0, 1]).avg_distance == 1.0
     collinear = Dataset(points=[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    assert average_distance(fit_ball(collinear, [0, 1, 2])) == pytest.approx(2.0 / 3.0, rel=1e-12)
+    assert fit_ball(collinear, [0, 1, 2]).avg_distance == pytest.approx(2.0 / 3.0, rel=1e-12)
 
 
 def test_farthest_pair_seed_collinear_tiebreak():

@@ -27,7 +27,7 @@ def _ball(center, radius, size=5):
 def _ballset(balls, noise_flags=None):
     flags = (np.zeros(len(balls), dtype=bool) if noise_flags is None
              else np.asarray(noise_flags, dtype=bool))
-    return BallSet(balls=balls, noise_ball_flags=flags)
+    return BallSet.from_balls(balls, noise_ball_flags=flags)
 
 
 def test_count_overlaps_examples():
@@ -169,7 +169,7 @@ def test_assign_noise_examples():
                     [500.0, 500.0]])
     ds = Dataset(points=pts)
     balls = [fit_ball(ds, [0, 1]), fit_ball(ds, [2, 3]), fit_ball(ds, [4]), fit_ball(ds, [5])]
-    bs = BallSet(balls=balls)
+    bs = BallSet.from_balls(balls)
     assert bs.noise_ball_flags.tolist() == [False, False, True, True]
     bs.overlap_counts = count_overlaps(bs)
     ids = merge_adjacent(bs)
@@ -180,7 +180,7 @@ def test_assign_noise_examples():
     # a point at equal gap 0.5 from two unit balls in different clusters
     # joins the ball with the lower index
     ds = Dataset(points=np.array([[2.0, 0.0], [4.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [1.5, 0.0]]))
-    bs = BallSet(balls=[fit_ball(ds, [0, 1]), fit_ball(ds, [2, 3]), fit_ball(ds, [4])])
+    bs = BallSet.from_balls([fit_ball(ds, [0, 1]), fit_ball(ds, [2, 3]), fit_ball(ds, [4])])
     bs.overlap_counts = count_overlaps(bs)
     ids = merge_adjacent(bs)
     assert ids.tolist() == [0, 1, -1]

@@ -1,18 +1,15 @@
 """Ball division: the split step, the quality rule, and the full loop."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from gbcluster.core import Dataset, GranularBall, fit_ball
-from gbcluster.data import BUNDLED_DATASETS, generate
+from gbcluster.core import Dataset, fit_ball, fit_segments, segment_sums
+from gbcluster.data import BUNDLED_DATASETS, GeneratorSpec, generate
 from gbcluster.division import (DivisionConfig, DivisionTrace, detect_oversized,
                                 generate_balls, should_split, split_once)
-
-
-def _ball_with_ad(ad):
-    # should_split only reads avg_distance; the rest is irrelevant here
-    return GranularBall(members=np.array([0]), center=np.zeros(2), radius=ad,
-                        sum_radius=ad, avg_distance=ad)
 
 
 def test_split_once_collinear_hand_trace():
@@ -50,23 +47,19 @@ def test_split_once_needs_two_members():
     (0.0, 0.0, 0.0, False),
 ])
 def test_should_split(parent, child_a, child_b, expected):
-    assert should_split(_ball_with_ad(parent), _ball_with_ad(child_a),
-                        _ball_with_ad(child_b)) is expected
-
-
-def _balls_with_radii(radii):
-    return [GranularBall(members=np.array([i]), center=np.zeros(1), radius=r,
-                         sum_radius=0.0, avg_distance=0.0) for i, r in enumerate(radii)]
+    assert should_split(parent, child_a, child_b) is expected
+    assert should_split(np.array([parent]), np.array([child_a]),
+                        np.array([child_b])).tolist() == [expected]
 
 
 def test_detect_oversized():
     # mean 3.25, median 1 -> threshold 6.5
-    assert detect_oversized(_balls_with_radii([1, 1, 1, 10])) == {3}
+    assert detect_oversized([1, 1, 1, 10]).tolist() == [3]
     # mean 4/3, median 1 -> threshold 8/3
-    assert detect_oversized(_balls_with_radii([1, 1, 2])) == set()
-    assert detect_oversized(_balls_with_radii([2, 2, 2])) == set()
+    assert detect_oversized([1, 1, 2]).tolist() == []
+    assert detect_oversized([2, 2, 2]).tolist() == []
     # even count: median is the average of the middle two (2.5 here)
-    assert detect_oversized(_balls_with_radii([1, 2, 3, 10])) == {3}
+    assert detect_oversized([1, 2, 3, 10]).tolist() == [3]
     with pytest.raises(ValueError):
         detect_oversized([])
 
@@ -107,8 +100,9 @@ def test_generate_balls_moons_granularity_and_radius_rule():
     bs = generate_balls(ds, trace=trace)
     m = len(bs)
     assert 10 <= m <= len(ds) // 10
-    assert detect_oversized(bs.balls) == set()
+    assert detect_oversized(bs.radii).size == 0
     assert not trace.round_cap_hit
+    assert trace.stop_reason == "converged"
 
 
 def test_accepted_splits_strictly_improve():
@@ -154,6 +148,20 @@ def test_round_cap_warns():
     with pytest.warns(RuntimeWarning):
         generate_balls(ds, DivisionConfig(max_refinement_rounds=1), trace=trace)
     assert trace.round_cap_hit
+    assert trace.stop_reason == "round_cap"
+
+
+def test_failed_split_stops_refinement():
+    # The two far points are 2 apart, but at 1e16 both seeds' midpoints round
+    # to the same value, so the split puts every member on one side.
+    pts = np.concatenate([np.linspace(0, 1, 30), [1e16, 1e16 + 2]])[:, None]
+    trace = DivisionTrace()
+    bs = generate_balls(Dataset(points=pts), trace=trace)
+    assert trace.stop_reason == "split_failed"
+    assert not trace.round_cap_hit
+    assert detect_oversized(bs.radii).tolist() == [2]
+    assert bs.balls[2].members.tolist() == [30, 31]
+    assert trace.rounds[-1].phase == "refine" and trace.rounds[-1].split_count == 0
 
 
 def test_division_config_validation():
@@ -161,3 +169,101 @@ def test_division_config_validation():
         DivisionConfig(max_refinement_rounds=0)
     with pytest.raises(ValueError):
         DivisionConfig(min_split_size=1)
+
+
+def _sha(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+_EDGE_INPUTS = {
+    "n=1": np.zeros((1, 2)),
+    "identical": np.ones((50, 2)),
+    "1-d": np.linspace(0, 1, 300)[:, None],
+    "d=32": np.random.default_rng(0).normal(size=(500, 32)),
+}
+
+# sha256 of (sizes and members as int64, centers, radii, sum_radius as float64)
+# of the balls in generate_balls' order.  Computed before the round-batched
+# division replaced the loop that fitted and split one ball at a time.
+GOLDEN_BALLS = {
+    "1-d": ("5fcb73c9588f33e2ce0eed3994b3edcea6b28abf04ba8d09ed3bd4a8b07bd9de",
+            "c68949e7393b68fd73ea740397c79deae844376356fab99c67cd2a88f6031f5b",
+            "92a9e0c8b444e9c522ee3f3204cf871c6f8d1308c072e188f64ec1ce084e5fe6",
+            "9ee494a9d365e1b8306738025425a34ed1367738239fe3e6f18f7fc15f149145"),
+    "blobs10k": ("4abd84ee73561cb15473cd8d81ac4aef0b1c95120a6039405b67378a235b1843",
+                 "99e76b6effb0978974b2dc9141230ba1193c23449f628c27cb36ccf6dd9af6b6",
+                 "3f9e99b986eba3d92f9b77a71171541a26cd28f2771031fec0539c08ab6e203b",
+                 "c9158b0c685eb9b5a5d5761620b9425ab7b30810cff696388833060a06130923"),
+    "blobs5": ("887d2f2184d6fb896c96e66c8a0646a35f12537ba0d3b886141c28a36fd8f9c0",
+               "e294fbcbadb509ba65afb66ffd12f3d3b0f3fb708bf09cd79a6ce7dbff976908",
+               "a8097b8b3de8e4b205314901a86903d648421e0809f6835a1896649b96fc628a",
+               "db7c7369be8c3bc52d2a8fcefcb58cc193a15935e92caa09a6fabe70d22aefe1"),
+    "circles3": ("143bce2d394a40fb532fafce1ebd0491d3ddc2d8b56254af52617a1990824271",
+                 "3e6520024c50815f2b6c8b04c76a2b7918b7b0b99c3f4a7077da935d0ca4df18",
+                 "edc571c64edf78c352060603e91eeadee41349c31de0eab6dfb7e4c47e2cdaa8",
+                 "ce170b64ec8a3f0a8e8308477217087bad846feff18f8e9985343640424dbbd8"),
+    "d=32": ("5b5e8dc911895e7adb786b32b48ab07bf8fbc852860f239c4ce9036048e90455",
+             "ae7aec5ce8be1bac0525fc6808a1afec618e0aa28a78d25ad992168d7609bc0d",
+             "5efa6d27a8c88becb470d2eb7d9a3c6d504c5f83c8a7b5b89da9d65b4473a8eb",
+             "09a917a02b54798403a0096b0ae9f134783bf8349e0de33bc0a07e6ad5fa138b"),
+    "identical": ("8653118acc059c327624129fc5fb3dba256769130658382280b6748080b8d2e4",
+                  "5f07eef034c5a21fedede8ef2f970fefbcc8ea44c02fd970117dacbee5483005",
+                  "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+                  "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc"),
+    "moons1k": ("eab04e39b845e7c795b10971f5f494fa28bf794c82e03b9257080ff9bdbbbc04",
+                "115694e0876b9603d0d6b8ec621d7bd18cb7841b93370e44703d87bfd6f02616",
+                "0d357dfef15f5d2dfac578e5c73bb9e86da0ecb2dfedec749cd809021227453e",
+                "d99438bc46ee7f33496f63cd5722fde35756002d3f880a4f6ab89c1f165a09ad"),
+    "n=1": ("4cbbd8ca5215b8d161aec181a74b694f4e24b001d5b081dc0030ed797a8973e0",
+            "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
+            "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+            "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc"),
+    "spirals2": ("4b9c3ec812a8c1b0e1b39d1d7abf250155daefe34048fd202a9395507967945e",
+                 "fc218a6b7c64daa1ca59a82535033f10d3a547da792d173c71c6bb5bb5790bf6",
+                 "cc16fe5dc3faf946ee80526e8753d7b975b9f79c05b7342ea34bbd2914e6d5f4",
+                 "7cfe74387d93ea9b000abfb53cb6d3d03deb36ab975236c9680b262b7b3e3d60"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BALLS))
+def test_generate_balls_matches_golden_digests(name):
+    points = (_EDGE_INPUTS[name] if name in _EDGE_INPUTS
+              else generate(BUNDLED_DATASETS[name]).points)
+    balls = generate_balls(Dataset(points=points)).balls
+    assert (_sha(np.array([b.size for b in balls], dtype=np.int64),
+                 np.concatenate([b.members for b in balls]).astype(np.int64)),
+            _sha(np.array([b.center for b in balls])),
+            _sha(np.array([b.radius for b in balls])),
+            _sha(np.array([b.sum_radius for b in balls]))) == GOLDEN_BALLS[name]
+
+
+def test_segment_kernels_match_per_slice_numpy():
+    rng = np.random.default_rng(5)
+    for trial in range(60):
+        d = (1, 2, 8)[trial % 3]
+        sizes = np.concatenate([[7, 8, 9, 128, 129], rng.integers(1, 401, 20)])
+        rng.shuffle(sizes)
+        pts = rng.normal(0, 1, (sizes.sum(), d)) * 10.0 ** rng.integers(-6, 7, (sizes.sum(), d))
+        starts = np.cumsum(sizes) - sizes
+        slices = [slice(s, s + z) for s, z in zip(starts, sizes)]
+        x = pts[:, 0].copy()
+        assert np.array_equal(segment_sums(x, sizes), [x[sl].sum() for sl in slices])
+        centers, dists, radii, dist_sums = fit_segments(pts, sizes)
+        assert np.array_equal(centers, [pts[sl].mean(axis=0) for sl in slices])
+        assert np.array_equal(radii, [dists[sl].max() for sl in slices])
+        assert np.array_equal(dist_sums, [dists[sl].sum() for sl in slices])
+
+
+def test_division_memory_stays_linear_in_points():
+    centers = BUNDLED_DATASETS["blobs10k"].centers
+    ds = generate(GeneratorSpec(family="blobs", n=100_000, seed=1, centers=centers, scales=0.5))
+    tracemalloc.start()
+    try:
+        generate_balls(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 20
