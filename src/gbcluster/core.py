@@ -142,13 +142,14 @@ class ClusterAssignment:
     def __post_init__(self):
         lab = np.asarray(self.labels, dtype=np.int64)
         object.__setattr__(self, "labels", lab)
-        real = np.unique(lab[lab != NOISE])
-        if real.size and (real[0] != 0 or real[-1] != real.size - 1):
+        # K contiguous ids need K <= n, which also keeps the bincount within n + 1
+        if lab.size and (lab.min() < NOISE or lab.max() >= lab.size
+                         or not np.bincount(lab + 1)[1:].all()):
             raise ValueError("cluster labels must be contiguous from 0")
 
     @property
     def cluster_count(self) -> int:
-        return int(np.unique(self.labels[self.labels != NOISE]).size)
+        return int(self.labels.max(initial=NOISE)) + 1
 
     @property
     def noise_count(self) -> int:
@@ -189,8 +190,27 @@ def segment_sums(x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 
 def distances(pts: np.ndarray, to: np.ndarray) -> np.ndarray:
-    """Row-wise Euclidean distance between pts and to (broadcast)."""
-    return np.sqrt(((pts - to) ** 2).sum(axis=1))
+    """Row-wise Euclidean distance between pts (n, d) and to, (d,) or (n, d).
+
+    The one row-distance kernel of the package, bit-identical to
+    ``np.sqrt(((pts - to) ** 2).sum(axis=1))``.  numpy adds fewer than 8
+    columns in order, which column-wise adds repeat several times faster on
+    narrow rows.  Wider rows keep ``.sum``, a block of rows at a time, so the
+    only temporary besides the result is a block of about 4 MB.
+    """
+    d = pts.shape[1]
+    if d < 8:
+        acc = (pts[:, 0] - to[..., 0]) ** 2
+        for j in range(1, d):
+            acc += (pts[:, j] - to[..., j]) ** 2
+        return np.sqrt(acc, out=acc)
+    to = np.broadcast_to(to, pts.shape)
+    out = np.empty(len(pts))
+    step = 2 ** 19 // d
+    for s in range(0, len(pts), step):
+        diff = pts[s:s + step] - to[s:s + step]
+        out[s:s + step] = np.square(diff, out=diff).sum(axis=1)
+    return np.sqrt(out, out=out)
 
 
 def fit_segments(pts: np.ndarray, sizes: np.ndarray):
@@ -208,7 +228,7 @@ def fit_segments(pts: np.ndarray, sizes: np.ndarray):
         sums = np.column_stack([np.bincount(seg, weights=col, minlength=sizes.size)
                                 for col in pts.T])
     centers = sums / sizes[:, None]
-    dists = distances(pts, centers[seg])
+    dists = distances(pts, np.repeat(centers, sizes, axis=0))
     return centers, dists, np.maximum.reduceat(dists, starts), segment_sums(dists, sizes)
 
 
@@ -227,7 +247,7 @@ def farthest_pairs(pts: np.ndarray, sizes: np.ndarray, dists: np.ndarray):
     index, so splitting stays deterministic.
     """
     p1 = first_argmax(dists, sizes)
-    p2 = first_argmax(distances(pts, np.repeat(pts[p1], sizes, axis=0)), sizes)
+    p2 = first_argmax(distances(pts, np.repeat(pts.take(p1, axis=0), sizes, axis=0)), sizes)
     return p1, p2
 
 
@@ -235,14 +255,18 @@ def fit_ball(dataset: Dataset, members: Iterable[int]) -> GranularBall:
     """Fit a ball to the given member indices.
 
     Members are deduplicated and summed in ascending index order, so fitting
-    the same member set twice is bit-for-bit reproducible.
+    the same member set twice is bit-for-bit reproducible.  An int array
+    that is already strictly ascending is used as it is.
     """
-    idx = np.unique(np.fromiter(members, dtype=np.int64))
+    idx = (np.array(members, dtype=np.int64) if isinstance(members, np.ndarray)
+           else np.fromiter(members, dtype=np.int64))
+    if not (idx[1:] > idx[:-1]).all():
+        idx = np.unique(idx)
     if idx.size == 0:
         raise ValueError("cannot fit a ball to an empty member set")
     if idx[0] < 0 or idx[-1] >= len(dataset):
         raise ValueError(f"member index out of range for dataset of size {len(dataset)}")
-    centers, _, radii, sums = fit_segments(dataset.points[idx], np.array([idx.size]))
+    centers, _, radii, sums = fit_segments(dataset.points.take(idx, axis=0), np.array([idx.size]))
     return GranularBall.from_fit(idx, centers[0], radii[0], sums[0])
 
 
@@ -255,6 +279,6 @@ def farthest_pair_seed(dataset: Dataset, ball: GranularBall) -> tuple[int, int]:
     """
     if ball.size < 2:
         raise ValueError("seed selection needs a ball with at least 2 members")
-    pts = dataset.points[ball.members]
+    pts = dataset.points.take(ball.members, axis=0)
     p1, p2 = farthest_pairs(pts, np.array([ball.size]), distances(pts, ball.center))
     return int(ball.members[p1[0]]), int(ball.members[p2[0]])

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NOISE, BallSet, ClusterAssignment, Dataset
+from .core import NOISE, BallSet, ClusterAssignment, Dataset, distances
 from .division import DivisionConfig, DivisionTrace, generate_balls
 
 _DIST_EVALS = 0
@@ -110,21 +110,30 @@ def _expand(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pairwise_center_distances(ballset: BallSet) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate pairs of non-noise balls, (E, 2) ball indices i < j, and their centre distances.
+    """Pairs of non-noise balls within reach, (E, 2) ball indices i < j, and their centre distances.
 
     Overlap needs d_ij < r_i + r_j and adjacency d_ij < r_i + r_j + tau, with
     tau <= min(r_i, r_j); both stay below 3 * r_max.  Centres are bucketed
     into cells of side 4 * r_max, so every such pair is a candidate.  Counts
-    one distance evaluation per candidate.
+    one distance evaluation per candidate, then keeps only the pairs that
+    could overlap or be adjacent.
     """
     live = np.flatnonzero(~ballset.noise_ball_flags)
     if live.size < 2:
         return np.empty((0, 2), dtype=np.int64), np.empty(0)
-    centers, radii = ballset.centers[live], ballset.radii[live]
+    centers, radii = ballset.centers.take(live, axis=0), ballset.radii[live]
     a, b = _Grid(centers, 4 * radii.max()).pairs()
     _count(a.size)
-    dists = np.sqrt(((centers[a] - centers[b]) ** 2).sum(axis=1))
-    return np.column_stack((live[a], live[b])), dists
+    diff = centers.take(a, axis=0)
+    diff -= centers.take(b, axis=0)  # one (E, d) buffer; a second lives only for this line
+    dists = distances(diff, np.zeros(centers.shape[1]))
+    # Reach: the gap fl(d - s), s = fl(r_i + r_j), is below min(r_i, r_j).
+    # Adjacency needs gap < tau, and tau <= min(r_i, r_j) in floating point
+    # too; overlap needs d < s, and then fl(d - s) < 0 <= min(r_i, r_j).
+    # So every overlapping and every adjacent pair is kept.
+    ra, rb = radii[a], radii[b]
+    near = np.flatnonzero(dists - (ra + rb) < np.minimum(ra, rb))
+    return np.column_stack((live[a[near]], live[b[near]])), dists[near]
 
 
 def count_overlaps(ballset: BallSet,
@@ -150,7 +159,7 @@ def tau(r_i, r_j, o_i, o_j):
 def are_adjacent(ball_i, ball_j, o_i: int, o_j: int) -> bool:
     """True when the surface gap between two balls is below their tau."""
     _count(1)
-    gap = float(np.sqrt(((ball_i.center - ball_j.center) ** 2).sum())) - (ball_i.radius + ball_j.radius)
+    gap = float(distances(ball_i.center[None], ball_j.center)[0]) - (ball_i.radius + ball_j.radius)
     return bool(gap < tau(ball_i.radius, ball_j.radius, o_i, o_j))
 
 
@@ -231,14 +240,15 @@ def assign_noise(dataset: Dataset, ballset: BallSet, ball_cluster_ids: np.ndarra
     live = np.flatnonzero(~flags)
     if live.size == 0 or live.size == flags.size:
         return ClusterAssignment(labels=labels)
-    centers, radii = ballset.centers[live], ballset.radii[live]
+    centers, radii = ballset.centers.take(live, axis=0), ballset.radii[live]
     mean_radius = float(radii.mean())
     points = ballset.order[np.repeat(flags, ballset.sizes)]
+    pts = dataset.points.take(points, axis=0)
     # A winning ball has gap <= mean_radius, so its centre lies within
     # 2 * r_max of the point: inside the point's cell or a neighbour.
-    row, ball = _Grid(centers, 4 * radii.max()).near(dataset.points[points])
+    row, ball = _Grid(centers, 4 * radii.max()).near(pts)
     _count(row.size)
-    gaps = np.sqrt(((centers[ball] - dataset.points[points[row]]) ** 2).sum(axis=1)) - radii[ball]
+    gaps = distances(pts.take(row, axis=0), centers.take(ball, axis=0)) - radii[ball]
     order = np.lexsort((ball, gaps, row))
     row, ball, gaps = row[order], ball[order], gaps[order]
     nearest = np.r_[True, row[1:] != row[:-1]]

@@ -87,15 +87,16 @@ def _split(pts: np.ndarray, sizes: np.ndarray, centers: np.ndarray, dists: np.nd
     """
     p1, p2 = farthest_pairs(pts, sizes, dists)
     seg = segments(sizes)[1]
-    c1 = (centers + pts[p1]) / 2.0
-    c2 = (centers + pts[p2]) / 2.0
-    to_a = distances(pts, c1[seg]) <= distances(pts, c2[seg])
+    c1 = (centers + pts.take(p1, axis=0)) / 2.0
+    c2 = (centers + pts.take(p2, axis=0)) / 2.0
+    to_a = (distances(pts, np.repeat(c1, sizes, axis=0))
+            <= distances(pts, np.repeat(c2, sizes, axis=0)))
     n_a = np.bincount(seg, weights=to_a, minlength=sizes.size).astype(np.int64)
     ok = (n_a > 0) & (n_a < sizes)
     keep = ok[seg]
     rows = np.flatnonzero(keep)[np.argsort(seg[keep] * 2 + ~to_a[keep], kind="stable")]
     child_sizes = np.column_stack((n_a[ok], sizes[ok] - n_a[ok])).ravel()
-    return (ok, rows, child_sizes) + fit_segments(pts[rows], child_sizes)
+    return (ok, rows, child_sizes) + fit_segments(pts.take(rows, axis=0), child_sizes)
 
 
 def split_once(dataset: Dataset, ball: GranularBall):
@@ -106,7 +107,7 @@ def split_once(dataset: Dataset, ball: GranularBall):
     """
     if ball.size < 2:
         raise ValueError("cannot split a ball with fewer than 2 members")
-    pts = dataset.points[ball.members]
+    pts = dataset.points.take(ball.members, axis=0)
     ok, rows, sizes, centers, _, radii, sums = _split(
         pts, np.array([ball.size]), ball.center[None], distances(pts, ball.center))
     if not ok[0]:
@@ -149,7 +150,7 @@ def generate_balls(dataset: Dataset, config: DivisionConfig | None = None,
     if trace is None:
         trace = DivisionTrace()
     points = dataset.points
-    root = fit_ball(dataset, range(len(dataset)))
+    root = fit_ball(dataset, np.arange(len(dataset)))
     idx, sizes, centers = root.members, np.array([root.size]), root.center[None]
     radii, sums = np.array([root.radius]), np.array([root.sum_radius])
     dist = distances(points, root.center)
@@ -164,7 +165,7 @@ def generate_balls(dataset: Dataset, config: DivisionConfig | None = None,
         big = sizes >= config.min_split_size
         rows, tried = big[seg], np.flatnonzero(big)
         ok, child_rows, c_sizes, c_centers, c_dist, c_radii, c_sums = _split(
-            points[idx[rows]], sizes[tried], centers[tried], dist[rows])
+            points.take(idx[rows], axis=0), sizes[tried], centers.take(tried, axis=0), dist[rows])
         parent_ad = sums[tried[ok]] / sizes[tried[ok]]
         child_ad = (c_sums / c_sizes).reshape(-1, 2)
         better = should_split(parent_ad, child_ad[:, 0], child_ad[:, 1])
@@ -172,11 +173,13 @@ def generate_balls(dataset: Dataset, config: DivisionConfig | None = None,
         split = np.zeros(sizes.size, dtype=bool)
         split[tried[ok][better]] = True
         stay = ~split[seg]
-        final.append((idx[stay], dist[stay], sizes[~split], centers[~split], radii[~split], sums[~split]))
+        final.append((idx[stay], dist[stay], sizes[~split], centers.compress(~split, axis=0),
+                      radii[~split], sums[~split]))
         moved = np.repeat(better, c_sizes[::2] + c_sizes[1::2])
         kids = np.repeat(better, 2)
         idx, dist = idx[rows][child_rows][moved], c_dist[moved]
-        sizes, centers, radii, sums = c_sizes[kids], c_centers[kids], c_radii[kids], c_sums[kids]
+        sizes, centers = c_sizes[kids], c_centers.compress(kids, axis=0)
+        radii, sums = c_radii[kids], c_sums[kids]
         trace.rounds.append(RoundStats("divide", sum(f[2].size for f in final) + sizes.size,
                                        int(better.sum()), 0))
         trace._snapshot([f[0] for f in final] + [idx], [f[2] for f in final] + [sizes])
@@ -198,16 +201,17 @@ def generate_balls(dataset: Dataset, config: DivisionConfig | None = None,
                           RuntimeWarning, stacklevel=2)
             break
         rounds += 1
-        pos = np.flatnonzero(np.isin(segments(sizes)[1], oversized))
+        pos = np.flatnonzero(np.repeat(np.isin(np.arange(sizes.size), oversized), sizes))
         ok, child_rows, c_sizes, c_centers, c_dist, c_radii, c_sums = _split(
-            points[order[pos]], sizes[oversized], centers[oversized], dist[pos])
+            points.take(order[pos], axis=0), sizes[oversized], centers.take(oversized, axis=0),
+            dist[pos])
         split_pos = pos[np.repeat(ok, sizes[oversized])]
         order[split_pos], dist[split_pos] = order[pos][child_rows], c_dist
         copies = np.ones(sizes.size, dtype=np.int64)
         copies[oversized[ok]] = 2
         first = (np.cumsum(copies) - copies)[oversized[ok]]
         slots = np.column_stack((first, first + 1)).ravel()
-        tables = [a[np.repeat(np.arange(copies.size), copies)] for a in (sizes, centers, radii, sums)]
+        tables = [np.repeat(a, copies, axis=0) for a in (sizes, centers, radii, sums)]
         for table, children in zip(tables, (c_sizes, c_centers, c_radii, c_sums)):
             table[slots] = children
         sizes, centers, radii, sums = tables
@@ -221,5 +225,5 @@ def generate_balls(dataset: Dataset, config: DivisionConfig | None = None,
     # members ascending within each ball.
     by = np.argsort(order[segments(sizes)[0]])
     order = order[np.argsort(np.repeat(np.argsort(by), sizes), kind="stable")]
-    return BallSet(order=order, sizes=sizes[by], centers=centers[by], radii=radii[by],
+    return BallSet(order=order, sizes=sizes[by], centers=centers.take(by, axis=0), radii=radii[by],
                    sum_radius=sums[by])

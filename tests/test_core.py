@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gbcluster.core import ClusterAssignment, Dataset, farthest_pair_seed, fit_ball
+from gbcluster.core import ClusterAssignment, Dataset, distances, farthest_pair_seed, fit_ball
 
 
 def test_dataset_validation():
@@ -27,6 +27,15 @@ def test_cluster_assignment_invariants():
         ClusterAssignment(labels=[0, 2])  # gap in cluster ids
     with pytest.raises(ValueError):
         ClusterAssignment(labels=[1, 2])  # must start at 0
+    with pytest.raises(ValueError):
+        ClusterAssignment(labels=[-1, 0, 1, 3, 1])  # gap after the first ids
+    with pytest.raises(ValueError):
+        ClusterAssignment(labels=[0, 10 ** 12])  # gap wider than the labels
+    with pytest.raises(ValueError):
+        ClusterAssignment(labels=[-2, 0, 1])  # below the noise label
+    noise = ClusterAssignment(labels=[-1, -1, -1])
+    assert (noise.cluster_count, noise.noise_count) == (0, 3)
+    assert ClusterAssignment(labels=np.empty(0)).cluster_count == 0
 
 
 def test_fit_ball_singleton():
@@ -126,3 +135,17 @@ def test_farthest_pair_seed_needs_two_members():
     ds = Dataset(points=[[0.0, 0.0]])
     with pytest.raises(ValueError):
         farthest_pair_seed(ds, fit_ball(ds, [0]))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 32])
+def test_distances_bit_equal_to_row_sum(d):
+    # from d = 8 on the kernel works in blocks of rows; 70,000 rows span two or more
+    rng = np.random.default_rng(d)
+    n = 70_000 if d >= 8 else 5_000
+    scale = rng.choice([1e-300, 1e-3, 1.0, 1e12], size=(2, n, d))
+    pts, rows = rng.normal(size=(2, n, d)) * scale
+    pts[rng.uniform(size=(n, d)) < 0.05] = -0.0
+    rows[rng.uniform(size=(n, d)) < 0.05] = 0.0
+    for to in (rows[0], rows, np.full(d, -0.0)):
+        reference = np.sqrt(((pts - to) ** 2).sum(axis=1))
+        assert distances(pts, to).tobytes() == reference.tobytes()

@@ -12,10 +12,11 @@ import pytest
 import gbcluster
 from gbcluster.core import BallSet, Dataset, GranularBall, fit_ball
 from gbcluster.data import BUNDLED_DATASETS, GeneratorSpec, generate
-from gbcluster.differentiation import (adjacency_graph, are_adjacent,
-                                       assign_noise, cluster, count_overlaps,
-                                       distance_evaluations, merge_adjacent,
-                                       reset_distance_counter, tau)
+from gbcluster.differentiation import (_pairwise_center_distances, adjacency_graph,
+                                       are_adjacent, assign_noise, cluster,
+                                       count_overlaps, distance_evaluations,
+                                       merge_adjacent, reset_distance_counter, tau)
+from gbcluster.division import generate_balls
 
 
 def _ball(center, radius, size=5):
@@ -88,12 +89,21 @@ def test_tau_monotone_in_min_overlap():
         assert all(a >= b for a, b in zip(seq, seq[1:]))
 
 
-def test_adjacency_graph_matches_pairwise_predicate():
+def _adjacency_inputs():
+    """Random ball lists, then hand-made pairs with the edge they must give."""
     rng = np.random.default_rng(41)
     for _ in range(25):
         m = int(rng.integers(1, 15))
-        balls = [_ball(rng.uniform(0, 5, 2), rng.uniform(0.05, 1.0),
-                       size=int(rng.integers(1, 5))) for _ in range(m)]
+        yield [_ball(rng.uniform(0, 5, 2), rng.uniform(0.05, 1.0),
+                     size=int(rng.integers(1, 5))) for _ in range(m)], None
+    # no overlaps, so tau = min(r) = 0.5: a gap just below it is adjacent,
+    # a gap equal to it is not
+    yield [_ball([0.0, 0.0], 1.0), _ball([np.nextafter(2.0, 0.0), 0.0], 0.5)], [[0, 1]]
+    yield [_ball([0.0, 0.0], 1.0), _ball([2.0, 0.0], 0.5)], []
+
+
+def test_adjacency_graph_matches_pairwise_predicate():
+    for balls, expected in _adjacency_inputs():
         bs = _ballset(balls, [b.size == 1 for b in balls])
         bs.overlap_counts = count_overlaps(bs)
         graph = adjacency_graph(bs)
@@ -107,6 +117,9 @@ def test_adjacency_graph_matches_pairwise_predicate():
                 hit = are_adjacent(balls[i], balls[j],
                                    int(bs.overlap_counts[i]), int(bs.overlap_counts[j]))
                 assert ((i, j) in edge_set) == hit
+        if expected is not None:
+            assert not bs.overlap_counts.any()
+            assert graph.edges.tolist() == expected
 
 
 def _merged(balls, flags=None):
@@ -241,6 +254,9 @@ def test_distance_budget_scales_with_balls_not_points():
     m = len(ballset)
     assert 0 < evals <= m * m
     assert evals < len(ds) ** 2 / 10
+    # grid candidates, counted before the reach filter drops pairs, plus
+    # (noise point, candidate ball) pairs; the value before that filter existed
+    assert evals == 1297
 
 
 def _sha(values):
@@ -321,6 +337,27 @@ def test_geometry_pass_memory_stays_linear_in_balls():
     assert peak < 50 * 2 ** 20
     assert not bs.overlap_counts.any()
     assert ids.max() == 0  # gap 0 < tau = 0.5: the whole grid is one cluster
+
+
+def test_geometry_pass_memory_at_d8():
+    # the 8-d blobs of 20,000 points the benchmark clusters: all 1,176 centres
+    # share one grid cell, so all 690,900 pairs are candidates and an (E, 8)
+    # float64 array takes 42 MB
+    centers = np.hstack([np.array(BUNDLED_DATASETS["blobs10k"].centers),
+                         np.random.default_rng(1).uniform(-3.0, 9.0, size=(5, 6))])
+    spec = GeneratorSpec(family="blobs", n=20_000, seed=1, scales=(0.5,) * 5,
+                         centers=tuple(map(tuple, centers.tolist())))
+    bs = generate_balls(generate(spec))
+    tracemalloc.start()
+    try:
+        pairs = _pairwise_center_distances(bs)
+        bs.overlap_counts = count_overlaps(bs, pairs)
+        ids = merge_adjacent(bs, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2 ** 20
+    assert ids.max() == 4
 
 
 def test_clustering_does_not_import_scipy():
