@@ -8,6 +8,7 @@ All distances are Euclidean (L2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -189,28 +190,61 @@ def segment_sums(x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return out
 
 
-def distances(pts: np.ndarray, to: np.ndarray) -> np.ndarray:
-    """Row-wise Euclidean distance between pts (n, d) and to, (d,) or (n, d).
+def squared_distances(pts: np.ndarray, to: np.ndarray) -> np.ndarray:
+    """``((pts - to) ** 2).sum(axis=-1)``, bit for bit; pts and to broadcast.
 
-    The one row-distance kernel of the package, bit-identical to
-    ``np.sqrt(((pts - to) ** 2).sum(axis=1))``.  numpy adds fewer than 8
-    columns in order, which column-wise adds repeat several times faster on
-    narrow rows.  Wider rows keep ``.sum``, a block of rows at a time, so the
-    only temporary besides the result is a block of about 4 MB.
+    Rows (n, d) against (d,) or (n, d) give n sums; a tile (B, 1, d) against
+    (1, W, d) gives a (B, W) plane.  numpy sums up to 128 terms in 8
+    interleaved lanes over the leading multiple of 8, combined in a fixed
+    tree, then the rest in order (fewer than 8: all in order).  Adding the
+    squared columns in that order is several times faster than ``.sum`` on
+    narrow rows and on tiles, whose columns are short.  Wider rows and more
+    than 128 columns keep ``.sum``, a block of about 4 MB at a time.
     """
-    d = pts.shape[1]
+    d = pts.shape[-1]
+    shape = np.broadcast_shapes(pts.shape, to.shape)
+
+    def square(j):
+        col = pts[..., j] - to[..., j]
+        return np.square(col, out=col)
+
     if d < 8:
-        acc = (pts[:, 0] - to[..., 0]) ** 2
+        acc = square(0)
         for j in range(1, d):
-            acc += (pts[:, j] - to[..., j]) ** 2
-        return np.sqrt(acc, out=acc)
-    to = np.broadcast_to(to, pts.shape)
-    out = np.empty(len(pts))
-    step = 2 ** 19 // d
-    for s in range(0, len(pts), step):
+            acc += square(j)
+        return acc
+    tile = math.prod(shape[:-1]) > max(math.prod(pts.shape[:-1]), math.prod(to.shape[:-1]))
+    if tile and d <= 128:
+        lead = d & ~7
+        lanes = [square(j) for j in range(8)]
+        for i in range(8, lead, 8):
+            for j in range(8):
+                lanes[j] += square(i + j)
+        for gap in (1, 2, 4):  # ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7))
+            for j in range(0, 8, 2 * gap):
+                lanes[j] += lanes[j + gap]
+        acc = lanes[0]
+        for j in range(lead, d):
+            acc += square(j)
+        return acc
+    pts, to = np.broadcast_to(pts, shape), np.broadcast_to(to, shape)
+    out = np.empty(shape[:-1])
+    step = max(1, 2 ** 19 // max(1, math.prod(shape[1:])))
+    for s in range(0, shape[0], step):
         diff = pts[s:s + step] - to[s:s + step]
-        out[s:s + step] = np.square(diff, out=diff).sum(axis=1)
-    return np.sqrt(out, out=out)
+        out[s:s + step] = np.square(diff, out=diff).sum(axis=-1)
+    return out
+
+
+def distances(pts: np.ndarray, to: np.ndarray) -> np.ndarray:
+    """Euclidean distances, ``np.sqrt(squared_distances(pts, to))``.
+
+    The one distance kernel of the package: division (member to centre), the
+    geometry pass (centre to centre) and noise attachment (point to centre)
+    all call it, on rows or on tiles.
+    """
+    acc = squared_distances(pts, to)
+    return np.sqrt(acc, out=acc)
 
 
 def fit_segments(pts: np.ndarray, sizes: np.ndarray):

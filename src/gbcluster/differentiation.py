@@ -8,9 +8,12 @@ balls.  Singleton (noise) balls sit out of the merge and are attached to the
 nearest cluster afterwards or labelled noise.
 
 Only ball centers and radii enter this stage, never point pairs, and only
-centres close enough to matter are compared: a grid over the centres yields
-candidate pairs in place of all m^2 / 2.  The module counts its distance
-evaluations so that budget is checkable.
+centres close enough to matter are compared.  The centres are sorted into
+strips, and each block of a strip meets the centres near it, in its own
+strip and the next, as small dense tiles of squared distances.  A
+prefilter on those spares the square root for all but the pairs near
+enough to overlap or be adjacent.  Noise points search the same strips.
+The module counts its distance evaluations so that budget is checkable.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NOISE, BallSet, ClusterAssignment, Dataset, distances
+from .core import NOISE, BallSet, ClusterAssignment, Dataset, distances, squared_distances
 from .division import DivisionConfig, DivisionTrace, generate_balls
 
 _DIST_EVALS = 0
@@ -33,107 +36,140 @@ def reset_distance_counter() -> None:
 def distance_evaluations() -> int:
     """Distance evaluations performed by this module since the last reset.
 
-    One per candidate ball pair and one per (noise point, candidate ball).
+    One per squared centre distance a tile computes, each pair counted at
+    most once, and one per (noise point, ball) distance computed.
     """
     return _DIST_EVALS
 
 
 def _count(n: int) -> None:
     global _DIST_EVALS
-    _DIST_EVALS += n
+    _DIST_EVALS += int(n)
 
 
-class _Grid:
-    """Centres bucketed into square cells over their (at most) two widest coordinates.
+# Entries of one (B, W) tile of squared distances: 256 KB of float64.
+_TILE = 2 ** 15
+# Centres per strip, on average, at the least.
+_FILL = 64
 
-    Projecting onto some coordinates never lengthens a distance, so two
-    points closer than ``cell`` lie in the same or in neighbouring cells.
+
+class _Strips:
+    """Ball centres sorted into strips along their widest coordinate, then by
+    their second widest (in 1-d, by the same coordinate).
+
+    Two points less than 3 * r_max apart lie in the same or in neighbouring
+    strips, and within ``reach`` = 4 * r_max of each other on the second
+    coordinate: strips are at least ``reach`` wide, and the quarter of margin
+    is far more than rounding takes.  Where 4 * r_max would cut the span of
+    the centres into more than m / 64 strips, strips are span * 64 / m wide,
+    so that a strip holds enough centres to fill its tiles.
     """
 
-    def __init__(self, centers: np.ndarray, cell: float):
+    def __init__(self, centers: np.ndarray, r_max: float):
         low = centers.min(axis=0)
         span = centers.max(axis=0) - low
         self.axes = np.argsort(-span, kind="stable")[:2]
-        self.origin = low[self.axes]
-        # A coarser grid stays exact; at most 2**20 cells a side keeps keys in int64.
-        self.cell = max(cell, float(span.max()) / 2 ** 20) or 1.0
-        cells = self._cells(centers, np.full(2, 2 ** 21))
-        self.limit = cells.max(axis=0) + 1
-        self.stride = int(self.limit[1]) + 3
-        keys = self._keys(cells)
-        self.order = np.argsort(keys, kind="stable")  # ascending ball position within a cell
-        self.keys = keys[self.order]
+        self.origin = low[self.axes[0]]
+        self.reach = 4 * r_max
+        self.width = max(self.reach, float(span.max()) * _FILL / len(centers)) or 1.0
+        strip, y = self.locate(centers)
+        self.order = np.lexsort((y, strip))
+        self.centers = centers.take(self.order, axis=0)
+        self.y = y[self.order]
+        self.ids, self.bounds = _runs(strip[self.order])
 
-    def _cells(self, points: np.ndarray, high: np.ndarray) -> np.ndarray:
-        """Cell coordinates, clipped to [-1, high]; a second column of zeros in 1-d."""
-        k = self.axes.size
-        scaled = np.floor((points[:, self.axes] - self.origin) / self.cell)
-        cells = np.zeros((len(points), 2), dtype=np.int64)
-        cells[:, :k] = np.clip(scaled, -1, high[:k])
-        return cells
+    def locate(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Strip (from -1 up) and second coordinate of every point."""
+        x = (points[:, self.axes[0]] - self.origin) / self.width
+        return np.floor(np.clip(x, -1, 2 ** 52)).astype(np.int64), points[:, self.axes[-1]]
 
-    def _keys(self, cells: np.ndarray) -> np.ndarray:
-        return (cells[:, 0] + 1) * self.stride + cells[:, 1] + 1
-
-    def _ranges(self, keys: np.ndarray, offsets) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted positions [lo, hi) of every cell ``key + offset``, offsets outermost."""
-        wanted = np.concatenate([keys + off for off in offsets])
-        return (np.searchsorted(self.keys, wanted, side="left"),
-                np.searchsorted(self.keys, wanted, side="right"))
-
-    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every unordered pair (a, b), a < b, of centres in the same or neighbouring cells."""
-        m = self.keys.size
-        s = self.stride
-        # the cell itself (later positions only) and its four forward neighbours
-        lo, hi = self._ranges(self.keys, (1, s - 1, s, s + 1))
-        lo = np.concatenate([np.arange(1, m + 1), lo])
-        hi = np.concatenate([np.searchsorted(self.keys, self.keys, side="right"), hi])
-        rows, flat = _expand(lo, hi)
-        a, b = self.order[rows % m], self.order[flat]
-        return np.minimum(a, b), np.maximum(a, b)
-
-    def near(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(point row, centre position) for every centre in a point's cell or its neighbours."""
-        s = self.stride
-        keys = self._keys(self._cells(points, self.limit))
-        offsets = [dx * s + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
-        rows, flat = _expand(*self._ranges(keys, offsets))
-        return rows % len(points), self.order[flat]
+    def window(self, k: int, y_lo: float, y_hi: float) -> tuple[int, int]:
+        """Sorted positions [lo, hi) of the centres of the k-th strip with y in [y_lo, y_hi]."""
+        s, e = self.bounds[k], self.bounds[k + 1]
+        ys = self.y[s:e]
+        return (s + int(np.searchsorted(ys, y_lo, side="left")),
+                s + int(np.searchsorted(ys, y_hi, side="right")))
 
 
-def _expand(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenated ranges [lo[k], hi[k]) as (k, value) for every value."""
-    counts = hi - lo
-    rows = np.repeat(np.arange(counts.size), counts)
-    return rows, np.arange(rows.size) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of sorted keys, and the bounds [start, ..., len] of their runs."""
+    starts = np.flatnonzero(np.diff(keys, prepend=keys[:1] - 1))
+    return keys[starts], np.append(starts, keys.size)
+
+
+def _squared_bound(lim: np.ndarray) -> np.ndarray:
+    """``max(lim**2, 2**-960) * (1 + 2**-40)``, in place: a prefilter on squared distances.
+
+    lim = fl(a + b) bounds an exact test on dist = fl(sqrt(acc)), which keeps
+    a distance when fl(dist - a) < b (or <= b).  Rounding is monotone, so a
+    kept distance has dist - a <= b + ulp(b) / 2, and from there
+    acc <= fl(lim**2) * (1 + 7u), u = 2**-53, after the roundings of lim, of
+    the square root and of lim**2, as long as lim**2 is a normal number.
+    The factor 1 + 2**-40 covers that with room to spare (the tests hold a
+    pair that needs it).  Below 2**-960 the rounding of lim**2 is no longer
+    relative (subnormals, or 0), and the floor makes the bound hold there
+    without an argument about subnormals.  Where lim**2 overflows to inf
+    every acc passes and the exact test decides.  So ``acc <=
+    _squared_bound(lim)`` passes every distance the exact test keeps, and
+    only those that pass need a square root.
+    """
+    np.square(lim, out=lim)
+    np.maximum(lim, 2.0 ** -960, out=lim)
+    lim *= 1 + 2.0 ** -40
+    return lim
 
 
 def _pairwise_center_distances(ballset: BallSet) -> tuple[np.ndarray, np.ndarray]:
     """Pairs of non-noise balls within reach, (E, 2) ball indices i < j, and their centre distances.
 
     Overlap needs d_ij < r_i + r_j and adjacency d_ij < r_i + r_j + tau, with
-    tau <= min(r_i, r_j); both stay below 3 * r_max.  Centres are bucketed
-    into cells of side 4 * r_max, so every such pair is a candidate.  Counts
-    one distance evaluation per candidate, then keeps only the pairs that
-    could overlap or be adjacent.
+    tau <= min(r_i, r_j); both stay below 3 * r_max.  The centres are swept in
+    strips (see ``_Strips``): each block of consecutive rows of a strip meets
+    its own strip from the block on, and the next strip, within ``reach`` on
+    the second coordinate, as dense tiles of squared distances.  Counts one
+    distance evaluation per tile entry above the diagonal; only the entries
+    the prefilter passes get a square root and the exact reach test.
     """
     live = np.flatnonzero(~ballset.noise_ball_flags)
     if live.size < 2:
         return np.empty((0, 2), dtype=np.int64), np.empty(0)
-    centers, radii = ballset.centers.take(live, axis=0), ballset.radii[live]
-    a, b = _Grid(centers, 4 * radii.max()).pairs()
-    _count(a.size)
-    diff = centers.take(a, axis=0)
-    diff -= centers.take(b, axis=0)  # one (E, d) buffer; a second lives only for this line
-    dists = distances(diff, np.zeros(centers.shape[1]))
+    radii = ballset.radii[live]
+    strips = _Strips(ballset.centers.take(live, axis=0), float(radii.max()))
+    c, r, y, w = strips.centers, radii[strips.order], strips.y, strips.reach
+    found = []
+
+    def tile(b0, b1, c0, c1):
+        """Sorted rows [b0, b1) against columns [c0, c1): the entries that pass the prefilter."""
+        acc = squared_distances(c[b0:b1, None], c[None, c0:c1])
+        ri, rj = r[b0:b1, None], r[None, c0:c1]
+        lim = ri + rj
+        lim += np.minimum(ri, rj)
+        i, j = np.nonzero(acc <= _squared_bound(lim))
+        found.append((i + b0, j + c0, acc[i, j]))
+
+    for k in range(strips.ids.size):
+        s, e = strips.bounds[k], strips.bounds[k + 1]
+        has_next = bool(k + 1 < strips.ids.size and strips.ids[k + 1] == strips.ids[k] + 1)
+        step = max(1, _TILE // (strips.bounds[k + 1 + has_next] - s))
+        for b0 in range(s, e, step):
+            b1 = min(b0 + step, e)
+            hi = strips.window(k, -np.inf, y[b1 - 1] + w)[1]
+            _count((b1 - b0) * (hi - b0) - (b1 - b0) * (b1 - b0 + 1) // 2)
+            tile(b0, b1, b0, hi)
+            if has_next:
+                lo, hi = strips.window(k + 1, y[b0] - w, y[b1 - 1] + w)
+                _count((b1 - b0) * (hi - lo))
+                tile(b0, b1, lo, hi)
+    i, j, acc = (np.concatenate(part) for part in zip(*found))
+    dist = np.sqrt(acc, out=acc)
     # Reach: the gap fl(d - s), s = fl(r_i + r_j), is below min(r_i, r_j).
     # Adjacency needs gap < tau, and tau <= min(r_i, r_j) in floating point
     # too; overlap needs d < s, and then fl(d - s) < 0 <= min(r_i, r_j).
-    # So every overlapping and every adjacent pair is kept.
-    ra, rb = radii[a], radii[b]
-    near = np.flatnonzero(dists - (ra + rb) < np.minimum(ra, rb))
-    return np.column_stack((live[a[near]], live[b[near]])), dists[near]
+    # So every overlapping and every adjacent pair is kept.  Own-strip tiles
+    # also hold each pair below the diagonal; j > i keeps it once.
+    near = np.flatnonzero((j > i) & (dist - (r[i] + r[j]) < np.minimum(r[i], r[j])))
+    a, b = live[strips.order[i[near]]], live[strips.order[j[near]]]
+    return np.column_stack((np.minimum(a, b), np.maximum(a, b))), dist[near]
 
 
 def count_overlaps(ballset: BallSet,
@@ -240,19 +276,40 @@ def assign_noise(dataset: Dataset, ballset: BallSet, ball_cluster_ids: np.ndarra
     live = np.flatnonzero(~flags)
     if live.size == 0 or live.size == flags.size:
         return ClusterAssignment(labels=labels)
-    centers, radii = ballset.centers.take(live, axis=0), ballset.radii[live]
+    radii = ballset.radii[live]
     mean_radius = float(radii.mean())
     points = ballset.order[np.repeat(flags, ballset.sizes)]
     pts = dataset.points.take(points, axis=0)
-    # A winning ball has gap <= mean_radius, so its centre lies within
-    # 2 * r_max of the point: inside the point's cell or a neighbour.
-    row, ball = _Grid(centers, 4 * radii.max()).near(pts)
-    _count(row.size)
-    gaps = distances(pts.take(row, axis=0), centers.take(ball, axis=0)) - radii[ball]
+    # A winning ball has gap <= mean_radius <= r_max, so its centre lies within
+    # 2 * r_max of the point: in the point's strip or a neighbour, within
+    # ``reach`` on the second coordinate.
+    strips = _Strips(ballset.centers.take(live, axis=0), float(radii.max()))
+    r = radii[strips.order]
+    bound = _squared_bound(mean_radius + r)  # prefilter of gap = fl(dist - r) <= mean_radius
+    strip, y = strips.locate(pts)
+    by = np.lexsort((y, strip))
+    ids, bounds = _runs(strip[by])
+    found = [(by[:0], np.empty(0), by[:0])]  # (row, gap, ball); no tile may run
+    for k, sid in enumerate(ids):
+        first = int(np.searchsorted(strips.ids, sid - 1))
+        last = int(np.searchsorted(strips.ids, sid + 1, side="right")) - 1
+        if first > last:
+            continue
+        step = max(1, _TILE // (strips.bounds[last + 1] - strips.bounds[first]))
+        for p0 in range(bounds[k], bounds[k + 1], step):
+            rows = by[p0:min(p0 + step, bounds[k + 1])]
+            y_lo, y_hi = y[rows[0]] - strips.reach, y[rows[-1]] + strips.reach
+            lo, hi = strips.window(first, y_lo, y_hi)[0], strips.window(last, y_lo, y_hi)[1]
+            _count(rows.size * (hi - lo))
+            acc = squared_distances(pts.take(rows, axis=0)[:, None], strips.centers[None, lo:hi])
+            i, j = np.nonzero(acc <= bound[lo:hi])
+            gaps = np.sqrt(acc[i, j]) - r[lo + j]
+            won = gaps <= mean_radius
+            found.append((rows[i[won]], gaps[won], strips.order[lo + j[won]]))
+    row, gaps, ball = (np.concatenate(part) for part in zip(*found))
     order = np.lexsort((ball, gaps, row))
-    row, ball, gaps = row[order], ball[order], gaps[order]
-    nearest = np.r_[True, row[1:] != row[:-1]]
-    won = nearest & (gaps <= mean_radius)
+    row, ball = row[order], ball[order]
+    won = np.diff(row, prepend=-1) != 0  # the first, nearest, of every point
     labels[points[row[won]]] = ball_cluster_ids[live[ball[won]]]
     return ClusterAssignment(labels=labels)
 

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from gbcluster.core import ClusterAssignment, Dataset, distances, farthest_pair_seed, fit_ball
+from gbcluster.core import (ClusterAssignment, Dataset, distances, farthest_pair_seed, fit_ball,
+                            squared_distances)
 
 
 def test_dataset_validation():
@@ -137,11 +138,11 @@ def test_farthest_pair_seed_needs_two_members():
         farthest_pair_seed(ds, fit_ball(ds, [0]))
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 32])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 16, 32, 129])
 def test_distances_bit_equal_to_row_sum(d):
-    # from d = 8 on the kernel works in blocks of rows; 70,000 rows span two or more
+    # from d = 8 on, rows are summed in blocks of 2**19 / d; these counts span two or more
     rng = np.random.default_rng(d)
-    n = 70_000 if d >= 8 else 5_000
+    n = 5_000 if d < 8 else 70_000 if d <= 32 else 2 ** 19 // d + 1_000
     scale = rng.choice([1e-300, 1e-3, 1.0, 1e12], size=(2, n, d))
     pts, rows = rng.normal(size=(2, n, d)) * scale
     pts[rng.uniform(size=(n, d)) < 0.05] = -0.0
@@ -149,3 +150,11 @@ def test_distances_bit_equal_to_row_sum(d):
     for to in (rows[0], rows, np.full(d, -0.0)):
         reference = np.sqrt(((pts - to) ** 2).sum(axis=1))
         assert distances(pts, to).tobytes() == reference.tobytes()
+    # tiles: (B, 1, d) against (1, W, d), as the geometry pass and noise
+    # attachment use them; 8 to 128 columns take the 8-lane path there
+    for b, w in ((37, 53), (1, 40), (40, 1), (300, 200)):
+        p, t = pts[:b, None], rows[n - w:][None]
+        squared = ((p - t) ** 2).sum(axis=-1)
+        assert squared_distances(p, t).tobytes() == squared.tobytes()
+        assert squared_distances(t.transpose(1, 0, 2), p.transpose(1, 0, 2)).tobytes() == squared.T.tobytes()
+        assert distances(p, t).tobytes() == np.sqrt(squared).tobytes()

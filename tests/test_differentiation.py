@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import gbcluster
-from gbcluster.core import BallSet, Dataset, GranularBall, fit_ball
+from gbcluster.core import BallSet, Dataset, GranularBall, fit_ball, squared_distances
 from gbcluster.data import BUNDLED_DATASETS, GeneratorSpec, generate
 from gbcluster.differentiation import (_pairwise_center_distances, adjacency_graph,
                                        are_adjacent, assign_noise, cluster,
@@ -254,9 +254,10 @@ def test_distance_budget_scales_with_balls_not_points():
     m = len(ballset)
     assert 0 < evals <= m * m
     assert evals < len(ds) ** 2 / 10
-    # grid candidates, counted before the reach filter drops pairs, plus
-    # (noise point, candidate ball) pairs; the value before that filter existed
-    assert evals == 1297
+    # squared centre distances the strip tiles compute, each pair at most
+    # once, plus (noise point, ball) pairs.  moons1k has no noise balls, and
+    # its 81 centres lie in two strips of one block each: 81 * 80 / 2 pairs
+    assert evals == 3240
 
 
 def _sha(values):
@@ -310,6 +311,94 @@ def test_overlaps_and_merge_match_all_pairs_oracle():
         assert merge_adjacent(bs).tolist() == _closure_oracle(bs)
 
 
+def _array_ballset(centers, radii, noise):
+    """Balls of five (unused) points each, straight from arrays."""
+    m = len(radii)
+    return BallSet(order=np.arange(5 * m), sizes=np.full(m, 5), centers=np.asarray(centers, float),
+                   radii=np.asarray(radii, float), sum_radius=np.zeros(m),
+                   noise_ball_flags=np.asarray(noise, bool))
+
+
+def _sweep_inputs(rng, d):
+    """Centres and radii that cross strip and tile boundaries, edge values included."""
+    m = 600
+    x = rng.uniform(0, 10, (m, d))
+    x[:, 2:] *= 0.1  # so that pairs come within reach in 8 to 16 dimensions too
+    small = rng.uniform(0, 0.5, m)
+    big = small.copy()
+    big[0] = 2.0  # strips 8 wide: two strips of several blocks each
+    lattice = np.floor(x * 4) / 4  # strips 2 wide from 0: an eighth of the centres on strip edges
+    cases = {"small": (x, small), "big": (x, big), "lattice": (lattice, rng.choice([0.25, 0.5], m)),
+             "offset": (x + 1e12, big), "lattice offset": (lattice + 1e12, np.full(m, 0.5)),
+             "zero radii": (x, np.zeros(m)), "zero span": (np.ones((m, d)), small),
+             "zero span and radii": (np.ones((m, d)), np.zeros(m)),
+             "tiny": (x * 1e-160, big * 1e-160), "huge": (x * 1e150, big * 1e150),
+             "overflow": (x * 1e154, big * 1e154)}
+    for name, (centers, radii) in cases.items():
+        yield name, _array_ballset(centers, radii, rng.uniform(size=m) < 0.1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 9, 16])
+def test_pairwise_center_distances_match_all_pairs(d):
+    # every pair within reach, and its distance bits, as numpy computes them over all pairs
+    rng = np.random.default_rng(d)
+    for name, bs in _sweep_inputs(rng, d):
+        live = np.flatnonzero(~bs.noise_ball_flags)
+        i, j = np.triu_indices(live.size, 1)
+        a, b = live[i], live[j]
+        c, r = bs.centers, bs.radii
+        with np.errstate(over="ignore", invalid="ignore"):
+            dist = np.sqrt(((c[a] - c[b]) ** 2).sum(axis=1))
+            near = dist - (r[a] + r[b]) < np.minimum(r[a], r[b])
+            pairs, dists = _pairwise_center_distances(bs)
+        assert near.any() == (r[live] > 0).any(), name
+        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+        assert pairs[order].tolist() == np.column_stack((a[near], b[near])).tolist(), name
+        assert dists[order].tobytes() == dist[near].tobytes(), name
+
+
+def test_prefilter_keeps_a_pair_whose_squared_distance_rounds_past_the_bound():
+    # within reach, yet the squared distance rounds one ulp above fl(lim**2):
+    # the prefilter's factor 1 + 2**-40 keeps it
+    ri, rj = 0.71155184304429, 1.229170057379424
+    p, q = [3.902743520047924, -2.7284240646662026], [6.415008070939091, -1.878081288707366]
+    lim = (ri + rj) + min(ri, rj)
+    acc = squared_distances(np.array([p]), np.array(q))[0]
+    assert acc > lim * lim and np.sqrt(acc) - (ri + rj) < min(ri, rj)
+    pairs, dists = _pairwise_center_distances(_array_ballset([p, q], [ri, rj], [False, False]))
+    assert pairs.tolist() == [[0, 1]] and dists.tolist() == [np.sqrt(acc)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_assign_noise_matches_all_balls_oracle(d):
+    # each singleton point joins the cluster of the ball with the least gap
+    # (ties to the lowest ball index) when that gap is <= the mean live radius
+    rng = np.random.default_rng(10 + d)
+    for trial in range(12):
+        m, k = int(rng.integers(2, 300)), int(rng.integers(1, 400))
+        if trial % 3 == 0:  # integer centres, equal radii, half-integer points: many ties
+            centers = rng.integers(0, 6, (m, d)).astype(float)
+            radii = np.full(m, 0.5)
+            singles = rng.integers(0, 12, (k, d)) / 2
+        else:
+            centers = rng.uniform(0, 10, (m, d))
+            radii = rng.uniform(0, 1, m) * (trial % 3 == 1)  # all 0 on some trials
+            singles = np.vstack([rng.uniform(-2, 12, (k, d)), centers[:3]])
+        offset = 1e12 if trial % 4 == 3 else 0.0
+        centers, singles = centers + offset, singles + offset
+        pts = np.vstack([np.repeat(centers, 2, axis=0), singles])
+        bs = BallSet(order=np.arange(len(pts)), sizes=np.r_[np.full(m, 2), np.ones(len(singles), int)],
+                     centers=np.vstack([centers, singles]), radii=np.r_[radii, np.zeros(len(singles))],
+                     sum_radius=np.zeros(m + len(singles)))
+        ids = np.r_[np.arange(m) % max(1, m // 3), np.full(len(singles), -1)]
+        labels = assign_noise(Dataset(points=pts), bs, ids).labels
+        gaps = np.sqrt(((singles[:, None, :] - centers[None]) ** 2).sum(axis=-1)) - radii
+        least = gaps.min(axis=1)
+        expected = np.where(least <= radii.mean(), ids[np.argmax(gaps == least[:, None], axis=1)], -1)
+        assert labels[2 * m:].tolist() == expected.tolist()
+        assert labels[:2 * m].tolist() == np.repeat(ids[:m], 2).tolist()
+
+
 @pytest.mark.parametrize("points, expected", [
     (np.zeros((1, 2)), (1, 0, 1)),
     (np.ones((50, 2)), (1, 1, 0)),
@@ -334,15 +423,15 @@ def test_geometry_pass_memory_stays_linear_in_balls():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 50 * 2 ** 20
+    assert peak < 10 * 2 ** 20
     assert not bs.overlap_counts.any()
     assert ids.max() == 0  # gap 0 < tau = 0.5: the whole grid is one cluster
 
 
 def test_geometry_pass_memory_at_d8():
-    # the 8-d blobs of 20,000 points the benchmark clusters: all 1,176 centres
-    # share one grid cell, so all 690,900 pairs are candidates and an (E, 8)
-    # float64 array takes 42 MB
+    # the 8-d blobs of 20,000 points the benchmark clusters: the 1,176 centres
+    # fall into two strips and nearly all 690,900 pairs are computed, but a
+    # tile at a time; only the 138,053 pairs within reach are kept
     centers = np.hstack([np.array(BUNDLED_DATASETS["blobs10k"].centers),
                          np.random.default_rng(1).uniform(-3.0, 9.0, size=(5, 6))])
     spec = GeneratorSpec(family="blobs", n=20_000, seed=1, scales=(0.5,) * 5,
@@ -356,7 +445,7 @@ def test_geometry_pass_memory_at_d8():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 100 * 2 ** 20
+    assert peak < 25 * 2 ** 20
     assert ids.max() == 4
 
 
