@@ -188,7 +188,7 @@ def _cmd_run(args) -> int:
 
     save_results(args.out, dataset, assignment, ballset)
     ri = None
-    if dataset.labels is not None:
+    if dataset.labels is not None and len(dataset) >= 2:  # undefined for one point
         ri = rand_index(dataset.labels, assignment.labels)
     summary = {
         "algorithm": args.algo,

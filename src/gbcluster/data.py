@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Sequence
 
 import numpy as np
@@ -18,9 +19,9 @@ from .core import BallSet, ClusterAssignment, Dataset
 
 FAMILIES = ("moons", "blobs", "circles", "spirals")
 
-# Decimal format used for every written coordinate; 17 significant digits
-# round-trip float64 exactly.
-_FMT = ".17g"
+# Rows per chunk when reading or writing CSV: holds the Python strings of one
+# chunk, never of the whole file.
+_CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -178,71 +179,103 @@ BUNDLED_DATASETS: dict[str, GeneratorSpec] = {
 }
 
 
+def _is_int64(v):
+    """True where ``v`` is an integer in int64's range [-2**63, 2**63) (never NaN or inf)."""
+    return (v == np.trunc(v)) & (v >= -2.0**63) & (v < 2.0**63)
+
+
+def _first_fault(path, row_nos, rows, width, label_col) -> str:
+    """The error for the first bad row or cell in row-major order (the error path)."""
+    for row_no, row in zip(row_nos, rows):
+        if len(row) != width:
+            return f"{path}: row {row_no} has {len(row)} columns, expected {width}"
+        for col_no, cell in enumerate(row):
+            at = f"{path}: row {row_no}, column {col_no}"
+            kind = "label" if col_no == label_col else "value"
+            try:
+                val = float(cell)
+            except ValueError:
+                return f"{at}: cannot parse {kind} {cell!r}"
+            if kind == "label" and not _is_int64(val):
+                return f"{at}: label {cell!r} is not an integer"
+            if kind == "value" and not math.isfinite(val):
+                return f"{at}: non-finite value {cell!r}"
+    raise AssertionError("a chunk failed validation with no bad row or cell")
+
+
+def _parse_rows(path, row_nos, rows, width, label_col) -> np.ndarray:
+    """The rows as a float64 table: every cell goes through ``float()`` in
+    one pass, then the checks run on the table."""
+    table = None
+    if set(map(len, rows)) == {width}:
+        try:
+            table = np.fromiter(map(float, chain.from_iterable(rows)), np.float64,
+                                len(rows) * width).reshape(len(rows), width)
+        except ValueError:  # float() rejected a cell
+            pass
+    # a label must be finite too, so every cell is tested for that
+    if table is not None and np.isfinite(table).all() and (
+            label_col is None or _is_int64(table[:, label_col]).all()):
+        return table
+    raise ValueError(_first_fault(path, row_nos, rows, width, label_col))
+
+
 def load_csv(path, has_header: bool = False, label_column: int | None = None) -> Dataset:
-    """Load a dataset from a comma-delimited file.
+    """Load a dataset from a comma-delimited file, ``_CHUNK_ROWS`` rows at a time.
 
     Every non-label cell must parse as a finite real; rows must all have the
-    same width.  ``label_column`` (0-based) is parsed as integers and removed
-    from the features.
-    """
-    rows: list[list[float]] = []
-    labels: list[int] = []
-    width = None
+    same width.  ``label_column`` (0-based) must hold integers that fit in
+    int64, and is removed from the features.  The first fault in the file is
+    reported."""
+    tables = []
+    width = label_col = None
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        for row_no, row in enumerate(reader, start=1):
-            if has_header and row_no == 1:
-                continue
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if width is None:
-                width = len(row)
-                if label_column is not None and not -len(row) <= label_column < len(row):
-                    raise ValueError(f"{path}: label column {label_column} out of range "
-                                     f"for {len(row)} columns")
-            elif len(row) != width:
-                raise ValueError(f"{path}: row {row_no} has {len(row)} columns, expected {width}")
-            feats = []
-            for col_no, cell in enumerate(row):
-                if label_column is not None and col_no == label_column % width:
-                    try:
-                        val = float(cell)
-                    except ValueError:
-                        raise ValueError(f"{path}: row {row_no}, column {col_no}: "
-                                         f"cannot parse label {cell!r}") from None
-                    if val != int(val):
-                        raise ValueError(f"{path}: row {row_no}, column {col_no}: "
-                                         f"label {cell!r} is not an integer")
-                    labels.append(int(val))
+        done = int(has_header)  # records read so far; row numbers count them from 1
+        if has_header:
+            next(reader, None)
+        while rows := list(islice(reader, _CHUNK_ROWS)):
+            row_nos = range(done + 1, done + 1 + len(rows))
+            done += len(rows)
+            if min(map(len, rows)) < 2:  # blank or whitespace-only records are skipped
+                keep = [i for i, row in enumerate(rows) if len(row) > 1 or (row and row[0].strip())]
+                row_nos, rows = [row_nos[i] for i in keep], [rows[i] for i in keep]
+                if not rows:
                     continue
-                try:
-                    val = float(cell)
-                except ValueError:
-                    raise ValueError(f"{path}: row {row_no}, column {col_no}: "
-                                     f"cannot parse value {cell!r}") from None
-                if not math.isfinite(val):
-                    raise ValueError(f"{path}: row {row_no}, column {col_no}: "
-                                     f"non-finite value {cell!r}")
-                feats.append(val)
-            rows.append(feats)
-    if not rows:
+            if width is None:
+                width = len(rows[0])
+                if label_column is not None and not -width <= label_column < width:
+                    raise ValueError(f"{path}: label column {label_column} out of range "
+                                     f"for {width} columns")
+                label_col = None if label_column is None else label_column % width
+            tables.append(_parse_rows(path, row_nos, rows, width, label_col))
+    if not tables:
         raise ValueError(f"{path}: no data rows")
-    return Dataset(points=np.array(rows), labels=np.array(labels) if labels else None)
+    table = np.concatenate(tables)
+    if label_col is None:
+        return Dataset(points=table)
+    return Dataset(points=np.delete(table, label_col, axis=1),
+                   labels=table[:, label_col].astype(np.int64))
+
+
+def _write_table(path, header: list[str], floats: list[np.ndarray], ints: list[np.ndarray]) -> None:
+    """Write a header, then the columns ``_CHUNK_ROWS`` rows at a time: floats
+    with 17 significant digits (which round-trip float64), then integers.
+    No cell holds a comma or quote, so these are the bytes csv.writer writes."""
+    columns = [*floats, *ints]
+    row = ",".join(["%.17g"] * len(floats) + ["%d"] * len(ints)) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, len(columns[0]) if columns else 0, _CHUNK_ROWS):
+            cells = zip(*[col[lo:lo + _CHUNK_ROWS].tolist() for col in columns])
+            fh.write("".join(map(row.__mod__, cells)))
 
 
 def save_dataset(path, dataset: Dataset) -> None:
     """Write a dataset as CSV (header row; ground-truth labels last, if any)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = [f"x{i}" for i in range(dataset.dim)]
-        if dataset.labels is not None:
-            header.append("label")
-        writer.writerow(header)
-        for i, p in enumerate(dataset.points):
-            row = [format(v, _FMT) for v in p]
-            if dataset.labels is not None:
-                row.append(str(int(dataset.labels[i])))
-            writer.writerow(row)
+    labels = [] if dataset.labels is None else [dataset.labels]
+    _write_table(path, [f"x{i}" for i in range(dataset.dim)] + ["label"] * len(labels),
+                 list(dataset.points.T), labels)
 
 
 def save_results(path_prefix, dataset: Dataset, assignment: ClusterAssignment,
@@ -257,20 +290,10 @@ def save_results(path_prefix, dataset: Dataset, assignment: ClusterAssignment,
     if len(assignment) != len(dataset):
         raise ValueError("assignment length does not match dataset size")
     prefix = str(path_prefix)
-    with open(prefix + "_points.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"x{i}" for i in range(dataset.dim)] + ["cluster"])
-        for p, lab in zip(dataset.points, assignment.labels):
-            writer.writerow([format(v, _FMT) for v in p] + [str(int(lab))])
-    with open(prefix + "_balls.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"c{i}" for i in range(dataset.dim)]
-                        + ["radius", "cluster", "overlaps", "points"])
-        if ballset is None:
-            return
-        clusters = assignment.labels[ballset.order[ballset.starts]]
-        for center, radius, cluster, overlaps, size in zip(
-                ballset.centers, ballset.radii.tolist(), clusters.tolist(),
-                ballset.overlap_counts.tolist(), ballset.sizes.tolist()):
-            writer.writerow([format(v, _FMT) for v in center]
-                            + [format(radius, _FMT), str(cluster), str(overlaps), str(size)])
+    _write_table(prefix + "_points.csv", [f"x{i}" for i in range(dataset.dim)] + ["cluster"],
+                 list(dataset.points.T), [assignment.labels])
+    balls = ([], []) if ballset is None else (
+        [*ballset.centers.T, ballset.radii],
+        [assignment.labels[ballset.order[ballset.starts]], ballset.overlap_counts, ballset.sizes])
+    _write_table(prefix + "_balls.csv", [f"c{i}" for i in range(dataset.dim)]
+                 + ["radius", "cluster", "overlaps", "points"], *balls)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from gbcluster.cli import EXIT_INVALID, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
 
@@ -64,6 +66,27 @@ def test_unparsable_csv_is_validation_error(tmp_path, capsys):
     code = main(["run", "--algo", "gbc", "--in", str(bad)])
     assert code == EXIT_INVALID
     assert "row 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("label", ["inf", "nan"])
+def test_non_integer_label_is_validation_error(tmp_path, capsys, label):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"x0,label\n1.0,0\n2.0,{label}\n")
+    code = main(["run", "--algo", "gbc", "--in", str(bad), "--out", str(tmp_path / "r")])
+    assert code == EXIT_INVALID
+    assert f"{bad}: row 3, column 1: label '{label}' is not an integer" in capsys.readouterr().err
+
+
+def test_one_labelled_point_writes_every_file_with_null_score(tmp_path, capsys):
+    data = tmp_path / "one.csv"
+    data.write_text("x0,x1,label\n1.5,2.5,3\n")
+    prefix = tmp_path / "one"
+    assert main(["run", "--algo", "gbc", "--in", str(data), "--out", str(prefix)]) == EXIT_OK
+    assert (tmp_path / "one_points.csv").read_text() == "x0,x1,cluster\n1.5,2.5,-1\n"
+    assert len((tmp_path / "one_balls.csv").read_text().splitlines()) == 2
+    summary = json.loads((tmp_path / "one_summary.json").read_text())
+    assert summary["n_points"] == 1
+    assert summary["rand_index"] is None
 
 
 def test_unknown_flag_is_usage_error(capsys):

@@ -1,9 +1,12 @@
 """Synthetic generators and CSV round-trips."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from gbcluster.core import ClusterAssignment, Dataset
+from gbcluster.core import BallSet, ClusterAssignment, Dataset
 from gbcluster.data import (BUNDLED_DATASETS, GeneratorSpec, generate,
                             load_csv, save_dataset, save_results)
 from gbcluster.differentiation import cluster
@@ -133,3 +136,236 @@ def test_save_results_length_mismatch(tmp_path):
     ds = Dataset(points=[[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
         save_results(tmp_path / "x", ds, ClusterAssignment(labels=[0]), None)
+
+
+# sha256 of (save_dataset file, _points.csv, _balls.csv), recorded with the
+# per-cell csv.writer implementation that the chunked writer replaced.
+GOLDEN_SHA256 = {
+    "blobs10k": (
+        "3ba8fe8c4c72a26c5382c2edf5bae7d2024c40bab23851de9636b625ef6bcaef",
+        "0cb39154cdaa8cdec74c99e8bd2b65de32511fb0273fa86017ff9eee3f71c43b",
+        "19134c40aaf15767b56d213198cc2ede5288dea57882d02ff659e3332bc03941",
+    ),
+    "blobs5": (
+        "e97b4f7be211b59a6639a2df5614ad91199bfc1a2ebf09e3d8d0b938f304b38c",
+        "ff128f764c19c1c3ab09a7345c361f0591c31aad6e2aa3d32fce496c8168b8bf",
+        "bb4072623bd6dad7e8311f2d27787567e48402453d79401bbcfc8fca3a28869d",
+    ),
+    "circles3": (
+        "a12b9334ce55f05ce9467e88d997a5654fa952ec351636116b55c3cf36fc3c73",
+        "fb7644b183382a2e91c91d7f77a45da0161bd316d06e4428ede26023890f71b5",
+        "150318651a5bdfff5ec7139cc3c5ac2f0c0853e56613f5503e62e19e294ec665",
+    ),
+    "moons1k": (
+        "3ec5cb0cb8e9e4d5a06b6fc7ed5a33da441d8d44da6947fcaa5a98b7f2855c9e",
+        "3a88a6987ecf45040d7b02fbe3975c6621e491714f06b317709fb8a686a72a5d",
+        "56db4e0313eea0c8e32ded7772ab0123b2d84d0ebec0fe057765f5ffcc8dc26f",
+    ),
+    "spirals2": (
+        "1a5b5b49d90f1e4d84a1be236901c65a71d6e10fcda7b48a4a7c9dcfd3528719",
+        "2e1a252cb02c38d66030e355d7733cfc5d060c4f592d3eeb79837f90c462fdaf",
+        "8029f5195aa1a4c881afc3268bee324630c5ee91b66b0fc94700f8e8d1baa2c9",
+    ),
+    "special8": (
+        "b2af9fc578cfd1adc704bc8fe26252fb1d614dc353014c2310c367664ecf8e50",
+        "cf3836ccf8f0f48781ae72f8b439f96a28034c4876b146b350d28bb060cddf2a",
+        "5eb226bf1c81bd2f20c3250c561763b227a8496082a72b1564d60a2bbc9a6947",
+    ),
+}
+
+
+def _special8():
+    """A d = 8 set with -0.0, +-1e-300, +-1e300, integral and 2**53 coordinates,
+    a label of -2**62, and a hand-built ball set with radii 0, 1e-300 and 1e300."""
+    rng = np.random.default_rng(8)
+    pts = rng.normal(size=(40, 8)) * 10.0 ** rng.integers(-5, 6, size=(40, 8))
+    pts[0] = [-0.0, 1e-300, 1e300, 3.0, -12.0, 2.0**53, -1e-300, -1e300]
+    pts[1:6, :4] = np.round(pts[1:6, :4])
+    pts[6] = 0.0
+    labels = np.arange(40) % 3 - 1
+    labels[-1] = -(2**62)
+    ds = Dataset(points=pts, labels=labels)
+    sizes = np.array([1, 4, 10, 25])
+    order = rng.permutation(40)
+    starts = np.cumsum(sizes) - sizes
+    centers = np.array([pts[order[s:s + k]].mean(axis=0) for s, k in zip(starts, sizes)])
+    centers[0] = pts[0]
+    ballset = BallSet(order=order, sizes=sizes, centers=centers,
+                      radii=np.array([0.0, 1e-300, 2.5, 1e300]),
+                      sum_radius=np.zeros(4), overlap_counts=np.array([0, 3, 1, 2]))
+    return ds, ClusterAssignment(labels=np.arange(40) % 3 - 1), ballset
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+def test_written_bytes_match_golden_digests(tmp_path, name):
+    if name == "special8":
+        ds, assignment, ballset = _special8()
+    else:
+        ds = generate(BUNDLED_DATASETS[name])
+        assignment, ballset = cluster(ds)
+    save_dataset(tmp_path / "ds.csv", ds)
+    save_results(tmp_path / "res", ds, assignment, ballset)
+    got = tuple(_sha256(tmp_path / f) for f in ("ds.csv", "res_points.csv", "res_balls.csv"))
+    assert got == GOLDEN_SHA256[name]
+
+
+# Each input's parsed points and labels, or its exact error, as the per-cell
+# float() loop that the chunked reader replaced gave them.  (text, kwargs,
+# expected): expected is (points, labels) or an error message with {path}.
+PARSE_TABLE = {
+    "quoted_and_spaces": ('"1.5", 2 ,"  3e0 "\n" -4",5,6\n', {},
+                          ([[1.5, 2.0, 3.0], [-4.0, 5.0, 6.0]], None)),
+    "quoted_comma": ('"1,5",2\n', {}, "{path}: row 1, column 0: cannot parse value '1,5'"),
+    "blank_and_space_lines": ("1,2\n\n   \n\t\n3,4\n\n", {}, ([[1.0, 2.0], [3.0, 4.0]], None)),
+    "whitespace_lines_only": ("1,2\n  \n\t\n3,4\n", {}, ([[1.0, 2.0], [3.0, 4.0]], None)),
+    "comma_space_line": ("1,2\n , \n", {}, "{path}: row 2, column 0: cannot parse value ' '"),
+    "underscore_crlf": ("1_0,2\r\n3,4_5\r\n", {}, ([[10.0, 2.0], [3.0, 45.0]], None)),
+    "arabic_indic_digit": ("\u0661,2\n3,4\n", {}, ([[1.0, 2.0], [3.0, 4.0]], None)),
+    "signed_zero_tiny_17_digits": (
+        "-0,0\n4.9e-324,1e-400\n0.10000000000000001,-1.7976931348623157e308\n", {},
+        ([[-0.0, 0.0], [5e-324, 0.0], [0.1, -1.7976931348623157e308]], None)),
+    "header_only": ("x0,x1\n", {"has_header": True}, "{path}: no data rows"),
+    "header_then_blank": ("x0,x1\n\n  \n", {"has_header": True}, "{path}: no data rows"),
+    "header_skipped_even_blank": ("\n1,2\n", {"has_header": True}, ([[1.0, 2.0]], None)),
+    "header_with_fault": ("a,b\nc,d\n", {"has_header": True},
+                          "{path}: row 2, column 0: cannot parse value 'c'"),
+    "empty": ("", {}, "{path}: no data rows"),
+    "trailing_empty_cell": ("1,2,\n3,4,\n", {}, "{path}: row 1, column 2: cannot parse value ''"),
+    "ragged_short": ("1,2\n3\n", {}, "{path}: row 2 has 1 columns, expected 2"),
+    "ragged_long": ("1,2\n3,4,5\n", {}, "{path}: row 2 has 3 columns, expected 2"),
+    "single_column": ("1\n2\n", {}, ([[1.0], [2.0]], None)),
+    "width_one_label": ("1\n2\n", {"label_column": 0},
+                        "points must form a non-empty (n, d) array"),
+    "negative_label_column": ("1,2,7\n3,4,-8\n", {"label_column": -1},
+                              ([[1.0, 2.0], [3.0, 4.0]], [7, -8])),
+    "negative_label_column_middle": ("1,2,7\n3,4,-8\n", {"label_column": -2},
+                                     ([[1.0, 7.0], [3.0, -8.0]], [2, 4])),
+    "label_column_below_range": ("1,2\n", {"label_column": -3},
+                                 "{path}: label column -3 out of range for 2 columns"),
+    "label_column_above_range": ("1,2\n", {"label_column": 2},
+                                 "{path}: label column 2 out of range for 2 columns"),
+    "label_float_integral": ("1,2.0\n3,1e3\n4,-0.0\n", {"label_column": 1},
+                             ([[1.0], [3.0], [4.0]], [2, 1000, 0])),
+    "label_not_integer": ("1,2.5\n", {"label_column": 1},
+                          "{path}: row 1, column 1: label '2.5' is not an integer"),
+    "label_unparsable": ("1,two\n", {"label_column": 1},
+                         "{path}: row 1, column 1: cannot parse label 'two'"),
+    "nonfinite_value": ("1,2\ninf,4\n", {}, "{path}: row 2, column 0: non-finite value 'inf'"),
+    "nan_value": ("1,2\n3,nan\n", {}, "{path}: row 2, column 1: non-finite value 'nan'"),
+    "overflow_to_inf": ("1,1e400\n", {}, "{path}: row 1, column 1: non-finite value '1e400'"),
+    # two faults of different kinds: the first in file order is reported
+    "nonfinite_then_ragged": ("1,2\ninf,4\n5\n", {},
+                              "{path}: row 2, column 0: non-finite value 'inf'"),
+    "ragged_then_unparsable": ("1,2\n3\n5,x\n", {}, "{path}: row 2 has 1 columns, expected 2"),
+    "nonfinite_then_unparsable_in_row": ("inf,x\n", {},
+                                         "{path}: row 1, column 0: non-finite value 'inf'"),
+    "unparsable_then_nonfinite_in_row": ("x,inf\n", {},
+                                         "{path}: row 1, column 0: cannot parse value 'x'"),
+    "label_then_value": ("1,2.5,x\n", {"label_column": 1},
+                         "{path}: row 1, column 1: label '2.5' is not an integer"),
+    "value_then_label": ("nan,2.5\n", {"label_column": 1},
+                         "{path}: row 1, column 0: non-finite value 'nan'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_TABLE))
+def test_parse_table_is_unchanged(tmp_path, case):
+    text, kwargs, expected = PARSE_TABLE[case]
+    p = tmp_path / "in.csv"
+    with open(p, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as err:
+            load_csv(p, **kwargs)
+        assert str(err.value) == expected.format(path=p)
+        return
+    points, labels = expected
+    ds = load_csv(p, **kwargs)
+    assert ds.points.tobytes() == np.array(points, dtype=np.float64).tobytes()
+    assert ds.points.shape == np.shape(points)
+    assert (ds.labels is None if labels is None else ds.labels.tolist() == labels)
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e19", "9223372036854775808"])
+def test_labels_must_be_finite_int64(tmp_path, cell):
+    p = tmp_path / "in.csv"
+    p.write_text(f"1.0,0\n2.0,{cell}\n")
+    with pytest.raises(ValueError) as err:
+        load_csv(p, label_column=1)
+    assert str(err.value) == f"{p}: row 2, column 1: label {cell!r} is not an integer"
+
+
+def test_label_at_int64_minimum_is_kept(tmp_path):
+    p = tmp_path / "in.csv"
+    p.write_text("1.0,-9223372036854775808\n2.0,4611686018427387904\n")
+    assert load_csv(p, label_column=1).labels.tolist() == [-(2**63), 2**62]
+
+
+def test_row_numbers_and_faults_past_the_first_chunks(tmp_path):
+    # 1,000 data rows with blank and whitespace-only records sprinkled in, so
+    # chunks hold skipped records and row numbers are not data-row counts.
+    rng = np.random.default_rng(3)
+    pts = rng.normal(size=(1000, 3))
+    lines, row_of = ["a,b,c,label"], []
+    for i, p in enumerate(pts.tolist()):
+        if i % 97 == 5:
+            lines.append("")
+        if i % 131 == 7:
+            lines.append("   ")
+        lines.append(",".join(map(repr, p)) + f",{i % 4}")
+        row_of.append(len(lines))
+    path = tmp_path / "big.csv"
+
+    def load_with(first_cells):
+        """load_csv of the file with the first cell of some data rows replaced."""
+        edited = list(lines)
+        for i, cell in first_cells.items():
+            row = row_of[i] - 1
+            edited[row] = cell + edited[row][edited[row].index(","):]
+        path.write_text("\n".join(edited) + "\n")
+        return load_csv(path, has_header=True, label_column=3)
+
+    ds = load_with({})
+    assert ds.points.tobytes() == pts.tobytes()
+    assert ds.labels.tolist() == [i % 4 for i in range(1000)]
+    for i, cell, problem in [(917, "1e999", "non-finite value '1e999'"),
+                             (640, "x", "cannot parse value 'x'")]:
+        with pytest.raises(ValueError) as err:
+            load_with({i: cell})
+        assert str(err.value) == f"{path}: row {row_of[i]}, column 0: {problem}"
+
+    # a ragged row is reported only after every cell of the rows before it
+    lines[row_of[700] - 1] += ",9"
+    with pytest.raises(ValueError) as err:
+        load_with({600: "nan"})
+    assert str(err.value) == f"{path}: row {row_of[600]}, column 0: non-finite value 'nan'"
+    with pytest.raises(ValueError) as err:
+        load_with({})
+    assert str(err.value) == f"{path}: row {row_of[700]} has 5 columns, expected 4"
+
+
+def _traced_peak_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_io_memory_is_bounded_by_a_chunk(tmp_path):
+    # Peaks on blobs10k (Python 3.11, numpy 2.4) of the per-cell csv loops
+    # that the chunked reader and writer replaced: load_csv 1.93 MB (a list
+    # of Python floats per row), save_results 0.203 MB.  The chunked versions
+    # measure 0.51 and 0.083 MB; reading or writing the whole file in one go
+    # measures 2.69 and 1.73 MB, so these bounds catch it.
+    ds = generate(BUNDLED_DATASETS["blobs10k"])
+    assignment, ballset = cluster(ds)
+    path = tmp_path / "blobs10k.csv"
+    save_dataset(path, ds)
+    assert _traced_peak_mb(lambda: load_csv(path, has_header=True, label_column=2)) <= 1.93
+    assert _traced_peak_mb(lambda: save_results(tmp_path / "r", ds, assignment, ballset)) <= 0.203
