@@ -225,7 +225,8 @@ def _cmd_eval(args) -> int:
     if truth.size != pred.size:
         raise ValueError(f"label counts differ: {args.truth} has {truth.size}, "
                          f"{args.pred} has {pred.size}")
-    print(f"rand_index {rand_index(truth, pred):.6f}")
+    # undefined for one point, as in the run summary
+    print("rand_index", "null" if truth.size < 2 else f"{rand_index(truth, pred):.6f}")
     return EXIT_OK
 
 

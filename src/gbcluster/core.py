@@ -8,7 +8,6 @@ All distances are Euclidean (L2).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -165,23 +164,23 @@ def segments(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.cumsum(sizes) - sizes, np.repeat(np.arange(sizes.size), sizes)
 
 
-def segment_sums(x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """``x[s:e].sum()`` of every segment, bit for bit.
+def segment_sums(x: np.ndarray, sizes: np.ndarray, starts: np.ndarray,
+                 seg: np.ndarray) -> np.ndarray:
+    """``x[s:e].sum()`` of every segment, bit for bit; ``starts, seg = segments(sizes)``.
 
-    numpy sums a contiguous float64 run pairwise: up to 128 items in 8
-    interleaved lanes over the leading multiple of 8, combined in a fixed
-    tree, then the tail in order from there (fewer than 8 items: in order
-    from 0).  Longer runs split in halves, and are summed one by one here.
+    Runs of up to 128 items are summed as numpy does (``_pairwise``); longer
+    runs split in halves, and are summed one by one here.
     """
-    starts, seg = segments(sizes)
     local = np.arange(x.size) - starts[seg]
     lead = sizes & ~7
-    in_lanes = local < lead[seg]
+    # the tail adds +0.0 to a lane, which changes no lane sum: they start at +0.0
+    weights = np.where(local < lead[seg], x, 0.0)
+    local &= 7
+    local += seg * 8
     # (an empty bincount is int64 even with weights)
-    lanes = np.bincount(seg[in_lanes] * 8 + (local[in_lanes] & 7), weights=x[in_lanes],
-                        minlength=8 * sizes.size).astype(np.float64).reshape(-1, 8)
-    out = ((lanes[:, 0] + lanes[:, 1]) + (lanes[:, 2] + lanes[:, 3])) + \
-          ((lanes[:, 4] + lanes[:, 5]) + (lanes[:, 6] + lanes[:, 7]))
+    lanes = np.bincount(local, weights=weights, minlength=8 * sizes.size)
+    lanes = lanes.astype(np.float64).reshape(-1, 8)
+    out = _pairwise(lambda j: lanes[:, j].copy(), 0, 8)
     for t in range(7):
         tail = sizes - lead > t
         out[tail] += x[starts[tail] + lead[tail] + t]
@@ -190,99 +189,111 @@ def segment_sums(x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return out
 
 
-def squared_distances(pts: np.ndarray, to: np.ndarray) -> np.ndarray:
-    """``((pts - to) ** 2).sum(axis=-1)``, bit for bit; pts and to broadcast.
-
-    Rows (n, d) against (d,) or (n, d) give n sums; a tile (B, 1, d) against
-    (1, W, d) gives a (B, W) plane.  numpy sums up to 128 terms in 8
-    interleaved lanes over the leading multiple of 8, combined in a fixed
-    tree, then the rest in order (fewer than 8: all in order).  Adding the
-    squared columns in that order is several times faster than ``.sum`` on
-    narrow rows and on tiles, whose columns are short.  Wider rows and more
-    than 128 columns keep ``.sum``, a block of about 4 MB at a time.
-    """
-    d = pts.shape[-1]
-    shape = np.broadcast_shapes(pts.shape, to.shape)
-
-    def square(j):
-        col = pts[..., j] - to[..., j]
-        return np.square(col, out=col)
-
-    if d < 8:
-        acc = square(0)
-        for j in range(1, d):
-            acc += square(j)
+def _lanes(term, first: int, count: int, stop: int):
+    """Lanes first..first + count - 1, each every 8th term before stop, in numpy's tree."""
+    if count > 1:
+        acc = _lanes(term, first, count // 2, stop)
+        acc += _lanes(term, first + count // 2, count // 2, stop)
         return acc
-    tile = math.prod(shape[:-1]) > max(math.prod(pts.shape[:-1]), math.prod(to.shape[:-1]))
-    if tile and d <= 128:
-        lead = d & ~7
-        lanes = [square(j) for j in range(8)]
-        for i in range(8, lead, 8):
-            for j in range(8):
-                lanes[j] += square(i + j)
-        for gap in (1, 2, 4):  # ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7))
-            for j in range(0, 8, 2 * gap):
-                lanes[j] += lanes[j + gap]
-        acc = lanes[0]
-        for j in range(lead, d):
-            acc += square(j)
-        return acc
-    pts, to = np.broadcast_to(pts, shape), np.broadcast_to(to, shape)
-    out = np.empty(shape[:-1])
-    step = max(1, 2 ** 19 // max(1, math.prod(shape[1:])))
-    for s in range(0, shape[0], step):
-        diff = pts[s:s + step] - to[s:s + step]
-        out[s:s + step] = np.square(diff, out=diff).sum(axis=-1)
-    return out
+    acc = term(first)
+    for j in range(first + 8, stop, 8):
+        acc += term(j)
+    return acc
 
 
-def distances(pts: np.ndarray, to: np.ndarray) -> np.ndarray:
-    """Euclidean distances, ``np.sqrt(squared_distances(pts, to))``.
+def _pairwise(term, lo: int, hi: int):
+    """``term(lo) + ... + term(hi - 1)`` in the order numpy sums a contiguous run.
 
-    The one distance kernel of the package: division (member to centre), the
-    geometry pass (centre to centre) and noise attachment (point to centre)
-    all call it, on rows or on tiles.
+    Under 8 terms in order; up to 128 in 8 interleaved lanes over the leading
+    multiple of 8, added ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7)), then the
+    rest in order; more as two halves, the first a multiple of 8 long.
     """
-    acc = squared_distances(pts, to)
+    n = hi - lo
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        acc = _pairwise(term, lo, lo + half)
+        acc += _pairwise(term, lo + half, hi)
+        return acc
+    lead = lo + (n & ~7)
+    acc = _lanes(term, lo, 8, lead) if n >= 8 else term(lo)
+    for j in range(max(lead, lo + 1), hi):
+        acc += term(j)
+    return acc
+
+
+def squared_distances(pts: np.ndarray, to: np.ndarray, at: np.ndarray | None = None) -> np.ndarray:
+    """``((p - t) ** 2).sum(axis=-1)`` bit for bit, the coordinate on the leading axis.
+
+    ``pts[j]`` and ``to[j]`` broadcast: rows (d, n) against (d, n) or (d, 1)
+    give n sums, a tile (d, B, 1) against (d, 1, W) a (B, W) plane.  With
+    ``at``, coordinate j of ``to`` is ``to[j].take(at)``: rows against a
+    centre table (d, k).  Adding the squares a coordinate at a time in
+    numpy's order (``_pairwise``) is several times faster than ``.sum``.
+    """
+    def term(j):
+        if at is None:
+            col = pts[j] - to[j]
+        else:
+            col = to[j].take(at)
+            np.subtract(pts[j], col, out=col)
+        col *= col
+        return col
+
+    return _pairwise(term, 0, pts.shape[0])
+
+
+def distances(pts: np.ndarray, to: np.ndarray, at: np.ndarray | None = None) -> np.ndarray:
+    """Euclidean distances, ``np.sqrt(squared_distances(pts, to, at))``: member
+    to centre, centre to centre and noise point to centre alike."""
+    acc = squared_distances(pts, to, at)
     return np.sqrt(acc, out=acc)
 
 
-def fit_segments(pts: np.ndarray, sizes: np.ndarray):
-    """Fit one ball to every segment of rows of pts, members in ascending index order.
+def take_columns(pts: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``pts.take(idx, axis=1)``, a row at a time: the rows of pts (d, n) need not
+    be one block, as in a column range of a larger array or the transpose of
+    (n, d) points, which ``take`` would copy whole first.  ("wrap" spares
+    ``take`` a buffered copy; the indices are in range.)"""
+    out = np.empty((pts.shape[0], idx.size))
+    for row, dst in zip(pts, out):
+        np.take(row, idx, out=dst, mode="wrap")
+    return out
 
-    Returns the centres (k, d), each row's distance to its centre, and the
-    radii and distance sums (k,), bit-identical to fitting each ball alone:
-    with d >= 2 numpy's mean sums the rows in order, which ``bincount``
-    repeats per column, and a single column is summed pairwise.
+
+def fit_segments(pts: np.ndarray, sizes: np.ndarray, starts: np.ndarray, seg: np.ndarray):
+    """Fit one ball to every segment of the columns of pts (d, n), members
+    ascending; ``starts, seg = segments(sizes)``.
+
+    Returns the centres (d, k), each column's distance to its centre, and the
+    radii and distance sums, bit-identical to fitting each ball alone: for
+    d >= 2 numpy's mean adds the members in order, as ``bincount`` does, and
+    one coordinate is summed pairwise.
     """
-    starts, seg = segments(sizes)
-    if pts.shape[1] == 1:
-        sums = segment_sums(pts[:, 0], sizes)[:, None]
+    if pts.shape[0] == 1:
+        sums = segment_sums(pts[0], sizes, starts, seg)[None]
     else:
-        sums = np.column_stack([np.bincount(seg, weights=col, minlength=sizes.size)
-                                for col in pts.T])
-    centers = sums / sizes[:, None]
-    dists = distances(pts, np.repeat(centers, sizes, axis=0))
-    return centers, dists, np.maximum.reduceat(dists, starts), segment_sums(dists, sizes)
+        sums = np.array([np.bincount(seg, weights=row, minlength=sizes.size) for row in pts])
+    centers = sums / sizes
+    dists = distances(pts, centers, seg)
+    radii = np.maximum.reduceat(dists, starts)
+    return centers, dists, radii, segment_sums(dists, sizes, starts, seg)
 
 
-def first_argmax(x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+def first_argmax(x: np.ndarray, starts: np.ndarray, seg: np.ndarray) -> np.ndarray:
     """Position in x of the first maximum of every segment."""
-    starts, seg = segments(sizes)
     top = np.maximum.reduceat(x, starts)
     return np.minimum.reduceat(np.where(x == top[seg], np.arange(x.size), x.size), starts)
 
 
-def farthest_pairs(pts: np.ndarray, sizes: np.ndarray, dists: np.ndarray):
-    """Rows of the split seeds of every segment of pts.
+def farthest_pairs(pts: np.ndarray, starts: np.ndarray, seg: np.ndarray, dists: np.ndarray):
+    """Columns of the split seeds of every segment of pts (d, n).
 
     p1 is the member farthest from the centre (``dists``), p2 the member
-    farthest from p1.  Ties go to the first row, which is the lowest point
+    farthest from p1.  Ties go to the first column, which is the lowest point
     index, so splitting stays deterministic.
     """
-    p1 = first_argmax(dists, sizes)
-    p2 = first_argmax(distances(pts, np.repeat(pts.take(p1, axis=0), sizes, axis=0)), sizes)
-    return p1, p2
+    p1 = first_argmax(dists, starts, seg)
+    return p1, first_argmax(distances(pts, take_columns(pts, p1), seg), starts, seg)
 
 
 def fit_ball(dataset: Dataset, members: Iterable[int]) -> GranularBall:
@@ -300,8 +311,10 @@ def fit_ball(dataset: Dataset, members: Iterable[int]) -> GranularBall:
         raise ValueError("cannot fit a ball to an empty member set")
     if idx[0] < 0 or idx[-1] >= len(dataset):
         raise ValueError(f"member index out of range for dataset of size {len(dataset)}")
-    centers, _, radii, sums = fit_segments(dataset.points.take(idx, axis=0), np.array([idx.size]))
-    return GranularBall.from_fit(idx, centers[0], radii[0], sums[0])
+    sizes = np.array([idx.size])
+    pts = take_columns(dataset.points.T, idx)
+    centers, _, radii, sums = fit_segments(pts, sizes, *segments(sizes))
+    return GranularBall.from_fit(idx, centers[:, 0], radii[0], sums[0])
 
 
 def farthest_pair_seed(dataset: Dataset, ball: GranularBall) -> tuple[int, int]:
@@ -313,6 +326,7 @@ def farthest_pair_seed(dataset: Dataset, ball: GranularBall) -> tuple[int, int]:
     """
     if ball.size < 2:
         raise ValueError("seed selection needs a ball with at least 2 members")
-    pts = dataset.points.take(ball.members, axis=0)
-    p1, p2 = farthest_pairs(pts, np.array([ball.size]), distances(pts, ball.center))
+    pts = take_columns(dataset.points.T, ball.members)
+    starts, seg = segments(np.array([ball.size]))
+    p1, p2 = farthest_pairs(pts, starts, seg, distances(pts, ball.center[:, None]))
     return int(ball.members[p1[0]]), int(ball.members[p2[0]])

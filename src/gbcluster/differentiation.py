@@ -18,11 +18,13 @@ The module counts its distance evaluations so that budget is checkable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NOISE, BallSet, ClusterAssignment, Dataset, distances, squared_distances
+from .core import (NOISE, BallSet, ClusterAssignment, Dataset, distances, squared_distances,
+                   take_columns)
 from .division import DivisionConfig, DivisionTrace, generate_balls
 
 _DIST_EVALS = 0
@@ -72,16 +74,16 @@ class _Strips:
         self.origin = low[self.axes[0]]
         self.reach = 4 * r_max
         self.width = max(self.reach, float(span.max()) * _FILL / len(centers)) or 1.0
-        strip, y = self.locate(centers)
+        strip, y = self.locate(centers.T)
         self.order = np.lexsort((y, strip))
-        self.centers = centers.take(self.order, axis=0)
+        self.centers = take_columns(centers.T, self.order)  # (d, m), coordinates first
         self.y = y[self.order]
         self.ids, self.bounds = _runs(strip[self.order])
 
     def locate(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Strip (from -1 up) and second coordinate of every point."""
-        x = (points[:, self.axes[0]] - self.origin) / self.width
-        return np.floor(np.clip(x, -1, 2 ** 52)).astype(np.int64), points[:, self.axes[-1]]
+        """Strip (from -1 up) and second coordinate of every point of a (d, n) array."""
+        x = (points[self.axes[0]] - self.origin) / self.width
+        return np.floor(np.clip(x, -1, 2 ** 52)).astype(np.int64), points[self.axes[-1]]
 
     def window(self, k: int, y_lo: float, y_hi: float) -> tuple[int, int]:
         """Sorted positions [lo, hi) of the centres of the k-th strip with y in [y_lo, y_hi]."""
@@ -140,7 +142,7 @@ def _pairwise_center_distances(ballset: BallSet) -> tuple[np.ndarray, np.ndarray
 
     def tile(b0, b1, c0, c1):
         """Sorted rows [b0, b1) against columns [c0, c1): the entries that pass the prefilter."""
-        acc = squared_distances(c[b0:b1, None], c[None, c0:c1])
+        acc = squared_distances(c[:, b0:b1, None], c[:, None, c0:c1])
         ri, rj = r[b0:b1, None], r[None, c0:c1]
         lim = ri + rj
         lim += np.minimum(ri, rj)
@@ -195,7 +197,8 @@ def tau(r_i, r_j, o_i, o_j):
 def are_adjacent(ball_i, ball_j, o_i: int, o_j: int) -> bool:
     """True when the surface gap between two balls is below their tau."""
     _count(1)
-    gap = float(distances(ball_i.center[None], ball_j.center)[0]) - (ball_i.radius + ball_j.radius)
+    gap = float(distances(ball_i.center[:, None], ball_j.center[:, None])[0])
+    gap -= ball_i.radius + ball_j.radius
     return bool(gap < tau(ball_i.radius, ball_j.radius, o_i, o_j))
 
 
@@ -279,7 +282,7 @@ def assign_noise(dataset: Dataset, ballset: BallSet, ball_cluster_ids: np.ndarra
     radii = ballset.radii[live]
     mean_radius = float(radii.mean())
     points = ballset.order[np.repeat(flags, ballset.sizes)]
-    pts = dataset.points.take(points, axis=0)
+    pts = take_columns(dataset.points.T, points)
     # A winning ball has gap <= mean_radius <= r_max, so its centre lies within
     # 2 * r_max of the point: in the point's strip or a neighbour, within
     # ``reach`` on the second coordinate.
@@ -301,7 +304,8 @@ def assign_noise(dataset: Dataset, ballset: BallSet, ball_cluster_ids: np.ndarra
             y_lo, y_hi = y[rows[0]] - strips.reach, y[rows[-1]] + strips.reach
             lo, hi = strips.window(first, y_lo, y_hi)[0], strips.window(last, y_lo, y_hi)[1]
             _count(rows.size * (hi - lo))
-            acc = squared_distances(pts.take(rows, axis=0)[:, None], strips.centers[None, lo:hi])
+            acc = squared_distances(pts.take(rows, axis=1)[:, :, None],
+                                    strips.centers[:, None, lo:hi])
             i, j = np.nonzero(acc <= bound[lo:hi])
             gaps = np.sqrt(acc[i, j]) - r[lo + j]
             won = gaps <= mean_radius
@@ -321,10 +325,23 @@ def cluster(dataset: Dataset, config: DivisionConfig | None = None,
     Takes no algorithmic parameters; ``config`` only carries the structural
     constants of the division loop.
     """
+    # Squared distances overflow past coordinates of about 2**511 and vanish
+    # below 2**-511: points beyond [2**-256, 2**256] are clustered scaled by
+    # a power of two, which is exact, and the geometry is scaled back.
+    top = max(float(dataset.points.max()), -float(dataset.points.min()))
+    exp = math.frexp(top)[1] if top > 2.0 ** 256 or 0 < top < 2.0 ** -256 else 0
+    if exp:
+        dataset = Dataset(points=np.ldexp(dataset.points, -exp))
     ballset = generate_balls(dataset, config, trace)
     # one set of candidate pairs serves both the overlap and adjacency passes
     pairs = _pairwise_center_distances(ballset)
     ballset.overlap_counts = count_overlaps(ballset, pairs)
     ids = merge_adjacent(ballset, pairs)
     assignment = assign_noise(dataset, ballset, ids)
+    if exp:
+        ballset.centers, ballset.radii, ballset.sum_radius = (
+            np.ldexp(a, exp) for a in (ballset.centers, ballset.radii, ballset.sum_radius))
+        if trace is not None:
+            trace.accepted_splits = [tuple(np.ldexp(split, exp).tolist())
+                                     for split in trace.accepted_splits]
     return assignment, ballset

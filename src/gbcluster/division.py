@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (BallSet, Dataset, GranularBall, distances, farthest_pairs, fit_ball,
-                   fit_segments, segments)
+                   fit_segments, segments, take_columns)
 
 
 @dataclass(frozen=True)
@@ -66,37 +66,56 @@ class DivisionTrace:
     round_cap_hit: bool = False
     stop_reason: str | None = None
 
-    def _snapshot(self, members: list[np.ndarray], sizes: list[np.ndarray]):
+    def _snapshot(self, members: np.ndarray, sizes: list[np.ndarray]):
         """Record the balls whose members are the runs ``sizes`` of ``members``."""
         if self.capture_partitions:
-            sizes = np.concatenate(sizes)
-            self.partitions.append([m.copy() for m in np.split(np.concatenate(members),
-                                                               np.cumsum(sizes)[:-1])])
+            bounds = np.cumsum(np.concatenate(sizes))[:-1]
+            self.partitions.append([m.copy() for m in np.split(members, bounds)])
 
 
-def _split(pts: np.ndarray, sizes: np.ndarray, centers: np.ndarray, dists: np.ndarray):
-    """Split every ball, a run ``sizes`` of the rows of pts, in one assignment pass.
+def _runs(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Positions of the runs [starts[i], starts[i] + sizes[i]), one after another."""
+    return np.repeat(starts - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
 
-    The initial child centers are the midpoints between the ball center and
-    each seed; every member then joins the nearer one (ties go to the first
-    child).  ``dists`` holds each row's distance to its ball's centre.
-    Returns ``ok`` (k,), False where one side ends up empty (coincident
-    members); the rows of the ok balls, each ball's first child before its
-    second, members still ascending; and the child sizes and fit, in the
-    order a0, b0, a1, b1, ...
-    """
-    p1, p2 = farthest_pairs(pts, sizes, dists)
-    seg = segments(sizes)[1]
-    c1 = (centers + pts.take(p1, axis=0)) / 2.0
-    c2 = (centers + pts.take(p2, axis=0)) / 2.0
-    to_a = (distances(pts, np.repeat(c1, sizes, axis=0))
-            <= distances(pts, np.repeat(c2, sizes, axis=0)))
-    n_a = np.bincount(seg, weights=to_a, minlength=sizes.size).astype(np.int64)
+
+def _partition(to_a: np.ndarray, sizes: np.ndarray, starts: np.ndarray):
+    """The stable sort by (segment, side) of the rows of the segments, runs
+    ``sizes`` from ``starts``, that ``to_a`` splits in two (``ok``), in O(n):
+    a segment is a run of all a-rows and a run of all b-rows, gathered in
+    turn.  Returns ok, the side sizes a0, b0, a1, ... and the positions."""
+    a_rows = np.flatnonzero(to_a)
+    a_before = np.searchsorted(a_rows, np.append(starts, to_a.size))
+    n_a = np.diff(a_before)
     ok = (n_a > 0) & (n_a < sizes)
-    keep = ok[seg]
-    rows = np.flatnonzero(keep)[np.argsort(seg[keep] * 2 + ~to_a[keep], kind="stable")]
-    child_sizes = np.column_stack((n_a[ok], sizes[ok] - n_a[ok])).ravel()
-    return (ok, rows, child_sizes) + fit_segments(pts.take(rows, axis=0), child_sizes)
+    a_before = a_before[:-1][ok]
+    side_starts = np.column_stack((a_before, a_rows.size + starts[ok] - a_before)).ravel()
+    side_sizes = np.column_stack((n_a[ok], sizes[ok] - n_a[ok])).ravel()
+    by_side = np.concatenate((a_rows, np.flatnonzero(~to_a)))
+    return ok, side_sizes, by_side.take(_runs(side_starts, side_sizes))
+
+
+def _split(pts: np.ndarray, dists: np.ndarray, sizes: np.ndarray, centers: np.ndarray,
+           rows: np.ndarray | None = None):
+    """Split every ball, a run ``sizes`` of the columns ``rows`` (default all)
+    of pts (d, n), in one assignment pass; ``dists`` holds each column's
+    distance to its ball's centre (``centers``, d by k).
+
+    The child centres start at the midpoints between the ball centre and
+    each seed; every member joins the nearer (ties go to the first child).
+    Returns ``ok`` (k,), False where a side ends up empty (coincident
+    members); the columns of the ok balls, children in the order a0, b0,
+    a1, ..., members ascending; and the child sizes and fit.
+    """
+    if rows is not None:
+        pts, dists = take_columns(pts, rows), dists[rows]
+    starts, seg = segments(sizes)
+    p1, p2 = farthest_pairs(pts, starts, seg, dists)
+    c1 = (centers + take_columns(pts, p1)) / 2.0
+    c2 = (centers + take_columns(pts, p2)) / 2.0
+    ok, child_sizes, part = _partition(distances(pts, c1, seg) <= distances(pts, c2, seg),
+                                       sizes, starts)
+    fit = fit_segments(take_columns(pts, part), child_sizes, *segments(child_sizes))
+    return ok, part if rows is None else rows[part], child_sizes, fit
 
 
 def split_once(dataset: Dataset, ball: GranularBall):
@@ -107,13 +126,14 @@ def split_once(dataset: Dataset, ball: GranularBall):
     """
     if ball.size < 2:
         raise ValueError("cannot split a ball with fewer than 2 members")
-    pts = dataset.points.take(ball.members, axis=0)
-    ok, rows, sizes, centers, _, radii, sums = _split(
-        pts, np.array([ball.size]), ball.center[None], distances(pts, ball.center))
+    pts = take_columns(dataset.points.T, ball.members)
+    ok, part, sizes, (centers, _, radii, sums) = _split(
+        pts, distances(pts, ball.center[:, None]), np.array([ball.size]), ball.center[:, None])
     if not ok[0]:
         return None
-    members = np.split(ball.members[rows], sizes[:1])
-    return tuple(GranularBall.from_fit(members[i], centers[i], radii[i], sums[i]) for i in (0, 1))
+    members = np.split(ball.members[part], sizes[:1])
+    return tuple(GranularBall.from_fit(members[i], centers[:, i], radii[i], sums[i])
+                 for i in (0, 1))
 
 
 def should_split(parent_ad, child_a_ad, child_b_ad):
@@ -140,54 +160,61 @@ def generate_balls(dataset: Dataset, config: DivisionConfig | None = None,
     differentiation stage.  Pass a DivisionTrace to observe per-round
     progress, the round-cap warning flag and why refinement stopped.
 
-    Each round splits all of its balls at once, on arrays.  A list of balls
-    is a run of point indices per ball, members ascending, plus per-ball
-    sizes, centres, radii and distance sums; every point keeps its distance
-    to its ball's centre, so each ball is fitted once.
+    Each round splits all of its balls at once, on arrays.  A ball is a run
+    of columns, members ascending, of the points (d, n), their ids and their
+    distances to the ball's centre, so each ball is fitted once; tables hold
+    the sizes, centres (d, k), radii and distance sums.
     """
     if config is None:
         config = DivisionConfig()
     if trace is None:
         trace = DivisionTrace()
-    points = dataset.points
     root = fit_ball(dataset, np.arange(len(dataset)))
-    idx, sizes, centers = root.members, np.array([root.size]), root.center[None]
+    pts, ids = take_columns(dataset.points.T, root.members), np.arange(len(dataset))
+    sizes, centers = np.array([root.size]), root.center[:, None]
     radii, sums = np.array([root.radius]), np.array([root.sum_radius])
-    dist = distances(points, root.center)
+    dist = distances(pts, centers)
 
     # Phase 1: quality-driven splitting.  Each ball is examined once; a ball
     # whose split fails or is rejected is final, its children otherwise
     # re-enter the queue.  Final balls keep the order of the per-ball loop
-    # that defines the method, since phase 2's mean radius sums in it.
-    final = []  # per round: (members, their distances, sizes, centres, radii, sums)
+    # that defines the method, since phase 2's mean radius sums in it: they
+    # fill the first ``end`` columns, and the balls of the round the rest.
+    tables, end = [], 0  # per round: sizes, centres, radii and sums of its final balls
     while sizes.size:
-        seg = segments(sizes)[1]
-        big = sizes >= config.min_split_size
-        rows, tried = big[seg], np.flatnonzero(big)
-        ok, child_rows, c_sizes, c_centers, c_dist, c_radii, c_sums = _split(
-            points.take(idx[rows], axis=0), sizes[tried], centers.take(tried, axis=0), dist[rows])
+        starts = np.cumsum(sizes) - sizes
+        tried = np.flatnonzero(sizes >= config.min_split_size)
+        rows = None if tried.size == sizes.size else _runs(starts[tried], sizes[tried])
+        live_pts, live_ids, live_dist = pts[:, end:], ids[end:], dist[end:]
+        ok, part, c_sizes, (c_centers, c_dist, c_radii, c_sums) = _split(
+            live_pts, live_dist, sizes[tried], centers.take(tried, axis=1), rows)
         parent_ad = sums[tried[ok]] / sizes[tried[ok]]
         child_ad = (c_sums / c_sizes).reshape(-1, 2)
         better = should_split(parent_ad, child_ad[:, 0], child_ad[:, 1])
         trace.accepted_splits.extend(zip(parent_ad[better].tolist(), *child_ad[better].T.tolist()))
         split = np.zeros(sizes.size, dtype=bool)
         split[tried[ok][better]] = True
-        stay = ~split[seg]
-        final.append((idx[stay], dist[stay], sizes[~split], centers.compress(~split, axis=0),
-                      radii[~split], sums[~split]))
+        # the round's final balls, then the accepted children
+        stay = _runs(starts[~split], sizes[~split])
         moved = np.repeat(better, c_sizes[::2] + c_sizes[1::2])
+        perm = np.concatenate((stay, part[moved]))
+        for row in live_pts:
+            row[:] = row.take(perm)
+        live_ids[:] = live_ids[perm]
+        live_dist[:] = np.concatenate((live_dist[stay], c_dist[moved]))
+        end += stay.size
+        tables.append((sizes[~split], centers.compress(~split, axis=1), radii[~split], sums[~split]))
         kids = np.repeat(better, 2)
-        idx, dist = idx[rows][child_rows][moved], c_dist[moved]
-        sizes, centers = c_sizes[kids], c_centers.compress(kids, axis=0)
+        sizes, centers = c_sizes[kids], c_centers.compress(kids, axis=1)
         radii, sums = c_radii[kids], c_sums[kids]
-        trace.rounds.append(RoundStats("divide", sum(f[2].size for f in final) + sizes.size,
+        trace.rounds.append(RoundStats("divide", sum(t[0].size for t in tables) + sizes.size,
                                        int(better.sum()), 0))
-        trace._snapshot([f[0] for f in final] + [idx], [f[2] for f in final] + [sizes])
-    order, dist, sizes, centers, radii, sums = (np.concatenate(a) for a in zip(*final))
+        trace._snapshot(ids, [t[0] for t in tables] + [sizes])
+    sizes, centers, radii, sums = (np.concatenate(a, axis=-1) for a in zip(*tables))
 
     # Phase 2: force-split oversized balls, recomputing the radius statistics
     # each round because splits shift the mean and median.  Children take
-    # their parent's place, in the list and in ``order``.
+    # their parent's place, in the tables and in the columns.
     trace.stop_reason = "converged"
     rounds = 0
     while True:
@@ -201,29 +228,26 @@ def generate_balls(dataset: Dataset, config: DivisionConfig | None = None,
                           RuntimeWarning, stacklevel=2)
             break
         rounds += 1
-        pos = np.flatnonzero(np.repeat(np.isin(np.arange(sizes.size), oversized), sizes))
-        ok, child_rows, c_sizes, c_centers, c_dist, c_radii, c_sums = _split(
-            points.take(order[pos], axis=0), sizes[oversized], centers.take(oversized, axis=0),
-            dist[pos])
+        pos = _runs((np.cumsum(sizes) - sizes)[oversized], sizes[oversized])
+        ok, part, c_sizes, (c_centers, c_dist, c_radii, c_sums) = _split(
+            pts, dist, sizes[oversized], centers.take(oversized, axis=1), pos)
         split_pos = pos[np.repeat(ok, sizes[oversized])]
-        order[split_pos], dist[split_pos] = order[pos][child_rows], c_dist
-        copies = np.ones(sizes.size, dtype=np.int64)
-        copies[oversized[ok]] = 2
-        first = (np.cumsum(copies) - copies)[oversized[ok]]
-        slots = np.column_stack((first, first + 1)).ravel()
-        tables = [np.repeat(a, copies, axis=0) for a in (sizes, centers, radii, sums)]
-        for table, children in zip(tables, (c_sizes, c_centers, c_radii, c_sums)):
-            table[slots] = children
+        ids[split_pos], dist[split_pos] = ids[part], c_dist
+        pts[:, split_pos] = take_columns(pts, part)
+        at, tables = oversized[ok], []
+        for table, kids in zip((sizes, centers, radii, sums),
+                               (c_sizes, c_centers, c_radii, c_sums)):
+            table[..., at] = kids[..., ::2]
+            tables.append(np.insert(table, at + 1, kids[..., 1::2], axis=-1))
         sizes, centers, radii, sums = tables
         trace.rounds.append(RoundStats("refine", sizes.size, int(ok.sum()), oversized.size))
-        trace._snapshot([order], [sizes])
+        trace._snapshot(ids, [sizes])
         if not ok.all():
             trace.stop_reason = "split_failed"  # degenerate ball; kept as-is
             break
 
-    # Balls are numbered by their smallest member; the stable sort keeps
-    # members ascending within each ball.
-    by = np.argsort(order[segments(sizes)[0]])
-    order = order[np.argsort(np.repeat(np.argsort(by), sizes), kind="stable")]
-    return BallSet(order=order, sizes=sizes[by], centers=centers.take(by, axis=0), radii=radii[by],
-                   sum_radius=sums[by])
+    # Balls are numbered by their smallest member, members still ascending.
+    starts = np.cumsum(sizes) - sizes
+    by = np.argsort(ids[starts])
+    return BallSet(order=ids[_runs(starts[by], sizes[by])], sizes=sizes[by],
+                   centers=centers.T.take(by, axis=0), radii=radii[by], sum_radius=sums[by])

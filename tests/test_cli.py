@@ -89,6 +89,14 @@ def test_one_labelled_point_writes_every_file_with_null_score(tmp_path, capsys):
     assert summary["rand_index"] is None
 
 
+def test_eval_one_point_prints_null_score(tmp_path, capsys):
+    # the Rand index is undefined for one point; run writes null for it too
+    data = tmp_path / "one.csv"
+    data.write_text("x0,label\n1.0,0\n")
+    assert main(["eval", "--truth", str(data), "--pred", str(data)]) == EXIT_OK
+    assert capsys.readouterr().out == "rand_index null\n"
+
+
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["run", "--algo", "gbc", "--frobnicate"]) == EXIT_USAGE
 

@@ -138,23 +138,31 @@ def test_farthest_pair_seed_needs_two_members():
         farthest_pair_seed(ds, fit_ball(ds, [0]))
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 16, 32, 129])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 15, 16, 17, 32, 64, 128, 129, 200])
 def test_distances_bit_equal_to_row_sum(d):
-    # from d = 8 on, rows are summed in blocks of 2**19 / d; these counts span two or more
+    # Coordinates lead: rows (d, n) and tiles (d, B, 1) against (d, 1, W)
+    # give the bits of ((p - t) ** 2).sum(axis=-1) on the row-major (n, d)
+    # equivalents.  Under 8 coordinates the squares add in order, up to 128
+    # in 8 lanes and a fixed tree, and past 128 as two halves.
     rng = np.random.default_rng(d)
-    n = 5_000 if d < 8 else 70_000 if d <= 32 else 2 ** 19 // d + 1_000
+    n = 3_000
     scale = rng.choice([1e-300, 1e-3, 1.0, 1e12], size=(2, n, d))
     pts, rows = rng.normal(size=(2, n, d)) * scale
     pts[rng.uniform(size=(n, d)) < 0.05] = -0.0
     rows[rng.uniform(size=(n, d)) < 0.05] = 0.0
-    for to in (rows[0], rows, np.full(d, -0.0)):
+    lead = np.ascontiguousarray(pts.T)
+    for to in (rows, rows[:1], np.full((1, d), -0.0)):
         reference = np.sqrt(((pts - to) ** 2).sum(axis=1))
-        assert distances(pts, to).tobytes() == reference.tobytes()
-    # tiles: (B, 1, d) against (1, W, d), as the geometry pass and noise
-    # attachment use them; 8 to 128 columns take the 8-lane path there
+        assert distances(lead, np.ascontiguousarray(to.T)).tobytes() == reference.tobytes()
+    # rows against a table of centres, one named per row
+    table, at = rows[:40], rng.integers(0, 40, n)
+    reference = np.sqrt(((pts - table[at]) ** 2).sum(axis=1))
+    assert distances(lead, np.ascontiguousarray(table.T), at).tobytes() == reference.tobytes()
+    # tiles, as the geometry pass and noise attachment use them
     for b, w in ((37, 53), (1, 40), (40, 1), (300, 200)):
         p, t = pts[:b, None], rows[n - w:][None]
         squared = ((p - t) ** 2).sum(axis=-1)
+        p, t = np.moveaxis(p, -1, 0), np.moveaxis(t, -1, 0)
         assert squared_distances(p, t).tobytes() == squared.tobytes()
-        assert squared_distances(t.transpose(1, 0, 2), p.transpose(1, 0, 2)).tobytes() == squared.T.tobytes()
+        assert squared_distances(t.transpose(0, 2, 1), p.transpose(0, 2, 1)).tobytes() == squared.T.tobytes()
         assert distances(p, t).tobytes() == np.sqrt(squared).tobytes()

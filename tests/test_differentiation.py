@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -363,7 +364,7 @@ def test_prefilter_keeps_a_pair_whose_squared_distance_rounds_past_the_bound():
     ri, rj = 0.71155184304429, 1.229170057379424
     p, q = [3.902743520047924, -2.7284240646662026], [6.415008070939091, -1.878081288707366]
     lim = (ri + rj) + min(ri, rj)
-    acc = squared_distances(np.array([p]), np.array(q))[0]
+    acc = squared_distances(np.array(p)[:, None], np.array(q)[:, None])[0]
     assert acc > lim * lim and np.sqrt(acc) - (ri + rj) < min(ri, rj)
     pairs, dists = _pairwise_center_distances(_array_ballset([p, q], [ri, rj], [False, False]))
     assert pairs.tolist() == [[0, 1]] and dists.tolist() == [np.sqrt(acc)]
@@ -460,3 +461,27 @@ def test_clustering_does_not_import_scipy():
             "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("exp", [900, -900])
+def test_cluster_is_exact_under_power_of_two_scaling(exp):
+    # far outside [2**-256, 2**256] the points are clustered scaled back by a
+    # power of two, so the result is blobs5's, with its geometry scaled
+    ds = generate(BUNDLED_DATASETS["blobs5"])
+    assignment, balls = cluster(ds)
+    scaled_assignment, scaled = cluster(Dataset(points=np.ldexp(ds.points, exp)))
+    assert np.array_equal(scaled_assignment.labels, assignment.labels)
+    assert np.array_equal(scaled.order, balls.order) and np.array_equal(scaled.sizes, balls.sizes)
+    for name in ("centers", "radii", "sum_radius"):
+        assert np.array_equal(getattr(scaled, name), np.ldexp(getattr(balls, name), exp)), name
+
+
+@pytest.mark.parametrize("factor", [1e300, 1e-300])
+def test_cluster_finds_the_blobs_at_extreme_scales(factor):
+    # unscaled, squared distances overflow (1e300) or vanish (1e-300) and
+    # every point lands in one cluster
+    ds = generate(BUNDLED_DATASETS["blobs5"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assignment, _ = cluster(Dataset(points=ds.points * factor))
+    assert assignment.cluster_count == 5

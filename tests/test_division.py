@@ -6,9 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gbcluster.core import Dataset, fit_ball, fit_segments, segment_sums
+from gbcluster.core import Dataset, fit_ball, fit_segments, segment_sums, segments
 from gbcluster.data import BUNDLED_DATASETS, GeneratorSpec, generate
-from gbcluster.division import (DivisionConfig, DivisionTrace, detect_oversized,
+from gbcluster.division import (DivisionConfig, DivisionTrace, _partition, detect_oversized,
                                 generate_balls, should_split, split_once)
 
 
@@ -178,17 +178,32 @@ def _sha(*arrays):
     return h.hexdigest()
 
 
+def _blob_points(n, dim):
+    """Five sigma-0.5 blobs around the blobs10k centres, with dim - 2 more
+    centre coordinates drawn uniformly from [-3, 9] (the benchmark's sets)."""
+    centers = np.asarray(BUNDLED_DATASETS["blobs10k"].centers, dtype=np.float64)
+    extra = np.random.default_rng(1).uniform(-3.0, 9.0, size=(len(centers), dim - 2))
+    centers = tuple(tuple(float(v) for v in c) for c in np.hstack([centers, extra]))
+    return generate(GeneratorSpec(family="blobs", n=n, seed=1, scales=0.5, centers=centers))
+
+
 _EDGE_INPUTS = {
     "n=1": np.zeros((1, 2)),
     "identical": np.ones((50, 2)),
     "1-d": np.linspace(0, 1, 300)[:, None],
     "d=32": np.random.default_rng(0).normal(size=(500, 32)),
+    "blobs-8d-5k": _blob_points(5_000, 8).points,
 }
 
 # sha256 of (sizes and members as int64, centers, radii, sum_radius as float64)
 # of the balls in generate_balls' order.  Computed before the round-batched
-# division replaced the loop that fitted and split one ball at a time.
+# division replaced the loop that fitted and split one ball at a time; the
+# 8-d set's before division moved to coordinate-major arrays.
 GOLDEN_BALLS = {
+    "blobs-8d-5k": ("327cab28eb100a3251cabb766f5c660a2ba690e84bcfcbabef4f14a89b93a5a7",
+                    "e2040f54b7fa476e7a102831c93d2ad2864aaf20df2113176b5b47963ad97f79",
+                    "7c3652ba7c3f63a814f3a192266b97c82149a2067ab1e8212fb764b69530908c",
+                    "a5d7bca2f9741cda6e223cce87f6480061a61aa0030a18e2fe40f8f7f25754f3"),
     "1-d": ("5fcb73c9588f33e2ce0eed3994b3edcea6b28abf04ba8d09ed3bd4a8b07bd9de",
             "c68949e7393b68fd73ea740397c79deae844376356fab99c67cd2a88f6031f5b",
             "92a9e0c8b444e9c522ee3f3204cf871c6f8d1308c072e188f64ec1ce084e5fe6",
@@ -240,6 +255,40 @@ def test_generate_balls_matches_golden_digests(name):
             _sha(np.array([b.sum_radius for b in balls]))) == GOLDEN_BALLS[name]
 
 
+def test_division_trace_matches_golden_digests():
+    # sha256 of the accepted splits' average distances (float64) and of the
+    # rounds as (phase is divide, balls, splits, oversized) int64 rows, on
+    # blobs10k; recorded before division moved to coordinate-major arrays
+    trace = DivisionTrace()
+    generate_balls(generate(BUNDLED_DATASETS["blobs10k"]), trace=trace)
+    rounds = [(r.phase == "divide", r.ball_count, r.split_count, r.oversized_count)
+              for r in trace.rounds]
+    assert (_sha(np.array(trace.accepted_splits, dtype=np.float64)),
+            _sha(np.array(rounds, dtype=np.int64)), trace.stop_reason) == (
+        "2b2fff58a00f4789bd3b5ab51fd5338eacf5fe72c4eeb8131a2021ae56df2f99",
+        "3ef42192d643847245c0f308c74a45eadf9d1120dd2e9c57e79ba7b9f0834214", "converged")
+
+
+def test_partition_is_the_stable_sort_of_the_ok_segments():
+    rng = np.random.default_rng(8)
+    for trial in range(40):
+        sizes = rng.integers(1, 301, int(rng.integers(2, 40)))
+        starts, seg = segments(sizes)
+        to_a = rng.uniform(size=sizes.sum()) < rng.uniform(size=sizes.size)[seg]
+        # failed splits: every row on one side, a or b
+        one_side = rng.uniform(size=sizes.size) < 0.25
+        one_side[:2] = True
+        side = rng.uniform(size=sizes.size) < 0.5
+        side[:2] = True, False
+        to_a = np.where(one_side[seg], side[seg], to_a)
+        ok, side_sizes, part = _partition(to_a, sizes, starts)
+        n_a = np.bincount(seg, weights=to_a, minlength=sizes.size).astype(np.int64)
+        assert np.array_equal(ok, (n_a > 0) & (n_a < sizes))
+        assert np.array_equal(side_sizes, np.column_stack((n_a[ok], sizes[ok] - n_a[ok])).ravel())
+        by_side = np.argsort(seg * 2 + ~to_a, kind="stable")
+        assert np.array_equal(part, by_side[ok[seg[by_side]]])
+
+
 def test_segment_kernels_match_per_slice_numpy():
     rng = np.random.default_rng(5)
     for trial in range(60):
@@ -250,9 +299,10 @@ def test_segment_kernels_match_per_slice_numpy():
         starts = np.cumsum(sizes) - sizes
         slices = [slice(s, s + z) for s, z in zip(starts, sizes)]
         x = pts[:, 0].copy()
-        assert np.array_equal(segment_sums(x, sizes), [x[sl].sum() for sl in slices])
-        centers, dists, radii, dist_sums = fit_segments(pts, sizes)
-        assert np.array_equal(centers, [pts[sl].mean(axis=0) for sl in slices])
+        starts, seg = segments(sizes)
+        assert np.array_equal(segment_sums(x, sizes, starts, seg), [x[sl].sum() for sl in slices])
+        centers, dists, radii, dist_sums = fit_segments(np.ascontiguousarray(pts.T), sizes, starts, seg)
+        assert np.array_equal(centers.T, [pts[sl].mean(axis=0) for sl in slices])
         assert np.array_equal(radii, [dists[sl].max() for sl in slices])
         assert np.array_equal(dist_sums, [dists[sl].sum() for sl in slices])
 
@@ -267,3 +317,18 @@ def test_division_memory_stays_linear_in_points():
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2 ** 20
+
+
+def test_division_memory_at_8_dimensions():
+    # The tracemalloc peak of generate_balls here was 6.87 MiB before division
+    # moved to coordinate-major arrays, and 5.89 MiB after; the bound allows
+    # the former plus one (d, n) float64 copy of the points.
+    n, d = 20_000, 8
+    ds = _blob_points(n, d)
+    tracemalloc.start()
+    try:
+        generate_balls(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.87 * 2 ** 20 + 8 * n * d
