@@ -159,141 +159,76 @@ class ClusterAssignment:
         return self.labels.size
 
 
-def segments(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start of each segment of a concatenation, and the segment of each element."""
-    return np.cumsum(sizes) - sizes, np.repeat(np.arange(sizes.size), sizes)
-
-
-def segment_sums(x: np.ndarray, sizes: np.ndarray, starts: np.ndarray,
-                 seg: np.ndarray) -> np.ndarray:
-    """``x[s:e].sum()`` of every segment, bit for bit; ``starts, seg = segments(sizes)``.
-
-    Runs of up to 128 items are summed as numpy does (``_pairwise``); longer
-    runs split in halves, and are summed one by one here.
-    """
-    local = np.arange(x.size) - starts[seg]
-    lead = sizes & ~7
-    # the tail adds +0.0 to a lane, which changes no lane sum: they start at +0.0
-    weights = np.where(local < lead[seg], x, 0.0)
-    local &= 7
-    local += seg * 8
-    # (an empty bincount is int64 even with weights)
-    lanes = np.bincount(local, weights=weights, minlength=8 * sizes.size)
-    lanes = lanes.astype(np.float64).reshape(-1, 8)
-    out = _pairwise(lambda j: lanes[:, j].copy(), 0, 8)
-    for t in range(7):
-        tail = sizes - lead > t
-        out[tail] += x[starts[tail] + lead[tail] + t]
-    for i in np.flatnonzero(sizes > 128):
-        out[i] = x[starts[i]:starts[i] + sizes[i]].sum()
-    return out
-
-
-def _lanes(term, first: int, count: int, stop: int):
-    """Lanes first..first + count - 1, each every 8th term before stop, in numpy's tree."""
-    if count > 1:
-        acc = _lanes(term, first, count // 2, stop)
-        acc += _lanes(term, first + count // 2, count // 2, stop)
-        return acc
-    acc = term(first)
-    for j in range(first + 8, stop, 8):
-        acc += term(j)
-    return acc
-
-
-def _pairwise(term, lo: int, hi: int):
-    """``term(lo) + ... + term(hi - 1)`` in the order numpy sums a contiguous run.
-
-    Under 8 terms in order; up to 128 in 8 interleaved lanes over the leading
-    multiple of 8, added ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7)), then the
-    rest in order; more as two halves, the first a multiple of 8 long.
-    """
-    n = hi - lo
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        acc = _pairwise(term, lo, lo + half)
-        acc += _pairwise(term, lo + half, hi)
-        return acc
-    lead = lo + (n & ~7)
-    acc = _lanes(term, lo, 8, lead) if n >= 8 else term(lo)
-    for j in range(max(lead, lo + 1), hi):
-        acc += term(j)
-    return acc
-
-
-def squared_distances(pts: np.ndarray, to: np.ndarray, at: np.ndarray | None = None) -> np.ndarray:
-    """``((p - t) ** 2).sum(axis=-1)`` bit for bit, the coordinate on the leading axis.
+def squared_distances(pts: np.ndarray, to: np.ndarray, sizes: np.ndarray | None = None) -> np.ndarray:
+    """Sum over the leading axis of ``(pts - to) ** 2``, the coordinates added in order.
 
     ``pts[j]`` and ``to[j]`` broadcast: rows (d, n) against (d, n) or (d, 1)
     give n sums, a tile (d, B, 1) against (d, 1, W) a (B, W) plane.  With
-    ``at``, coordinate j of ``to`` is ``to[j].take(at)``: rows against a
-    centre table (d, k).  Adding the squares a coordinate at a time in
-    numpy's order (``_pairwise``) is several times faster than ``.sum``.
+    ``sizes``, ``to`` is a centre table (d, k) whose column i serves the next
+    sizes[i] columns of pts: coordinate j is ``np.repeat(to[j], sizes)``.
+    Under 8 coordinates these are the bits of ``.sum(axis=-1)`` over
+    row-major squares, which numpy adds in order too.
     """
-    def term(j):
-        if at is None:
-            col = pts[j] - to[j]
+    acc = None
+    for p, t in zip(pts, to):
+        if sizes is None:
+            col = p - t
         else:
-            col = to[j].take(at)
-            np.subtract(pts[j], col, out=col)
+            col = np.repeat(t, sizes)
+            np.subtract(p, col, out=col)
         col *= col
-        return col
+        acc = col if acc is None else np.add(acc, col, out=acc)
+    return acc
 
-    return _pairwise(term, 0, pts.shape[0])
 
-
-def distances(pts: np.ndarray, to: np.ndarray, at: np.ndarray | None = None) -> np.ndarray:
-    """Euclidean distances, ``np.sqrt(squared_distances(pts, to, at))``: member
+def distances(pts: np.ndarray, to: np.ndarray, sizes: np.ndarray | None = None) -> np.ndarray:
+    """Euclidean distances, ``np.sqrt(squared_distances(pts, to, sizes))``: member
     to centre, centre to centre and noise point to centre alike."""
-    acc = squared_distances(pts, to, at)
+    acc = squared_distances(pts, to, sizes)
     return np.sqrt(acc, out=acc)
 
 
 def take_columns(pts: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """``pts.take(idx, axis=1)``, a row at a time: the rows of pts (d, n) need not
-    be one block, as in a column range of a larger array or the transpose of
-    (n, d) points, which ``take`` would copy whole first.  ("wrap" spares
-    ``take`` a buffered copy; the indices are in range.)"""
+    be one block, as in a column range of a larger array, which ``take``
+    would copy whole first.  ("wrap" spares ``take`` a buffered copy; the
+    indices are in range.)"""
     out = np.empty((pts.shape[0], idx.size))
     for row, dst in zip(pts, out):
         np.take(row, idx, out=dst, mode="wrap")
     return out
 
 
-def fit_segments(pts: np.ndarray, sizes: np.ndarray, starts: np.ndarray, seg: np.ndarray):
-    """Fit one ball to every segment of the columns of pts (d, n), members
-    ascending; ``starts, seg = segments(sizes)``.
+def fit_segments(pts: np.ndarray, sizes: np.ndarray):
+    """Fit one ball to every segment, a run ``sizes`` of the columns of pts
+    (d, n), members ascending.
 
     Returns the centres (d, k), each column's distance to its centre, and the
-    radii and distance sums, bit-identical to fitting each ball alone: for
-    d >= 2 numpy's mean adds the members in order, as ``bincount`` does, and
-    one coordinate is summed pairwise.
+    radii and distance sums.  Sums are ``np.add.reduceat``: a segment
+    x[s:e] sums to ``x[s] + x[s + 1:e].sum()``, so fitting a ball alone or
+    among others gives the same bits.
     """
-    if pts.shape[0] == 1:
-        sums = segment_sums(pts[0], sizes, starts, seg)[None]
-    else:
-        sums = np.array([np.bincount(seg, weights=row, minlength=sizes.size) for row in pts])
-    centers = sums / sizes
-    dists = distances(pts, centers, seg)
-    radii = np.maximum.reduceat(dists, starts)
-    return centers, dists, radii, segment_sums(dists, sizes, starts, seg)
+    starts = np.cumsum(sizes) - sizes
+    centers = np.add.reduceat(pts, starts, axis=1) / sizes
+    dists = distances(pts, centers, sizes)
+    return centers, dists, np.maximum.reduceat(dists, starts), np.add.reduceat(dists, starts)
 
 
-def first_argmax(x: np.ndarray, starts: np.ndarray, seg: np.ndarray) -> np.ndarray:
+def first_argmax(x: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Position in x of the first maximum of every segment."""
-    top = np.maximum.reduceat(x, starts)
-    return np.minimum.reduceat(np.where(x == top[seg], np.arange(x.size), x.size), starts)
+    hit = np.flatnonzero(x == np.repeat(np.maximum.reduceat(x, starts), sizes))
+    return hit[np.searchsorted(hit, starts)]
 
 
-def farthest_pairs(pts: np.ndarray, starts: np.ndarray, seg: np.ndarray, dists: np.ndarray):
+def farthest_pairs(pts: np.ndarray, starts: np.ndarray, sizes: np.ndarray, dists: np.ndarray):
     """Columns of the split seeds of every segment of pts (d, n).
 
     p1 is the member farthest from the centre (``dists``), p2 the member
-    farthest from p1.  Ties go to the first column, which is the lowest point
-    index, so splitting stays deterministic.
+    farthest from p1, by squared distance.  Ties go to the first column,
+    which is the lowest point index, so splitting stays deterministic.
     """
-    p1 = first_argmax(dists, starts, seg)
-    return p1, first_argmax(distances(pts, take_columns(pts, p1), seg), starts, seg)
+    p1 = first_argmax(dists, starts, sizes)
+    return p1, first_argmax(squared_distances(pts, take_columns(pts, p1), sizes), starts, sizes)
 
 
 def fit_ball(dataset: Dataset, members: Iterable[int]) -> GranularBall:
@@ -311,9 +246,8 @@ def fit_ball(dataset: Dataset, members: Iterable[int]) -> GranularBall:
         raise ValueError("cannot fit a ball to an empty member set")
     if idx[0] < 0 or idx[-1] >= len(dataset):
         raise ValueError(f"member index out of range for dataset of size {len(dataset)}")
-    sizes = np.array([idx.size])
-    pts = take_columns(dataset.points.T, idx)
-    centers, _, radii, sums = fit_segments(pts, sizes, *segments(sizes))
+    pts = dataset.points.take(idx, axis=0).T.copy()
+    centers, _, radii, sums = fit_segments(pts, np.array([idx.size]))
     return GranularBall.from_fit(idx, centers[:, 0], radii[0], sums[0])
 
 
@@ -326,7 +260,7 @@ def farthest_pair_seed(dataset: Dataset, ball: GranularBall) -> tuple[int, int]:
     """
     if ball.size < 2:
         raise ValueError("seed selection needs a ball with at least 2 members")
-    pts = take_columns(dataset.points.T, ball.members)
-    starts, seg = segments(np.array([ball.size]))
-    p1, p2 = farthest_pairs(pts, starts, seg, distances(pts, ball.center[:, None]))
+    pts = dataset.points.take(ball.members, axis=0).T.copy()
+    p1, p2 = farthest_pairs(pts, np.array([0]), np.array([ball.size]),
+                            distances(pts, ball.center[:, None]))
     return int(ball.members[p1[0]]), int(ball.members[p2[0]])

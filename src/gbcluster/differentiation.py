@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (NOISE, BallSet, ClusterAssignment, Dataset, distances, squared_distances,
-                   take_columns)
+from .core import NOISE, BallSet, ClusterAssignment, Dataset, distances, squared_distances
 from .division import DivisionConfig, DivisionTrace, generate_balls
 
 _DIST_EVALS = 0
@@ -76,7 +75,7 @@ class _Strips:
         self.width = max(self.reach, float(span.max()) * _FILL / len(centers)) or 1.0
         strip, y = self.locate(centers.T)
         self.order = np.lexsort((y, strip))
-        self.centers = take_columns(centers.T, self.order)  # (d, m), coordinates first
+        self.centers = centers.take(self.order, axis=0).T.copy()  # (d, m), coordinates first
         self.y = y[self.order]
         self.ids, self.bounds = _runs(strip[self.order])
 
@@ -282,7 +281,7 @@ def assign_noise(dataset: Dataset, ballset: BallSet, ball_cluster_ids: np.ndarra
     radii = ballset.radii[live]
     mean_radius = float(radii.mean())
     points = ballset.order[np.repeat(flags, ballset.sizes)]
-    pts = take_columns(dataset.points.T, points)
+    pts = dataset.points.take(points, axis=0).T.copy()
     # A winning ball has gap <= mean_radius <= r_max, so its centre lies within
     # 2 * r_max of the point: in the point's strip or a neighbour, within
     # ``reach`` on the second coordinate.

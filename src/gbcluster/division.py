@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (BallSet, Dataset, GranularBall, distances, farthest_pairs, fit_ball,
-                   fit_segments, segments, take_columns)
+                   fit_segments, squared_distances, take_columns)
 
 
 @dataclass(frozen=True)
@@ -101,21 +101,23 @@ def _split(pts: np.ndarray, dists: np.ndarray, sizes: np.ndarray, centers: np.nd
     distance to its ball's centre (``centers``, d by k).
 
     The child centres start at the midpoints between the ball centre and
-    each seed; every member joins the nearer (ties go to the first child).
-    Returns ``ok`` (k,), False where a side ends up empty (coincident
-    members); the columns of the ok balls, children in the order a0, b0,
-    a1, ..., members ascending; and the child sizes and fit.
+    each seed; every member joins the nearer by squared distance (ties go
+    to the first child).  Returns ``ok`` (k,), False where a side ends up
+    empty (coincident members); the positions of the columns of the ok
+    balls, children in the order a0, b0, a1, ..., members ascending; and the
+    child sizes, columns (d, by child members) and fit.
     """
     if rows is not None:
         pts, dists = take_columns(pts, rows), dists[rows]
-    starts, seg = segments(sizes)
-    p1, p2 = farthest_pairs(pts, starts, seg, dists)
+    starts = np.cumsum(sizes) - sizes
+    p1, p2 = farthest_pairs(pts, starts, sizes, dists)
     c1 = (centers + take_columns(pts, p1)) / 2.0
     c2 = (centers + take_columns(pts, p2)) / 2.0
-    ok, child_sizes, part = _partition(distances(pts, c1, seg) <= distances(pts, c2, seg),
-                                       sizes, starts)
-    fit = fit_segments(take_columns(pts, part), child_sizes, *segments(child_sizes))
-    return ok, part if rows is None else rows[part], child_sizes, fit
+    ok, child_sizes, part = _partition(
+        squared_distances(pts, c1, sizes) <= squared_distances(pts, c2, sizes), sizes, starts)
+    child_pts = take_columns(pts, part)
+    return (ok, part if rows is None else rows[part], child_sizes, child_pts,
+            fit_segments(child_pts, child_sizes))
 
 
 def split_once(dataset: Dataset, ball: GranularBall):
@@ -126,8 +128,8 @@ def split_once(dataset: Dataset, ball: GranularBall):
     """
     if ball.size < 2:
         raise ValueError("cannot split a ball with fewer than 2 members")
-    pts = take_columns(dataset.points.T, ball.members)
-    ok, part, sizes, (centers, _, radii, sums) = _split(
+    pts = dataset.points.take(ball.members, axis=0).T.copy()
+    ok, part, sizes, _, (centers, _, radii, sums) = _split(
         pts, distances(pts, ball.center[:, None]), np.array([ball.size]), ball.center[:, None])
     if not ok[0]:
         return None
@@ -170,7 +172,7 @@ def generate_balls(dataset: Dataset, config: DivisionConfig | None = None,
     if trace is None:
         trace = DivisionTrace()
     root = fit_ball(dataset, np.arange(len(dataset)))
-    pts, ids = take_columns(dataset.points.T, root.members), np.arange(len(dataset))
+    pts, ids = dataset.points.T.copy(), np.arange(len(dataset))
     sizes, centers = np.array([root.size]), root.center[:, None]
     radii, sums = np.array([root.radius]), np.array([root.sum_radius])
     dist = distances(pts, centers)
@@ -186,7 +188,7 @@ def generate_balls(dataset: Dataset, config: DivisionConfig | None = None,
         tried = np.flatnonzero(sizes >= config.min_split_size)
         rows = None if tried.size == sizes.size else _runs(starts[tried], sizes[tried])
         live_pts, live_ids, live_dist = pts[:, end:], ids[end:], dist[end:]
-        ok, part, c_sizes, (c_centers, c_dist, c_radii, c_sums) = _split(
+        ok, part, c_sizes, c_pts, (c_centers, c_dist, c_radii, c_sums) = _split(
             live_pts, live_dist, sizes[tried], centers.take(tried, axis=1), rows)
         parent_ad = sums[tried[ok]] / sizes[tried[ok]]
         child_ad = (c_sums / c_sizes).reshape(-1, 2)
@@ -197,10 +199,10 @@ def generate_balls(dataset: Dataset, config: DivisionConfig | None = None,
         # the round's final balls, then the accepted children
         stay = _runs(starts[~split], sizes[~split])
         moved = np.repeat(better, c_sizes[::2] + c_sizes[1::2])
-        perm = np.concatenate((stay, part[moved]))
-        for row in live_pts:
-            row[:] = row.take(perm)
-        live_ids[:] = live_ids[perm]
+        for row, kids in zip(live_pts, c_pts):
+            row[:stay.size] = row.take(stay)
+            row[stay.size:] = kids[moved]
+        live_ids[:] = live_ids[np.concatenate((stay, part[moved]))]
         live_dist[:] = np.concatenate((live_dist[stay], c_dist[moved]))
         end += stay.size
         tables.append((sizes[~split], centers.compress(~split, axis=1), radii[~split], sums[~split]))
@@ -229,11 +231,12 @@ def generate_balls(dataset: Dataset, config: DivisionConfig | None = None,
             break
         rounds += 1
         pos = _runs((np.cumsum(sizes) - sizes)[oversized], sizes[oversized])
-        ok, part, c_sizes, (c_centers, c_dist, c_radii, c_sums) = _split(
+        ok, part, c_sizes, c_pts, (c_centers, c_dist, c_radii, c_sums) = _split(
             pts, dist, sizes[oversized], centers.take(oversized, axis=1), pos)
         split_pos = pos[np.repeat(ok, sizes[oversized])]
         ids[split_pos], dist[split_pos] = ids[part], c_dist
-        pts[:, split_pos] = take_columns(pts, part)
+        for row, kids in zip(pts, c_pts):
+            row[split_pos] = kids
         at, tables = oversized[ok], []
         for table, kids in zip((sizes, centers, radii, sums),
                                (c_sizes, c_centers, c_radii, c_sums)):

@@ -138,12 +138,20 @@ def test_farthest_pair_seed_needs_two_members():
         farthest_pair_seed(ds, fit_ball(ds, [0]))
 
 
+def _in_order(squares):
+    """Sum over the last axis, one coordinate after another."""
+    acc = squares[..., 0].copy()
+    for j in range(1, squares.shape[-1]):
+        acc += squares[..., j]
+    return acc
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 15, 16, 17, 32, 64, 128, 129, 200])
 def test_distances_bit_equal_to_row_sum(d):
-    # Coordinates lead: rows (d, n) and tiles (d, B, 1) against (d, 1, W)
-    # give the bits of ((p - t) ** 2).sum(axis=-1) on the row-major (n, d)
-    # equivalents.  Under 8 coordinates the squares add in order, up to 128
-    # in 8 lanes and a fixed tree, and past 128 as two halves.
+    # Coordinates lead: rows (d, n), rows against a centre table, and tiles
+    # (d, B, 1) against (d, 1, W) give the bits of the squares of the
+    # row-major (n, d) equivalents added in coordinate order.  Under 8
+    # coordinates that is also ((p - t) ** 2).sum(axis=-1).
     rng = np.random.default_rng(d)
     n = 3_000
     scale = rng.choice([1e-300, 1e-3, 1.0, 1e12], size=(2, n, d))
@@ -152,16 +160,18 @@ def test_distances_bit_equal_to_row_sum(d):
     rows[rng.uniform(size=(n, d)) < 0.05] = 0.0
     lead = np.ascontiguousarray(pts.T)
     for to in (rows, rows[:1], np.full((1, d), -0.0)):
-        reference = np.sqrt(((pts - to) ** 2).sum(axis=1))
-        assert distances(lead, np.ascontiguousarray(to.T)).tobytes() == reference.tobytes()
-    # rows against a table of centres, one named per row
-    table, at = rows[:40], rng.integers(0, 40, n)
-    reference = np.sqrt(((pts - table[at]) ** 2).sum(axis=1))
-    assert distances(lead, np.ascontiguousarray(table.T), at).tobytes() == reference.tobytes()
+        squared = _in_order((pts - to) ** 2)
+        if d < 8:
+            assert squared.tobytes() == ((pts - to) ** 2).sum(axis=1).tobytes()
+        assert distances(lead, np.ascontiguousarray(to.T)).tobytes() == np.sqrt(squared).tobytes()
+    # rows against a table of centres, centre i serving the next sizes[i] rows
+    table, sizes = rows[:40], rng.multinomial(n, np.full(40, 1 / 40))
+    reference = np.sqrt(_in_order((pts - np.repeat(table, sizes, axis=0)) ** 2))
+    assert distances(lead, np.ascontiguousarray(table.T), sizes).tobytes() == reference.tobytes()
     # tiles, as the geometry pass and noise attachment use them
     for b, w in ((37, 53), (1, 40), (40, 1), (300, 200)):
         p, t = pts[:b, None], rows[n - w:][None]
-        squared = ((p - t) ** 2).sum(axis=-1)
+        squared = _in_order((p - t) ** 2)
         p, t = np.moveaxis(p, -1, 0), np.moveaxis(t, -1, 0)
         assert squared_distances(p, t).tobytes() == squared.tobytes()
         assert squared_distances(t.transpose(0, 2, 1), p.transpose(0, 2, 1)).tobytes() == squared.T.tobytes()

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import gbcluster
-from gbcluster.core import BallSet, Dataset, GranularBall, fit_ball, squared_distances
+from gbcluster.core import NOISE, BallSet, Dataset, GranularBall, fit_ball, squared_distances
 from gbcluster.data import BUNDLED_DATASETS, GeneratorSpec, generate
 from gbcluster.differentiation import (_pairwise_center_distances, adjacency_graph,
                                        are_adjacent, assign_noise, cluster,
@@ -211,6 +211,29 @@ def test_assign_noise_identity_without_singletons():
         assert np.unique(assignment.labels[ball.members]).size == 1
 
 
+def test_assign_noise_memory_at_32_dimensions():
+    # three noise points among 20,000 at d = 32: the noise points' rows are
+    # gathered, never a (d, n) copy of all points (4.9 MiB here); the peak
+    # is the label arrays, three int64 values per point at the most
+    n, d = 20_000, 32
+    rng = np.random.default_rng(3)
+    ds = Dataset(points=rng.normal(size=(n, d)))
+    bs = BallSet(order=np.arange(n), sizes=np.array([n // 2 - 2, n // 2 - 1, 1, 1, 1]),
+                 centers=rng.normal(size=(5, d)), radii=np.array([5.0, 5.0, 0.0, 0.0, 0.0]),
+                 sum_radius=np.zeros(5))
+    tracemalloc.start()
+    try:
+        labels = assign_noise(ds, bs, np.array([0, 1, NOISE, NOISE, NOISE])).labels
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * n
+    assert np.array_equal(labels[:-3], np.repeat([0, 1], [n // 2 - 2, n // 2 - 1]))
+    gaps = np.sqrt(((ds.points[-3:, None] - bs.centers[:2]) ** 2).sum(axis=-1)) - 5.0
+    assert (gaps <= 5.0).all()  # within the mean radius: each joins its nearer ball
+    assert np.array_equal(labels[-3:], gaps.argmin(axis=1))
+
+
 def test_cluster_two_moons():
     ds = generate(BUNDLED_DATASETS["moons1k"])
     assignment, ballset = cluster(ds)
@@ -341,7 +364,8 @@ def _sweep_inputs(rng, d):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 8, 9, 16])
 def test_pairwise_center_distances_match_all_pairs(d):
-    # every pair within reach, and its distance bits, as numpy computes them over all pairs
+    # every pair within reach, and its distance bits, the squares added in
+    # coordinate order over all pairs
     rng = np.random.default_rng(d)
     for name, bs in _sweep_inputs(rng, d):
         live = np.flatnonzero(~bs.noise_ball_flags)
@@ -349,7 +373,10 @@ def test_pairwise_center_distances_match_all_pairs(d):
         a, b = live[i], live[j]
         c, r = bs.centers, bs.radii
         with np.errstate(over="ignore", invalid="ignore"):
-            dist = np.sqrt(((c[a] - c[b]) ** 2).sum(axis=1))
+            squared = (c[a, 0] - c[b, 0]) ** 2
+            for k in range(1, d):
+                squared += (c[a, k] - c[b, k]) ** 2
+            dist = np.sqrt(squared)
             near = dist - (r[a] + r[b]) < np.minimum(r[a], r[b])
             pairs, dists = _pairwise_center_distances(bs)
         assert near.any() == (r[live] > 0).any(), name

@@ -1,12 +1,13 @@
 """Ball division: the split step, the quality rule, and the full loop."""
 
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from gbcluster.core import Dataset, fit_ball, fit_segments, segment_sums, segments
+from gbcluster.core import Dataset, fit_ball, fit_segments
 from gbcluster.data import BUNDLED_DATASETS, GeneratorSpec, generate
 from gbcluster.division import (DivisionConfig, DivisionTrace, _partition, detect_oversized,
                                 generate_balls, should_split, split_once)
@@ -20,6 +21,15 @@ def test_split_once_collinear_hand_trace():
     assert np.allclose(a.center, [0.5, 0.0]) and a.radius == 0.5
     assert b.members.tolist() == [2, 3]
     assert np.allclose(b.center, [9.5, 0.0]) and b.radius == 0.5
+
+
+def test_split_once_member_equidistant_from_both_midpoints_joins_child_a():
+    # center x=2; seeds x=0 (tie-break) and x=4; midpoints 1 and 3 are both
+    # exactly 1 from the member at x=2, which goes to the first child
+    ds = Dataset(points=[[0.0], [2.0], [4.0]])
+    a, b = split_once(ds, fit_ball(ds, range(3)))
+    assert a.members.tolist() == [0, 1]
+    assert b.members.tolist() == [2]
 
 
 def test_split_once_two_points_gives_singletons():
@@ -196,50 +206,54 @@ _EDGE_INPUTS = {
 }
 
 # sha256 of (sizes and members as int64, centers, radii, sum_radius as float64)
-# of the balls in generate_balls' order.  Computed before the round-batched
-# division replaced the loop that fitted and split one ball at a time; the
-# 8-d set's before division moved to coordinate-major arrays.
+# of the balls in generate_balls' order.  The member digests were computed
+# before the round-batched division replaced the loop that fitted and split
+# one ball at a time (the 8-d set's before division moved to coordinate-major
+# arrays).  The centre, radius and distance-sum digests were re-recorded when
+# segment sums became np.add.reduceat and squared distances in-order sums
+# over coordinates; so were the 1-d input's members, where two points tie
+# in exact arithmetic and the new bits break the tie the other way.
 GOLDEN_BALLS = {
     "blobs-8d-5k": ("327cab28eb100a3251cabb766f5c660a2ba690e84bcfcbabef4f14a89b93a5a7",
-                    "e2040f54b7fa476e7a102831c93d2ad2864aaf20df2113176b5b47963ad97f79",
-                    "7c3652ba7c3f63a814f3a192266b97c82149a2067ab1e8212fb764b69530908c",
-                    "a5d7bca2f9741cda6e223cce87f6480061a61aa0030a18e2fe40f8f7f25754f3"),
-    "1-d": ("5fcb73c9588f33e2ce0eed3994b3edcea6b28abf04ba8d09ed3bd4a8b07bd9de",
-            "c68949e7393b68fd73ea740397c79deae844376356fab99c67cd2a88f6031f5b",
-            "92a9e0c8b444e9c522ee3f3204cf871c6f8d1308c072e188f64ec1ce084e5fe6",
-            "9ee494a9d365e1b8306738025425a34ed1367738239fe3e6f18f7fc15f149145"),
+                    "4b39aeaedfa89c7f0c05c050bace40def7d3f7daaf4dd1d6fb2f6a5e2aa25dc0",
+                    "96d49fe7452d49104e5a16815fbbd32570a776db3a87f53cd0a3b5b95ef006bf",
+                    "4a26638b15d8f58307dfdb5f4d14b69015b3d7214372e2c7ca9249c25a871c06"),
+    "1-d": ("42789cfcfb5909b8e06ad684f9fc0c81983f84cc79c0b639c1f6e49efe1226cc",
+            "152fc8863c206ece522c2973a46410a4cae08e8ad79d729462b690f47d106863",
+            "3522097fa01ea7334390ba6d74a0d1bb616e3e0cb46cf3eae28dead47df1f5df",
+            "8bd1f4591299ed2de97ede654cc83683eefdadef8e6d9b170f9418c4b17e873f"),
     "blobs10k": ("4abd84ee73561cb15473cd8d81ac4aef0b1c95120a6039405b67378a235b1843",
-                 "99e76b6effb0978974b2dc9141230ba1193c23449f628c27cb36ccf6dd9af6b6",
-                 "3f9e99b986eba3d92f9b77a71171541a26cd28f2771031fec0539c08ab6e203b",
-                 "c9158b0c685eb9b5a5d5761620b9425ab7b30810cff696388833060a06130923"),
+                 "eeef2384da010ffdb39ea37f8f11a3799009a18aa6d43c3038e64875338d9a70",
+                 "bf1066ab416af2c979fc6579cbe034196bef9e05270be6a15ad01f40ba06b79c",
+                 "9a01878524abc4f5a400bfc030266ae2d0038f0af2c68dc1ef45941d5ccdffb5"),
     "blobs5": ("887d2f2184d6fb896c96e66c8a0646a35f12537ba0d3b886141c28a36fd8f9c0",
-               "e294fbcbadb509ba65afb66ffd12f3d3b0f3fb708bf09cd79a6ce7dbff976908",
-               "a8097b8b3de8e4b205314901a86903d648421e0809f6835a1896649b96fc628a",
-               "db7c7369be8c3bc52d2a8fcefcb58cc193a15935e92caa09a6fabe70d22aefe1"),
+               "3cb875174def402c9890df5757fd129debcb44cb378c427dfbfe7133d100c91e",
+               "48f5258a196f39eac847f2b98a2a7ab624efee9bdf65d7ed7d0a0e73341e59a2",
+               "fb43f98228c00bc9840410e45e870bd7de90f5c0dbeaeaa29baaa3f106233f85"),
     "circles3": ("143bce2d394a40fb532fafce1ebd0491d3ddc2d8b56254af52617a1990824271",
-                 "3e6520024c50815f2b6c8b04c76a2b7918b7b0b99c3f4a7077da935d0ca4df18",
-                 "edc571c64edf78c352060603e91eeadee41349c31de0eab6dfb7e4c47e2cdaa8",
-                 "ce170b64ec8a3f0a8e8308477217087bad846feff18f8e9985343640424dbbd8"),
+                 "10494bec9c8cb96f4a62ae144aaf2b74689aa0854b7443aec961b1efffac4e54",
+                 "8146b43f00e8dcbcdda7b3809580601ab8f00006e0e497501d60c70fff1a01c8",
+                 "43b78a336d5c33efeee994aebe3e735e0ee5189017d1dbefee1aeb0645af65ad"),
     "d=32": ("5b5e8dc911895e7adb786b32b48ab07bf8fbc852860f239c4ce9036048e90455",
-             "ae7aec5ce8be1bac0525fc6808a1afec618e0aa28a78d25ad992168d7609bc0d",
-             "5efa6d27a8c88becb470d2eb7d9a3c6d504c5f83c8a7b5b89da9d65b4473a8eb",
-             "09a917a02b54798403a0096b0ae9f134783bf8349e0de33bc0a07e6ad5fa138b"),
+             "73c196ced3258103586f2435c6e8f2984fd830e6039fc2322a03ab3d9fddf635",
+             "7d1f5d7729b801d067054211e0e186f2235a61ec7f29c0cafd49f208d6ba3c5f",
+             "58db3151c6f59115d1ef64e3b83b7216d234f1e0d011792b9bca494bd69887ea"),
     "identical": ("8653118acc059c327624129fc5fb3dba256769130658382280b6748080b8d2e4",
                   "5f07eef034c5a21fedede8ef2f970fefbcc8ea44c02fd970117dacbee5483005",
                   "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
                   "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc"),
     "moons1k": ("eab04e39b845e7c795b10971f5f494fa28bf794c82e03b9257080ff9bdbbbc04",
-                "115694e0876b9603d0d6b8ec621d7bd18cb7841b93370e44703d87bfd6f02616",
-                "0d357dfef15f5d2dfac578e5c73bb9e86da0ecb2dfedec749cd809021227453e",
-                "d99438bc46ee7f33496f63cd5722fde35756002d3f880a4f6ab89c1f165a09ad"),
+                "845d03be53e388eac093fe7b05797b18ff5f524c9b728ef40ea0165d2ca31c30",
+                "4549e68c709912f8b0e1ac48baa3b38d8227cb0c3c6149dbebb542b2d125a42e",
+                "fe1c19d5520406010665fc4f64cc39609f85c90feeb640d6ed061ce2bc01d0f0"),
     "n=1": ("4cbbd8ca5215b8d161aec181a74b694f4e24b001d5b081dc0030ed797a8973e0",
             "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
             "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
             "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc"),
     "spirals2": ("4b9c3ec812a8c1b0e1b39d1d7abf250155daefe34048fd202a9395507967945e",
-                 "fc218a6b7c64daa1ca59a82535033f10d3a547da792d173c71c6bb5bb5790bf6",
-                 "cc16fe5dc3faf946ee80526e8753d7b975b9f79c05b7342ea34bbd2914e6d5f4",
-                 "7cfe74387d93ea9b000abfb53cb6d3d03deb36ab975236c9680b262b7b3e3d60"),
+                 "2e72410de5b05bc2f604c35b8eaeb8aa372234c3333c9de4b664d9b2b6be8b7d",
+                 "f62695680860d8db9cc9b7600356476faf972485e2bcdec0107bf0d277c2c14c",
+                 "124edb80b7ff31df064b2b52e144fa9168c81d12b785ae55a3ed8a6540176310"),
 }
 
 
@@ -258,14 +272,15 @@ def test_generate_balls_matches_golden_digests(name):
 def test_division_trace_matches_golden_digests():
     # sha256 of the accepted splits' average distances (float64) and of the
     # rounds as (phase is divide, balls, splits, oversized) int64 rows, on
-    # blobs10k; recorded before division moved to coordinate-major arrays
+    # blobs10k; the rounds recorded before division moved to coordinate-major
+    # arrays, the splits when segment sums became np.add.reduceat
     trace = DivisionTrace()
     generate_balls(generate(BUNDLED_DATASETS["blobs10k"]), trace=trace)
     rounds = [(r.phase == "divide", r.ball_count, r.split_count, r.oversized_count)
               for r in trace.rounds]
     assert (_sha(np.array(trace.accepted_splits, dtype=np.float64)),
             _sha(np.array(rounds, dtype=np.int64)), trace.stop_reason) == (
-        "2b2fff58a00f4789bd3b5ab51fd5338eacf5fe72c4eeb8131a2021ae56df2f99",
+        "dae2c30f7fd05ea669b66ca3a61465e27a0c6e1402ea62e0a0cc12a95fd0766b",
         "3ef42192d643847245c0f308c74a45eadf9d1120dd2e9c57e79ba7b9f0834214", "converged")
 
 
@@ -273,7 +288,7 @@ def test_partition_is_the_stable_sort_of_the_ok_segments():
     rng = np.random.default_rng(8)
     for trial in range(40):
         sizes = rng.integers(1, 301, int(rng.integers(2, 40)))
-        starts, seg = segments(sizes)
+        starts, seg = np.cumsum(sizes) - sizes, np.repeat(np.arange(sizes.size), sizes)
         to_a = rng.uniform(size=sizes.sum()) < rng.uniform(size=sizes.size)[seg]
         # failed splits: every row on one side, a or b
         one_side = rng.uniform(size=sizes.size) < 0.25
@@ -289,22 +304,53 @@ def test_partition_is_the_stable_sort_of_the_ok_segments():
         assert np.array_equal(part, by_side[ok[seg[by_side]]])
 
 
+def _reduceat_sum(x):
+    """A segment's sum as ``np.add.reduceat`` adds it: the first item, then the rest's sum."""
+    return x[0] + x[1:].sum()
+
+
 def test_segment_kernels_match_per_slice_numpy():
+    # centres and distance sums add a segment x[s:e] as x[s] + x[s + 1:e].sum(),
+    # coordinate by coordinate; member distances add the coordinates in order
     rng = np.random.default_rng(5)
     for trial in range(60):
         d = (1, 2, 8)[trial % 3]
-        sizes = np.concatenate([[7, 8, 9, 128, 129], rng.integers(1, 401, 20)])
+        sizes = np.concatenate([[1, 7, 8, 9, 128, 129], rng.integers(1, 401, 20)])
         rng.shuffle(sizes)
         pts = rng.normal(0, 1, (sizes.sum(), d)) * 10.0 ** rng.integers(-6, 7, (sizes.sum(), d))
         starts = np.cumsum(sizes) - sizes
         slices = [slice(s, s + z) for s, z in zip(starts, sizes)]
-        x = pts[:, 0].copy()
-        starts, seg = segments(sizes)
-        assert np.array_equal(segment_sums(x, sizes, starts, seg), [x[sl].sum() for sl in slices])
-        centers, dists, radii, dist_sums = fit_segments(np.ascontiguousarray(pts.T), sizes, starts, seg)
-        assert np.array_equal(centers.T, [pts[sl].mean(axis=0) for sl in slices])
-        assert np.array_equal(radii, [dists[sl].max() for sl in slices])
-        assert np.array_equal(dist_sums, [dists[sl].sum() for sl in slices])
+        centers, dists, radii, dist_sums = fit_segments(np.ascontiguousarray(pts.T), sizes)
+        expected = [[_reduceat_sum(pts[sl, j]) / (sl.stop - sl.start) for sl in slices]
+                    for j in range(d)]
+        assert centers.tobytes() == np.array(expected).tobytes()
+        own = np.repeat(centers.T, sizes, axis=0)
+        squares = (pts[:, 0] - own[:, 0]) ** 2
+        for j in range(1, d):
+            squares += (pts[:, j] - own[:, j]) ** 2
+        assert dists.tobytes() == np.sqrt(squares).tobytes()
+        assert radii.tobytes() == np.array([dists[sl].max() for sl in slices]).tobytes()
+        assert dist_sums.tobytes() == np.array([_reduceat_sum(dists[sl]) for sl in slices]).tobytes()
+
+
+def test_segment_sums_stay_within_the_pairwise_error_bound():
+    # numpy sums a run pairwise, in blocks of 8 lanes of up to 16 items, so
+    # each sum is within about (log2(n) + 30) * u * sum(|x|) of the exact
+    # one (Higham 1993); adding items one by one, as bincount does, drifts by
+    # about u * sqrt(n) * sum(|x|), several times that at n = 10**5
+    rng = np.random.default_rng(12)
+    sizes = np.array([1, 2, 9, 130, 4_097, 60_000, 100_000])
+    starts = np.cumsum(sizes) - sizes
+    pts = rng.uniform(0, 1, (2, sizes.sum())) * [[1.0], [1e6]] + [[0.0], [1e3]]
+    centers, dists, _, dist_sums = fit_segments(pts, sizes)
+    u = 2.0 ** -53
+    for k, (s, z) in enumerate(zip(starts, sizes)):
+        bound = (np.log2(z) + 30) * u
+        exact = math.fsum(dists[s:s + z])
+        assert abs(dist_sums[k] - exact) <= bound * exact
+        for j in range(2):
+            total = math.fsum(pts[j, s:s + z])
+            assert abs(centers[j, k] - total / z) <= (bound + u) * total / z
 
 
 def test_division_memory_stays_linear_in_points():
