@@ -9,11 +9,13 @@ nearest cluster afterwards or labelled noise.
 
 Only ball centers and radii enter this stage, never point pairs, and only
 centres close enough to matter are compared.  The centres are sorted into
-strips, and each block of a strip meets the centres near it, in its own
-strip and the next, as small dense tiles of squared distances.  A
-prefilter on those spares the square root for all but the pairs near
-enough to overlap or be adjacent.  Noise points search the same strips.
-The module counts its distance evaluations so that budget is checkable.
+strips, each strip is cut into kd leaves with bounding boxes, and each
+leaf meets the leaves near it, in its own strip and the next, as small
+dense tiles of squared distances; leaf pairs whose boxes lie out of reach
+compute nothing.  A prefilter on the tiles spares the square root for all
+but the pairs near enough to overlap or be adjacent.  Noise points search
+the same strips.  The module counts its distance evaluations so that
+budget is checkable.
 """
 
 from __future__ import annotations
@@ -64,6 +66,22 @@ class _Strips:
     is far more than rounding takes.  Where 4 * r_max would cut the span of
     the centres into more than m / 64 strips, strips are span * 64 / m wide,
     so that a strip holds enough centres to fill its tiles.
+
+    Strips along raw coordinates cannot separate blobs in many dimensions,
+    so the pair pass cuts each strip into kd leaves (``_leaves``) and skips
+    the leaf pairs whose bounding boxes are out of reach.  Box gaps need no
+    slack of their own.  For leaves A and B, with boxes [lo, hi] and largest
+    radii r_A and r_B, the gap on coordinate k is gap_k = max(0, fl(lo_B,k -
+    hi_A,k), fl(lo_A,k - hi_B,k)), and gap2 adds the squares in coordinate
+    order, as ``squared_distances`` does.  For a member i of A and j of B,
+    lo_B,k - hi_A,k <= c_j,k - c_i,k exactly, and rounding is monotone, so
+    fl(lo_B,k - hi_A,k) <= fl(c_j,k - c_i,k); the other side is alike.  So
+    each term of gap2 is at most the matching term of acc_ij, every partial
+    sum too (rounded addition is monotone), and gap2 <= acc_ij.  Also
+    r_i <= r_A and r_j <= r_B give lim_ij <= lim_AB, rounded as well, and
+    ``_squared_bound`` is monotone.  A leaf pair with gap2 >
+    _squared_bound(lim_AB) therefore holds no entry that the prefilter would
+    pass, and skipping it drops no pair within reach.
     """
 
     def __init__(self, centers: np.ndarray, r_max: float):
@@ -120,57 +138,130 @@ def _squared_bound(lim: np.ndarray) -> np.ndarray:
     return lim
 
 
+def _leaves(c: np.ndarray, bounds: np.ndarray, limit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """kd bisection (Bentley 1975) of the runs [bounds[k], bounds[k + 1]) of
+    the columns of c (d, m): a run of more than limit[k] columns is stably
+    sorted along its widest coordinate and halved at its middle, and so are
+    its halves, until no run is larger.  Returns the new order of the
+    columns and the bounds of the leaves."""
+    order = np.arange(c.shape[1])
+    limit = np.repeat(limit, np.diff(bounds))  # per column, its run's
+    while True:
+        sizes = np.diff(bounds)
+        big = sizes > limit[bounds[:-1]]
+        if not big.any():
+            return order, bounds
+        cols = c.take(order, axis=1)
+        span = np.maximum.reduceat(cols, bounds[:-1], axis=1)
+        span -= np.minimum.reduceat(cols, bounds[:-1], axis=1)
+        run = np.repeat(np.arange(sizes.size), sizes)
+        key = cols[span.argmax(axis=0)[run], np.arange(run.size)]
+        key[~big[run]] = 0.0  # runs of a leaf keep their order
+        order = order.take(np.lexsort((key, run)))
+        bounds = np.sort(np.append(bounds, bounds[:-1][big] + sizes[big] // 2))
+
+
 def _pairwise_center_distances(ballset: BallSet) -> tuple[np.ndarray, np.ndarray]:
     """Pairs of non-noise balls within reach, (E, 2) ball indices i < j, and their centre distances.
 
     Overlap needs d_ij < r_i + r_j and adjacency d_ij < r_i + r_j + tau, with
     tau <= min(r_i, r_j); both stay below 3 * r_max.  The centres are swept in
-    strips (see ``_Strips``): each block of consecutive rows of a strip meets
-    its own strip from the block on, and the next strip, within ``reach`` on
-    the second coordinate, as dense tiles of squared distances.  Counts one
-    distance evaluation per tile entry above the diagonal; only the entries
-    the prefilter passes get a square root and the exact reach test.
+    strips (see ``_Strips``), and each strip is cut into kd leaves.  A leaf
+    meets the leaves of its own strip from itself on, and those of the next
+    strip, whose boxes come near enough; each run of consecutive leaves it
+    meets, cut to ``reach`` on the second coordinate, is one dense tile of
+    squared distances.  Counts one distance evaluation per tile entry above
+    the diagonal; only the entries the prefilter passes get a square root
+    and the exact reach test.
     """
     live = np.flatnonzero(~ballset.noise_ball_flags)
     if live.size < 2:
         return np.empty((0, 2), dtype=np.int64), np.empty(0)
     radii = ballset.radii[live]
     strips = _Strips(ballset.centers.take(live, axis=0), float(radii.max()))
-    c, r, y, w = strips.centers, radii[strips.order], strips.y, strips.reach
-    found = []
+    # a strip's rows meet its own columns and the next strip's; a leaf holds
+    # a tile's worth of rows against those, or _FILL at the least
+    sizes = np.diff(strips.bounds)
+    has_next = np.append(strips.ids[1:] == strips.ids[:-1] + 1, False)
+    reach_end = strips.bounds[1:] + np.where(has_next, np.append(sizes[1:], 0), 0)
+    order, bounds = _leaves(strips.centers, strips.bounds,
+                            np.maximum(_FILL, _TILE // (reach_end - strips.bounds[:-1])))
+    c, y, w = strips.centers.take(order, axis=1), strips.y[order], strips.reach
+    order = strips.order[order]
+    r, ball = radii[order], live[order]
+    starts = bounds[:-1]
+    lo, hi = np.minimum.reduceat(c, starts, axis=1), np.maximum.reduceat(c, starts, axis=1)
+    r_leaf = np.maximum.reduceat(r, starts)
+    # every leaf A against the leaves B from A up to the end of the next strip
+    strip = np.searchsorted(strips.bounds, starts, side="right") - 1
+    count = np.searchsorted(bounds, reach_end[strip]) - np.arange(starts.size)
+    a = np.repeat(np.arange(starts.size), count)
+    b = np.arange(a.size) - np.repeat(np.cumsum(count) - count - np.arange(starts.size), count)
+    gap = None
+    for lo_k, hi_k in zip(lo, hi):
+        g = np.maximum(lo_k[b] - hi_k[a], lo_k[a] - hi_k[b])
+        np.maximum(g, 0.0, out=g)
+        g *= g
+        gap = g if gap is None else np.add(gap, g, out=gap)
+    lim = r_leaf[a] + r_leaf[b]
+    lim += np.minimum(r_leaf[a], r_leaf[b])
+    meet = gap <= _squared_bound(lim)
+    joined = meet[1:] & meet[:-1] & (a[1:] == a[:-1])  # entry t + 1 extends the run of entry t
+    first = np.flatnonzero(meet & ~np.append(False, joined))
+    last = np.flatnonzero(meet & ~np.append(joined, False))
+    # each run of met leaves is a tile, its columns cut to reach on the second coordinate
+    leaf, col0, col1 = a[first], bounds[b[first]], bounds[b[last] + 1]
+    width = col1 - col0
+    col = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width - col0, width)
+    tile = np.repeat(np.arange(width.size), width)
+    ax = strips.axes[-1]
+    inside = (y[col] >= (lo[ax] - w)[leaf][tile]) & (y[col] <= (hi[ax] + w)[leaf][tile])
+    tile_start = np.cumsum(width) - width
+    col0 = np.minimum.reduceat(np.where(inside, col, c.shape[1]), tile_start)
+    col1 = np.maximum.reduceat(np.where(inside, col, -1), tile_start) + 1
+    leaf, col0, col1 = leaf[col0 < col1], col0[col0 < col1], col1[col0 < col1]
+    row0, row1 = starts[leaf], bounds[leaf + 1]
+    rows = row1 - row0
+    _count((rows * (col1 - col0) - (col0 == row0) * rows * (rows + 1) // 2).sum())
+    kept, held = [], []  # every leaf meets itself, so some tile is held
 
-    def tile(b0, b1, c0, c1):
-        """Sorted rows [b0, b1) against columns [c0, c1): the entries that pass the prefilter."""
-        acc = squared_distances(c[:, b0:b1, None], c[:, None, c0:c1])
-        ri, rj = r[b0:b1, None], r[None, c0:c1]
+    def keep():
+        """The exact reach test on the held entries of the tiles."""
+        i, j, acc = (np.concatenate(part) for part in zip(*held))
+        held.clear()
+        dist = np.sqrt(acc, out=acc)
+        # Reach: the gap fl(d - s), s = fl(r_i + r_j), is below min(r_i, r_j).
+        # Adjacency needs gap < tau, and tau <= min(r_i, r_j) in floating point
+        # too; overlap needs d < s, and then fl(d - s) < 0 <= min(r_i, r_j).
+        # So every overlapping and every adjacent pair is kept.  A leaf's own
+        # tile also holds each pair below the diagonal; j > i keeps it once.
+        ri, rj = r[i], r[j]
+        near = np.flatnonzero((j > i) & (dist - (ri + rj) < np.minimum(ri, rj)))
+        bi, bj = ball[i[near]], ball[j[near]]
+        kept.append((np.minimum(bi, bj), np.maximum(bi, bj), dist[near]))
+
+    size = 0
+    for a0, a1, c0, c1 in zip(row0.tolist(), row1.tolist(), col0.tolist(), col1.tolist()):
+        acc = squared_distances(c[:, a0:a1, None], c[:, None, c0:c1])
+        ri, rj = r[a0:a1, None], r[None, c0:c1]
         lim = ri + rj
         lim += np.minimum(ri, rj)
-        i, j = np.nonzero(acc <= _squared_bound(lim))
-        found.append((i + b0, j + c0, acc[i, j]))
-
-    for k in range(strips.ids.size):
-        s, e = strips.bounds[k], strips.bounds[k + 1]
-        has_next = bool(k + 1 < strips.ids.size and strips.ids[k + 1] == strips.ids[k] + 1)
-        step = max(1, _TILE // (strips.bounds[k + 1 + has_next] - s))
-        for b0 in range(s, e, step):
-            b1 = min(b0 + step, e)
-            hi = strips.window(k, -np.inf, y[b1 - 1] + w)[1]
-            _count((b1 - b0) * (hi - b0) - (b1 - b0) * (b1 - b0 + 1) // 2)
-            tile(b0, b1, b0, hi)
-            if has_next:
-                lo, hi = strips.window(k + 1, y[b0] - w, y[b1 - 1] + w)
-                _count((b1 - b0) * (hi - lo))
-                tile(b0, b1, lo, hi)
-    i, j, acc = (np.concatenate(part) for part in zip(*found))
-    dist = np.sqrt(acc, out=acc)
-    # Reach: the gap fl(d - s), s = fl(r_i + r_j), is below min(r_i, r_j).
-    # Adjacency needs gap < tau, and tau <= min(r_i, r_j) in floating point
-    # too; overlap needs d < s, and then fl(d - s) < 0 <= min(r_i, r_j).
-    # So every overlapping and every adjacent pair is kept.  Own-strip tiles
-    # also hold each pair below the diagonal; j > i keeps it once.
-    near = np.flatnonzero((j > i) & (dist - (r[i] + r[j]) < np.minimum(r[i], r[j])))
-    a, b = live[strips.order[i[near]]], live[strips.order[j[near]]]
-    return np.column_stack((np.minimum(a, b), np.maximum(a, b))), dist[near]
+        at = np.flatnonzero(acc <= _squared_bound(lim))
+        i, j = np.divmod(at, c1 - c0)
+        i += a0
+        j += c0
+        held.append((i, j, acc.take(at)))
+        size += i.size
+        if size >= _TILE:
+            keep()
+            size = 0
+    if held:
+        keep()
+    bi, bj, dists = zip(*kept)
+    pairs = np.empty((sum(map(len, bi)), 2), dtype=np.int64)
+    np.concatenate(bi, out=pairs[:, 0])
+    np.concatenate(bj, out=pairs[:, 1])
+    return pairs, np.concatenate(dists)
 
 
 def count_overlaps(ballset: BallSet,
@@ -180,9 +271,10 @@ def count_overlaps(ballset: BallSet,
     Noise balls neither overlap nor are overlapped; their count is 0.
     """
     pairs, dists = _pairwise_center_distances(ballset) if _pairs is None else _pairs
-    radii = ballset.radii
-    hit = pairs[dists < radii[pairs[:, 0]] + radii[pairs[:, 1]]]
-    return np.bincount(hit.ravel(), minlength=len(ballset))
+    i, j, radii = pairs[:, 0], pairs[:, 1], ballset.radii
+    hit = dists < radii[i] + radii[j]
+    return (np.bincount(i.compress(hit), minlength=len(ballset))
+            + np.bincount(j.compress(hit), minlength=len(ballset)))
 
 
 def tau(r_i, r_j, o_i, o_j):
@@ -223,9 +315,13 @@ def adjacency_graph(ballset: BallSet,
     """
     pairs, dists = _pairwise_center_distances(ballset) if _pairs is None else _pairs
     radii, overlaps = ballset.radii, ballset.overlap_counts
-    i, j = pairs[:, 0], pairs[:, 1]
-    adjacent = dists - (radii[i] + radii[j]) < tau(radii[i], radii[j], overlaps[i], overlaps[j])
-    return AdjacencyGraph(nodes=np.flatnonzero(~ballset.noise_ball_flags), edges=pairs[adjacent])
+    adjacent = np.empty(dists.size, dtype=bool)
+    for s in range(0, dists.size, _TILE):  # a tile of pairs at a time bounds the temporaries
+        i, j = pairs[s:s + _TILE, 0], pairs[s:s + _TILE, 1]
+        ri, rj = radii[i], radii[j]
+        adjacent[s:s + _TILE] = dists[s:s + _TILE] - (ri + rj) < tau(ri, rj, overlaps[i], overlaps[j])
+    return AdjacencyGraph(nodes=np.flatnonzero(~ballset.noise_ball_flags),
+                          edges=pairs.compress(adjacent, axis=0))
 
 
 def _components(n: int, edges: np.ndarray) -> np.ndarray:
@@ -236,10 +332,8 @@ def _components(n: int, edges: np.ndarray) -> np.ndarray:
     """
     root = np.arange(n)
     a, b = edges[:, 0], edges[:, 1]
-    while a.size:
-        ra, rb = root[a], root[b]
-        apart = ra != rb
-        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
+    ra, rb = a, b  # the roots of the ends while root is the identity
+    while ra.size:
         np.minimum.at(root, ra, rb)
         np.minimum.at(root, rb, ra)
         while True:
@@ -247,6 +341,9 @@ def _components(n: int, edges: np.ndarray) -> np.ndarray:
             if np.array_equal(jumped, root):
                 break
             root = jumped
+        ra, rb = root[a], root[b]
+        apart = np.flatnonzero(ra != rb)
+        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
     return root
 
 

@@ -216,12 +216,15 @@ def generate_balls(dataset: Dataset, config: DivisionConfig | None = None,
 
     # Phase 2: force-split oversized balls, recomputing the radius statistics
     # each round because splits shift the mean and median.  Children take
-    # their parent's place, in the tables and in the columns.
+    # their parent's place in the columns.  In the tables, child a takes its
+    # parent's row and child b is appended (the tables double when full);
+    # ``seq`` lists the rows in column order, the order of the per-ball loop,
+    # in which the mean radius sums.
     trace.stop_reason = "converged"
-    rounds = 0
+    rounds, seq = 0, np.arange(sizes.size)
     while True:
-        oversized = detect_oversized(radii)
-        if not oversized.size:
+        over = detect_oversized(radii[seq])
+        if not over.size:
             break
         if rounds >= config.max_refinement_rounds:
             trace.round_cap_hit = True
@@ -230,27 +233,33 @@ def generate_balls(dataset: Dataset, config: DivisionConfig | None = None,
                           RuntimeWarning, stacklevel=2)
             break
         rounds += 1
-        pos = _runs((np.cumsum(sizes) - sizes)[oversized], sizes[oversized])
+        in_seq, oversized = sizes[seq], seq[over]
+        pos = _runs((np.cumsum(in_seq) - in_seq)[over], in_seq[over])
         ok, part, c_sizes, c_pts, (c_centers, c_dist, c_radii, c_sums) = _split(
-            pts, dist, sizes[oversized], centers.take(oversized, axis=1), pos)
-        split_pos = pos[np.repeat(ok, sizes[oversized])]
+            pts, dist, in_seq[over], centers.take(oversized, axis=1), pos)
+        split_pos = pos[np.repeat(ok, in_seq[over])]
         ids[split_pos], dist[split_pos] = ids[part], c_dist
         for row, kids in zip(pts, c_pts):
             row[split_pos] = kids
-        at, tables = oversized[ok], []
+        b_rows = np.arange(seq.size, seq.size + ok.sum())
+        if b_rows.size and b_rows[-1] >= sizes.size:
+            sizes, centers, radii, sums = (np.concatenate((t, t), axis=-1)
+                                           for t in (sizes, centers, radii, sums))
         for table, kids in zip((sizes, centers, radii, sums),
                                (c_sizes, c_centers, c_radii, c_sums)):
-            table[..., at] = kids[..., ::2]
-            tables.append(np.insert(table, at + 1, kids[..., 1::2], axis=-1))
-        sizes, centers, radii, sums = tables
-        trace.rounds.append(RoundStats("refine", sizes.size, int(ok.sum()), oversized.size))
-        trace._snapshot(ids, [sizes])
+            table[..., oversized[ok]] = kids[..., ::2]
+            table[..., b_rows] = kids[..., 1::2]
+        seq = np.insert(seq, over[ok] + 1, b_rows)
+        trace.rounds.append(RoundStats("refine", seq.size, int(ok.sum()), over.size))
+        trace._snapshot(ids, [sizes[seq]])
         if not ok.all():
             trace.stop_reason = "split_failed"  # degenerate ball; kept as-is
             break
 
     # Balls are numbered by their smallest member, members still ascending.
-    starts = np.cumsum(sizes) - sizes
+    in_seq = sizes[seq]
+    starts = np.cumsum(in_seq) - in_seq
     by = np.argsort(ids[starts])
-    return BallSet(order=ids[_runs(starts[by], sizes[by])], sizes=sizes[by],
-                   centers=centers.T.take(by, axis=0), radii=radii[by], sum_radius=sums[by])
+    rows = seq[by]
+    return BallSet(order=ids[_runs(starts[by], in_seq[by])], sizes=sizes[rows],
+                   centers=centers.T.take(rows, axis=0), radii=radii[rows], sum_radius=sums[rows])

@@ -278,9 +278,11 @@ def test_distance_budget_scales_with_balls_not_points():
     m = len(ballset)
     assert 0 < evals <= m * m
     assert evals < len(ds) ** 2 / 10
-    # squared centre distances the strip tiles compute, each pair at most
+    # squared centre distances the leaf tiles compute, each pair at most
     # once, plus (noise point, ball) pairs.  moons1k has no noise balls, and
-    # its 81 centres lie in two strips of one block each: 81 * 80 / 2 pairs
+    # its 81 centres lie in two strips of one kd leaf each (a leaf holds up
+    # to 64 centres, or more where a strip and the next hold fewer than 512):
+    # the leaves meet, and nothing is cut, so all 81 * 80 / 2 pairs count
     assert evals == 3240
 
 
@@ -343,8 +345,38 @@ def _array_ballset(centers, radii, noise):
                    noise_ball_flags=np.asarray(noise, bool))
 
 
+# within reach, yet their squared distance rounds one ulp above fl(lim**2)
+# (see test_prefilter_keeps_a_pair_whose_squared_distance_rounds_past_the_bound)
+_EDGE_RADII = (0.71155184304429, 1.229170057379424)
+_EDGE_PAIR = ([3.902743520047924, -2.7284240646662026], [6.415008070939091, -1.878081288707366])
+
+
+def _clusters(rng, d):
+    """Eight tight groups of 75 centres, in one strip, each far from the next in
+    every coordinate, so that the kd leaves are half groups and the boxes of
+    most leaf pairs are far apart.  Groups 4 and 5 hold the edge pair p, q
+    (its second coordinate dropped in 1-d, zero steps added from the third
+    on): p is the top corner of every coordinate of group 4, q the bottom
+    corner of group 5, and each has the largest radius of its group.  Their
+    leaves then are exactly as far apart as p and q, and they meet only
+    through the 1 + 2**-40 factor of the bound (from d = 2)."""
+    p, q = (np.pad(np.array(v)[:d], (0, max(0, d - 2))) for v in _EDGE_PAIR)
+    ri, rj = _EDGE_RADII
+    groups = [np.full((75, d), 10.0 * g - 60) + rng.uniform(0, 0.2, (75, d)) for g in range(4)]
+    groups += [p - rng.uniform(0.001, 0.2, (75, d)), q + rng.uniform(0.001, 0.2, (75, d))]
+    groups += [np.full((75, d), 10.0 * g) + rng.uniform(0, 0.2, (75, d)) for g in (2, 3)]
+    centers = np.vstack(groups)
+    centers[300], centers[375] = p, q
+    radii = rng.uniform(0, 0.5, 600)
+    radii[300:375] = rng.uniform(0, ri, 75)
+    radii[375:450] = rng.uniform(0, rj, 75)
+    radii[300], radii[375] = ri, rj
+    radii[0] = 30.0  # reach 120, wider than the span: one strip
+    return centers, radii
+
+
 def _sweep_inputs(rng, d):
-    """Centres and radii that cross strip and tile boundaries, edge values included."""
+    """Centres and radii that cross strip, leaf and tile boundaries, edge values included."""
     m = 600
     x = rng.uniform(0, 10, (m, d))
     x[:, 2:] *= 0.1  # so that pairs come within reach in 8 to 16 dimensions too
@@ -360,6 +392,7 @@ def _sweep_inputs(rng, d):
              "overflow": (x * 1e154, big * 1e154)}
     for name, (centers, radii) in cases.items():
         yield name, _array_ballset(centers, radii, rng.uniform(size=m) < 0.1)
+    yield "clusters", _array_ballset(*_clusters(rng, d), np.zeros(m, bool))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 8, 9, 16])
@@ -388,8 +421,7 @@ def test_pairwise_center_distances_match_all_pairs(d):
 def test_prefilter_keeps_a_pair_whose_squared_distance_rounds_past_the_bound():
     # within reach, yet the squared distance rounds one ulp above fl(lim**2):
     # the prefilter's factor 1 + 2**-40 keeps it
-    ri, rj = 0.71155184304429, 1.229170057379424
-    p, q = [3.902743520047924, -2.7284240646662026], [6.415008070939091, -1.878081288707366]
+    (ri, rj), (p, q) = _EDGE_RADII, _EDGE_PAIR
     lim = (ri + rj) + min(ri, rj)
     acc = squared_distances(np.array(p)[:, None], np.array(q)[:, None])[0]
     assert acc > lim * lim and np.sqrt(acc) - (ri + rj) < min(ri, rj)
@@ -458,22 +490,33 @@ def test_geometry_pass_memory_stays_linear_in_balls():
 
 def test_geometry_pass_memory_at_d8():
     # the 8-d blobs of 20,000 points the benchmark clusters: the 1,176 centres
-    # fall into two strips and nearly all 690,900 pairs are computed, but a
-    # tile at a time; only the 138,053 pairs within reach are kept
+    # fall into two strips, whose raw coordinates cannot tell the blobs
+    # apart, but the boxes of the kd leaves inside them can.  So the tiles
+    # compute about as many of the 690,900 pairs as lie within 3 * r_max
+    # (138,092), and only the 138,053 pairs within reach are kept
     centers = np.hstack([np.array(BUNDLED_DATASETS["blobs10k"].centers),
                          np.random.default_rng(1).uniform(-3.0, 9.0, size=(5, 6))])
     spec = GeneratorSpec(family="blobs", n=20_000, seed=1, scales=(0.5,) * 5,
                          centers=tuple(map(tuple, centers.tolist())))
     bs = generate_balls(generate(spec))
+    live = np.flatnonzero(~bs.noise_ball_flags)
+    i, j = np.triu_indices(live.size, 1)
+    c, r_max = bs.centers[live], bs.radii[live].max()
+    within = np.count_nonzero(((c[i] - c[j]) ** 2).sum(axis=1) < (3 * r_max) ** 2)
+    assert within == 138_092
+    reset_distance_counter()
     tracemalloc.start()
     try:
         pairs = _pairwise_center_distances(bs)
+        evals = distance_evaluations()
         bs.overlap_counts = count_overlaps(bs, pairs)
         ids = merge_adjacent(bs, pairs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 25 * 2 ** 20
+    assert evals <= 1.5 * within
+    assert peak < 10 * 2 ** 20
+    assert len(pairs[0]) == 138_053
     assert ids.max() == 4
 
 
