@@ -213,9 +213,8 @@ def _pairwise_center_distances(ballset: BallSet) -> tuple[np.ndarray, np.ndarray
     leaf, col0, col1 = a[first], bounds[b[first]], bounds[b[last] + 1]
     width = col1 - col0
     col = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width - col0, width)
-    tile = np.repeat(np.arange(width.size), width)
-    ax = strips.axes[-1]
-    inside = (y[col] >= (lo[ax] - w)[leaf][tile]) & (y[col] <= (hi[ax] + w)[leaf][tile])
+    ax, ys = strips.axes[-1], y[col]
+    inside = (ys >= np.repeat(lo[ax][leaf] - w, width)) & (ys <= np.repeat(hi[ax][leaf] + w, width))
     tile_start = np.cumsum(width) - width
     col0 = np.minimum.reduceat(np.where(inside, col, c.shape[1]), tile_start)
     col1 = np.maximum.reduceat(np.where(inside, col, -1), tile_start) + 1

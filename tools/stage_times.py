@@ -129,6 +129,7 @@ def main(argv=None) -> int:
         print(f"{name}: m={row['balls']}  {stages} ms  entries {row['tile_entries']:,}  "
               f"kept {row['pairs_kept']:,}  within 3*r_max {row['pairs_within_3rmax']:,}", flush=True)
     path = Path(args.out) / f"BENCH_{args.label}.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {path}")
     return 0
