@@ -172,7 +172,8 @@ def _pairwise_center_distances(ballset: BallSet) -> tuple[np.ndarray, np.ndarray
     meets, cut to ``reach`` on the second coordinate, is one dense tile of
     squared distances.  Counts one distance evaluation per tile entry above
     the diagonal; only the entries the prefilter passes get a square root
-    and the exact reach test.
+    and the exact reach test.  Besides its result the pass holds the
+    centres, the leaf pairs of a chunk of row leaves and about one tile.
     """
     live = np.flatnonzero(~ballset.noise_ball_flags)
     if live.size < 2:
@@ -192,36 +193,42 @@ def _pairwise_center_distances(ballset: BallSet) -> tuple[np.ndarray, np.ndarray
     starts = bounds[:-1]
     lo, hi = np.minimum.reduceat(c, starts, axis=1), np.maximum.reduceat(c, starts, axis=1)
     r_leaf = np.maximum.reduceat(r, starts)
-    # every leaf A against the leaves B from A up to the end of the next strip
     strip = np.searchsorted(strips.bounds, starts, side="right") - 1
-    count = np.searchsorted(bounds, reach_end[strip]) - np.arange(starts.size)
-    a = np.repeat(np.arange(starts.size), count)
-    b = np.arange(a.size) - np.repeat(np.cumsum(count) - count - np.arange(starts.size), count)
-    gap = None
-    for lo_k, hi_k in zip(lo, hi):
-        g = np.maximum(lo_k[b] - hi_k[a], lo_k[a] - hi_k[b])
-        np.maximum(g, 0.0, out=g)
-        g *= g
-        gap = g if gap is None else np.add(gap, g, out=gap)
-    lim = r_leaf[a] + r_leaf[b]
-    lim += np.minimum(r_leaf[a], r_leaf[b])
-    meet = gap <= _squared_bound(lim)
-    joined = meet[1:] & meet[:-1] & (a[1:] == a[:-1])  # entry t + 1 extends the run of entry t
-    first = np.flatnonzero(meet & ~np.append(False, joined))
-    last = np.flatnonzero(meet & ~np.append(joined, False))
-    # each run of met leaves is a tile, its columns cut to reach on the second coordinate
-    leaf, col0, col1 = a[first], bounds[b[first]], bounds[b[last] + 1]
-    width = col1 - col0
-    col = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width - col0, width)
-    ax, ys = strips.axes[-1], y[col]
-    inside = (ys >= np.repeat(lo[ax][leaf] - w, width)) & (ys <= np.repeat(hi[ax][leaf] + w, width))
-    tile_start = np.cumsum(width) - width
-    col0 = np.minimum.reduceat(np.where(inside, col, c.shape[1]), tile_start)
-    col1 = np.maximum.reduceat(np.where(inside, col, -1), tile_start) + 1
-    leaf, col0, col1 = leaf[col0 < col1], col0[col0 < col1], col1[col0 < col1]
-    row0, row1 = starts[leaf], bounds[leaf + 1]
-    rows = row1 - row0
-    _count((rows * (col1 - col0) - (col0 == row0) * rows * (rows + 1) // 2).sum())
+    end = np.searchsorted(bounds, reach_end[strip])  # past the last leaf a leaf can meet
+
+    def tiles(l0, l1):
+        """Rows and columns, [row0, row1) x [col0, col1), of the tiles of the row leaves [l0, l1)."""
+        # every leaf A against the leaves B from A up to the end of the next strip
+        count = end[l0:l1] - np.arange(l0, l1)
+        a = np.repeat(np.arange(l0, l1), count)
+        b = a + np.arange(a.size) - np.repeat(np.cumsum(count) - count, count)
+        gap = None
+        for lo_k, hi_k in zip(lo, hi):
+            g = np.maximum(lo_k[b] - hi_k[a], lo_k[a] - hi_k[b])
+            np.maximum(g, 0.0, out=g)
+            g *= g
+            gap = g if gap is None else np.add(gap, g, out=gap)
+        lim = r_leaf[a] + r_leaf[b]
+        lim += np.minimum(r_leaf[a], r_leaf[b])
+        meet = gap <= _squared_bound(lim)
+        joined = meet[1:] & meet[:-1] & (a[1:] == a[:-1])  # entry t + 1 extends the run of entry t
+        first = np.flatnonzero(meet & ~np.append(False, joined))
+        last = np.flatnonzero(meet & ~np.append(joined, False))
+        # each run of met leaves is a tile, its columns cut to reach on the second coordinate
+        leaf, col0, col1 = a[first], bounds[b[first]], bounds[b[last] + 1]
+        width = col1 - col0
+        col = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width - col0, width)
+        ax, ys = strips.axes[-1], y[col]
+        inside = (ys >= np.repeat(lo[ax][leaf] - w, width)) & (ys <= np.repeat(hi[ax][leaf] + w, width))
+        tile_start = np.cumsum(width) - width
+        col0 = np.minimum.reduceat(np.where(inside, col, c.shape[1]), tile_start)
+        col1 = np.maximum.reduceat(np.where(inside, col, -1), tile_start) + 1
+        leaf, col0, col1 = leaf[col0 < col1], col0[col0 < col1], col1[col0 < col1]
+        row0, row1 = starts[leaf], bounds[leaf + 1]
+        rows = row1 - row0
+        _count((rows * (col1 - col0) - (col0 == row0) * rows * (rows + 1) // 2).sum())
+        return row0.tolist(), row1.tolist(), col0.tolist(), col1.tolist()
+
     kept, held = [], []  # every leaf meets itself, so some tile is held
 
     def keep():
@@ -239,8 +246,13 @@ def _pairwise_center_distances(ballset: BallSet) -> tuple[np.ndarray, np.ndarray
         bi, bj = ball[i[near]], ball[j[near]]
         kept.append((np.minimum(bi, bj), np.maximum(bi, bj), dist[near]))
 
+    # The row leaves go in chunks that reach about _TILE columns in all, so
+    # that a chunk's leaf pairs and column lists take O(m + _TILE) memory.
+    span = reach_end[strip] - starts
+    chunk = (np.cumsum(span) - span) // _TILE
+    edges = np.append(np.flatnonzero(np.diff(chunk, prepend=-1)), starts.size).tolist()
     size = 0
-    for a0, a1, c0, c1 in zip(row0.tolist(), row1.tolist(), col0.tolist(), col1.tolist()):
+    for a0, a1, c0, c1 in (t for l0, l1 in zip(edges[:-1], edges[1:]) for t in zip(*tiles(l0, l1))):
         acc = squared_distances(c[:, a0:a1, None], c[:, None, c0:c1])
         ri, rj = r[a0:a1, None], r[None, c0:c1]
         lim = ri + rj

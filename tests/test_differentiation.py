@@ -418,6 +418,13 @@ def test_pairwise_center_distances_match_all_pairs(d):
         assert dists[order].tobytes() == dist[near].tobytes(), name
 
 
+@pytest.mark.parametrize("d", [2, 8])
+def test_pairwise_center_distances_match_all_pairs_in_chunks(d, monkeypatch):
+    # with tiles of 1,024 entries the row leaves of one strip go in several chunks
+    monkeypatch.setattr(gbcluster.differentiation, "_TILE", 2 ** 10)
+    test_pairwise_center_distances_match_all_pairs(d)
+
+
 def test_prefilter_keeps_a_pair_whose_squared_distance_rounds_past_the_bound():
     # within reach, yet the squared distance rounds one ulp above fl(lim**2):
     # the prefilter's factor 1 + 2**-40 keeps it

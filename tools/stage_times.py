@@ -1,11 +1,11 @@
 """Time each stage of cluster() alone on the benchmark's blob sets; write BENCH_<label>.json.
 
-    python3 tools/stage_times.py --label NAME [--src PATH] [--repeat K] [--out DIR]
+    python3 tools/stage_times.py --label NAME [--src PATH]
 
 The point sets are perfbench's ``blob_points`` at 2-d 100k and 300k, 8-d 20k
 and 100k and 32-d 100k, shuffled with seed 1 as the benchmark's seed 1 does.
 Each stage runs on the outputs of the stages before it, and its time is the
-minimum of K runs: division (``generate_balls``), the pair pass
+minimum of 7 runs: division (``generate_balls``), the pair pass
 (``_pairwise_center_distances``), overlaps (``count_overlaps``), merge
 (``merge_adjacent``) and noise (``assign_noise``), then the whole
 ``cluster()``.  For the pair pass the file also records the tile entries
@@ -36,12 +36,13 @@ ROOT = Path(__file__).resolve().parent.parent
 SETS = (("blobs-2d-100k", 100_000, 2), ("blobs-2d-300k", 300_000, 2), ("blobs-8d-20k", 20_000, 8),
         ("blobs-8d-100k", 100_000, 8), ("blobs-32d-100k", 100_000, 32))
 SHUFFLE_SEED = 1
+REPEAT = 7  # runs per stage; the least time counts
 
 
-def _best(repeat: int, call):
-    """The result of call() and the least wall time of ``repeat`` calls."""
+def _best(call):
+    """The result of call() and the least wall time of REPEAT calls."""
     best = float("inf")
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         start = time.perf_counter()
         result = call()
         best = min(best, time.perf_counter() - start)
@@ -71,7 +72,7 @@ def _git_sha(src: Path) -> str | None:
     return out.stdout.strip()
 
 
-def measure(name: str, n: int, dim: int, repeat: int) -> dict:
+def measure(name: str, n: int, dim: int) -> dict:
     from workloads import blob_points, shuffled
     from gbcluster import differentiation as D
     from gbcluster.core import Dataset
@@ -79,7 +80,7 @@ def measure(name: str, n: int, dim: int, repeat: int) -> dict:
 
     data = Dataset(points=shuffled(blob_points(n, dim), SHUFFLE_SEED)[0].points)
     seconds = {}
-    ballset, seconds["division"] = _best(repeat, lambda: generate_balls(data))
+    ballset, seconds["division"] = _best(lambda: generate_balls(data))
     D.reset_distance_counter()
     pairs = D._pairwise_center_distances(ballset)
     entries = D.distance_evaluations()
@@ -87,11 +88,11 @@ def measure(name: str, n: int, dim: int, repeat: int) -> dict:
     D._pairwise_center_distances(ballset)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    _, seconds["pair_pass"] = _best(repeat, lambda: D._pairwise_center_distances(ballset))
-    ballset.overlap_counts, seconds["overlaps"] = _best(repeat, lambda: D.count_overlaps(ballset, pairs))
-    ids, seconds["merge"] = _best(repeat, lambda: D.merge_adjacent(ballset, pairs))
-    _, seconds["noise"] = _best(repeat, lambda: D.assign_noise(data, ballset, ids))
-    (assignment, _), seconds["cluster"] = _best(repeat, lambda: D.cluster(data))
+    _, seconds["pair_pass"] = _best(lambda: D._pairwise_center_distances(ballset))
+    ballset.overlap_counts, seconds["overlaps"] = _best(lambda: D.count_overlaps(ballset, pairs))
+    ids, seconds["merge"] = _best(lambda: D.merge_adjacent(ballset, pairs))
+    _, seconds["noise"] = _best(lambda: D.assign_noise(data, ballset, ids))
+    (assignment, _), seconds["cluster"] = _best(lambda: D.cluster(data))
     live = ~ballset.noise_ball_flags
     return {
         "name": name, "n": n, "d": dim, "balls": len(ballset), "live_balls": int(live.sum()),
@@ -107,8 +108,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="names the output, BENCH_<label>.json")
     parser.add_argument("--src", default=str(ROOT / "src"), help="src directory of the checkout to time")
-    parser.add_argument("--repeat", type=int, default=7, help="runs per stage; the least time counts")
-    parser.add_argument("--out", default=str(ROOT), help="directory of the output file")
     args = parser.parse_args(argv)
     src = Path(args.src).resolve()
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
@@ -120,16 +119,15 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "machine": {"platform": platform.platform(), "processor": platform.processor() or platform.machine(),
                     "cpus": os.cpu_count()},
-        "shuffle_seed": SHUFFLE_SEED, "repeat": args.repeat, "sets": [],
+        "shuffle_seed": SHUFFLE_SEED, "repeat": REPEAT, "sets": [],
     }
     for name, n, dim in SETS:
-        row = measure(name, n, dim, args.repeat)
+        row = measure(name, n, dim)
         result["sets"].append(row)
         stages = "  ".join(f"{k} {v * 1e3:.1f}" for k, v in row["seconds"].items())
         print(f"{name}: m={row['balls']}  {stages} ms  entries {row['tile_entries']:,}  "
               f"kept {row['pairs_kept']:,}  within 3*r_max {row['pairs_within_3rmax']:,}", flush=True)
-    path = Path(args.out) / f"BENCH_{args.label}.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
+    path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {path}")
     return 0
