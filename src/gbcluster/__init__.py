@@ -2,8 +2,7 @@
 algorithmic parameters, plus K-Means/DBSCAN/DPeak baselines, evaluation
 metrics, synthetic data generators, and a benchmarking CLI."""
 
-from .core import (NOISE, BallSet, ClusterAssignment, Dataset, GranularBall,
-                   farthest_pair_seed, fit_ball)
+from .core import NOISE, BallSet, ClusterAssignment, Dataset, fit_ball
 from .differentiation import cluster
 from .division import DivisionConfig, DivisionTrace, generate_balls
 from .data import GeneratorSpec, generate, load_csv, save_results
@@ -18,9 +17,7 @@ __all__ = [
     "DivisionConfig",
     "DivisionTrace",
     "GeneratorSpec",
-    "GranularBall",
     "cluster",
-    "farthest_pair_seed",
     "fit_ball",
     "generate",
     "generate_balls",

@@ -3,13 +3,14 @@
 A granular ball summarizes a group of points by the mean of its members
 (the center) and the maximum member-to-center distance (the radius).  Ball
 quality is the average member-to-center distance: the smaller, the tighter.
-All distances are Euclidean (L2).
+All distances are Euclidean (L2).  A ``BallSet`` holds any number of balls
+as arrays, and the kernels below fit and seed all of them at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -50,38 +51,10 @@ class Dataset:
         return self.points.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class GranularBall:
-    """A ball over a subset of dataset points.
-
-    members:      sorted array of point indices (never empty)
-    center:       arithmetic mean of the member points
-    radius:       maximum member-to-center distance
-    sum_radius:   sum of member-to-center distances
-    avg_distance: sum_radius / member count (the quality measure)
-    """
-
-    members: np.ndarray
-    center: np.ndarray
-    radius: float
-    sum_radius: float
-    avg_distance: float
-
-    @property
-    def size(self) -> int:
-        return self.members.size
-
-    @classmethod
-    def from_fit(cls, members, center, radius, sum_radius) -> GranularBall:
-        """A ball from a fit's values; ``avg_distance`` is sum_radius / size."""
-        sum_radius = float(sum_radius)
-        return cls(members=members, center=center, radius=float(radius),
-                   sum_radius=sum_radius, avg_distance=sum_radius / members.size)
-
-
 @dataclass(eq=False)
 class BallSet:
-    """The final partition of a dataset into balls, as arrays.
+    """Balls over a dataset's points, as arrays: the partition that division
+    returns, or the one ball of ``fit_ball`` and the two of ``split_once``.
 
     ``order`` is a permutation of the point indices in which every ball is a
     contiguous slice, ball i's members ``order[starts[i]:starts[i] +
@@ -107,27 +80,9 @@ class BallSet:
         if self.noise_ball_flags is None:
             self.noise_ball_flags = self.sizes == 1
 
-    @classmethod
-    def from_balls(cls, balls: Sequence[GranularBall], overlap_counts=None,
-                   noise_ball_flags=None) -> BallSet:
-        """A ball set laid out from ball objects, members in the given order."""
-        return cls(order=np.concatenate([b.members for b in balls]).astype(np.int64),
-                   sizes=np.array([b.size for b in balls], dtype=np.int64),
-                   centers=np.array([b.center for b in balls], dtype=np.float64),
-                   radii=np.array([b.radius for b in balls], dtype=np.float64),
-                   sum_radius=np.array([b.sum_radius for b in balls], dtype=np.float64),
-                   overlap_counts=overlap_counts, noise_ball_flags=noise_ball_flags)
-
     @property
     def starts(self) -> np.ndarray:
         return np.cumsum(self.sizes) - self.sizes
-
-    @property
-    def balls(self) -> list[GranularBall]:
-        """Read-only ball views; members are slices of ``order``."""
-        members = np.split(self.order, np.cumsum(self.sizes)[:-1])
-        return [GranularBall.from_fit(mem, c, r, s) for mem, c, r, s in
-                zip(members, self.centers, self.radii, self.sum_radius)]
 
     def __len__(self) -> int:
         return self.sizes.size
@@ -231,8 +186,8 @@ def farthest_pairs(pts: np.ndarray, starts: np.ndarray, sizes: np.ndarray, dists
     return p1, first_argmax(squared_distances(pts, take_columns(pts, p1), sizes), starts, sizes)
 
 
-def fit_ball(dataset: Dataset, members: Iterable[int]) -> GranularBall:
-    """Fit a ball to the given member indices.
+def fit_ball(dataset: Dataset, members: Iterable[int]) -> BallSet:
+    """Fit a ball to the given member indices; a BallSet of that one ball.
 
     Members are deduplicated and summed in ascending index order, so fitting
     the same member set twice is bit-for-bit reproducible.  An int array
@@ -247,20 +202,7 @@ def fit_ball(dataset: Dataset, members: Iterable[int]) -> GranularBall:
     if idx[0] < 0 or idx[-1] >= len(dataset):
         raise ValueError(f"member index out of range for dataset of size {len(dataset)}")
     pts = dataset.points.take(idx, axis=0).T.copy()
-    centers, _, radii, sums = fit_segments(pts, np.array([idx.size]))
-    return GranularBall.from_fit(idx, centers[:, 0], radii[0], sums[0])
+    sizes = np.array([idx.size])
+    centers, _, radii, sums = fit_segments(pts, sizes)
+    return BallSet(order=idx, sizes=sizes, centers=centers.T, radii=radii, sum_radius=sums)
 
-
-def farthest_pair_seed(dataset: Dataset, ball: GranularBall) -> tuple[int, int]:
-    """Pick the two split seeds for a ball.
-
-    p1 is the member farthest from the center; p2 the member farthest from
-    p1.  Ties break toward the lowest point index, which keeps splitting
-    deterministic.
-    """
-    if ball.size < 2:
-        raise ValueError("seed selection needs a ball with at least 2 members")
-    pts = dataset.points.take(ball.members, axis=0).T.copy()
-    p1, p2 = farthest_pairs(pts, np.array([0]), np.array([ball.size]),
-                            distances(pts, ball.center[:, None]))
-    return int(ball.members[p1[0]]), int(ball.members[p2[0]])

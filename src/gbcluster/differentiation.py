@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NOISE, BallSet, ClusterAssignment, Dataset, distances, squared_distances
+from .core import NOISE, BallSet, ClusterAssignment, Dataset, squared_distances
 from .division import DivisionConfig, DivisionTrace, generate_balls
 
 _DIST_EVALS = 0
@@ -296,14 +296,6 @@ def tau(r_i, r_j, o_i, o_j):
     return np.minimum(r_i, r_j) / (1 + np.minimum(o_i, o_j))
 
 
-def are_adjacent(ball_i, ball_j, o_i: int, o_j: int) -> bool:
-    """True when the surface gap between two balls is below their tau."""
-    _count(1)
-    gap = float(distances(ball_i.center[:, None], ball_j.center[:, None])[0])
-    gap -= ball_i.radius + ball_j.radius
-    return bool(gap < tau(ball_i.radius, ball_j.radius, o_i, o_j))
-
-
 @dataclass(frozen=True, eq=False)
 class AdjacencyGraph:
     """Undirected adjacency over non-noise balls.
@@ -439,6 +431,8 @@ def cluster(dataset: Dataset, config: DivisionConfig | None = None,
     exp = math.frexp(top)[1] if top > 2.0 ** 256 or 0 < top < 2.0 ** -256 else 0
     if exp:
         dataset = Dataset(points=np.ldexp(dataset.points, -exp))
+    # a reused trace holds earlier runs' splits, already at their own scale
+    earlier = len(trace.accepted_splits) if trace is not None else 0
     ballset = generate_balls(dataset, config, trace)
     # one set of candidate pairs serves both the overlap and adjacency passes
     pairs = _pairwise_center_distances(ballset)
@@ -449,6 +443,6 @@ def cluster(dataset: Dataset, config: DivisionConfig | None = None,
         ballset.centers, ballset.radii, ballset.sum_radius = (
             np.ldexp(a, exp) for a in (ballset.centers, ballset.radii, ballset.sum_radius))
         if trace is not None:
-            trace.accepted_splits = [tuple(np.ldexp(split, exp).tolist())
-                                     for split in trace.accepted_splits]
+            trace.accepted_splits[earlier:] = [tuple(np.ldexp(split, exp).tolist())
+                                               for split in trace.accepted_splits[earlier:]]
     return assignment, ballset

@@ -5,6 +5,9 @@ both children improve on the parent's average distance.  Phase 2 then
 force-splits balls whose radius exceeds twice the larger of the mean and
 median radius, recomputing those statistics each round, until none are left
 or the round cap trips.
+
+Each round splits all of its balls with one set of kernels; ``split_once``
+runs them on the one-ball BallSet of ``fit_ball``, which also fits the root.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (BallSet, Dataset, GranularBall, distances, farthest_pairs, fit_ball,
-                   fit_segments, squared_distances, take_columns)
+from .core import (BallSet, Dataset, distances, farthest_pairs, fit_ball, fit_segments,
+                   squared_distances, take_columns)
 
 
 @dataclass(frozen=True)
@@ -56,15 +59,19 @@ class DivisionTrace:
     every ball are snapshotted after each round (costly; tests only).
     ``stop_reason`` says why the oversized-ball cleanup ended: "converged"
     (no oversized ball left), "round_cap" or "split_failed" (a split of an
-    oversized ball put every member on one side).
+    oversized ball put every member on one side); ``round_cap_hit`` is read
+    from it, so both describe the last run.
     """
 
     capture_partitions: bool = False
     rounds: list[RoundStats] = field(default_factory=list)
     accepted_splits: list[tuple[float, float, float]] = field(default_factory=list)
     partitions: list[list[np.ndarray]] = field(default_factory=list)
-    round_cap_hit: bool = False
     stop_reason: str | None = None
+
+    @property
+    def round_cap_hit(self) -> bool:
+        return self.stop_reason == "round_cap"
 
     def _snapshot(self, members: np.ndarray, sizes: list[np.ndarray]):
         """Record the balls whose members are the runs ``sizes`` of ``members``."""
@@ -120,22 +127,22 @@ def _split(pts: np.ndarray, dists: np.ndarray, sizes: np.ndarray, centers: np.nd
             fit_segments(child_pts, child_sizes))
 
 
-def split_once(dataset: Dataset, ball: GranularBall):
-    """Split a ball in a single assignment pass (see ``_split``).
+def split_once(dataset: Dataset, ball: BallSet):
+    """Split the one ball of ``ball`` in a single assignment pass (see ``_split``).
 
-    Returns the two fitted children, or None when one side ends up empty
-    (coincident members).
+    Returns the fitted children as a two-ball BallSet, child a first, or
+    None when one side ends up empty (coincident members).
     """
-    if ball.size < 2:
-        raise ValueError("cannot split a ball with fewer than 2 members")
-    pts = dataset.points.take(ball.members, axis=0).T.copy()
+    if not isinstance(ball, BallSet) or len(ball) != 1 or ball.sizes[0] < 2:
+        raise ValueError("split_once needs a BallSet of one ball with at least 2 members")
+    pts = dataset.points.take(ball.order, axis=0).T.copy()
+    center = ball.centers.T
     ok, part, sizes, _, (centers, _, radii, sums) = _split(
-        pts, distances(pts, ball.center[:, None]), np.array([ball.size]), ball.center[:, None])
+        pts, distances(pts, center), ball.sizes, center)
     if not ok[0]:
         return None
-    members = np.split(ball.members[part], sizes[:1])
-    return tuple(GranularBall.from_fit(members[i], centers[:, i], radii[i], sums[i])
-                 for i in (0, 1))
+    return BallSet(order=ball.order[part], sizes=sizes, centers=centers.T, radii=radii,
+                   sum_radius=sums)
 
 
 def should_split(parent_ad, child_a_ad, child_b_ad):
@@ -173,8 +180,7 @@ def generate_balls(dataset: Dataset, config: DivisionConfig | None = None,
         trace = DivisionTrace()
     root = fit_ball(dataset, np.arange(len(dataset)))
     pts, ids = dataset.points.T.copy(), np.arange(len(dataset))
-    sizes, centers = np.array([root.size]), root.center[:, None]
-    radii, sums = np.array([root.radius]), np.array([root.sum_radius])
+    sizes, centers, radii, sums = root.sizes, root.centers.T, root.radii, root.sum_radius
     dist = distances(pts, centers)
 
     # Phase 1: quality-driven splitting.  Each ball is examined once; a ball
@@ -227,7 +233,6 @@ def generate_balls(dataset: Dataset, config: DivisionConfig | None = None,
         if not over.size:
             break
         if rounds >= config.max_refinement_rounds:
-            trace.round_cap_hit = True
             trace.stop_reason = "round_cap"
             warnings.warn("ball refinement hit the round cap with oversized balls remaining",
                           RuntimeWarning, stacklevel=2)

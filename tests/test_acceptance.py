@@ -16,9 +16,9 @@ import numpy as np
 
 from gbcluster.baselines import dbscan, dpeak
 from gbcluster.cli import BENCH_BASELINES, EXIT_OK, EXIT_USAGE, main
-from gbcluster.core import BallSet, Dataset, GranularBall, fit_ball
+from gbcluster.core import BallSet, Dataset, fit_ball
 from gbcluster.data import BUNDLED_DATASETS, generate
-from gbcluster.differentiation import (are_adjacent, cluster, count_overlaps,
+from gbcluster.differentiation import (adjacency_graph, cluster, count_overlaps,
                                        distance_evaluations, merge_adjacent,
                                        reset_distance_counter, tau)
 from gbcluster.division import DivisionTrace, detect_oversized, generate_balls
@@ -137,17 +137,43 @@ def test_criterion_6c_fit_ball_fixpoint():
             ds = Dataset(points=rng.uniform(-100, 100, size=(n, int(rng.integers(1, 5)))))
             members = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
             b1 = fit_ball(ds, members)
-            b2 = fit_ball(ds, b1.members)
-            assert np.allclose(b1.center, b2.center, rtol=1e-12, atol=0)
-            for x, y in ((b1.radius, b2.radius), (b1.sum_radius, b2.sum_radius),
-                         (b1.avg_distance, b2.avg_distance)):
+            b2 = fit_ball(ds, b1.order)
+            assert np.allclose(b1.centers, b2.centers, rtol=1e-12, atol=0)
+            for x, y in ((b1.radii[0], b2.radii[0]), (b1.sum_radius[0], b2.sum_radius[0]),
+                         (b1.sum_radius[0] / b1.sizes[0], b2.sum_radius[0] / b2.sizes[0])):
                 assert x == y or abs(x - y) <= 1e-12 * max(abs(x), abs(y))
 
 
-def _random_ball(rng, size=5):
+def _random_ball(rng):
+    """A ball as (centre, radius)."""
     center = rng.uniform(-3, 3, 2)
-    return GranularBall(members=np.arange(size), center=center,
-                        radius=float(rng.uniform(0, 2)), sum_radius=0.0, avg_distance=0.0)
+    return center, float(rng.uniform(0, 2))
+
+
+def _ballset(balls, sizes, flags):
+    """Balls of (unused) points, ``sizes`` each, straight from arrays."""
+    centers, radii = zip(*balls)
+    return BallSet(order=np.arange(sum(sizes)), sizes=np.array(sizes), centers=np.array(centers),
+                   radii=np.array(radii), sum_radius=np.zeros(len(balls)),
+                   noise_ball_flags=np.asarray(flags, dtype=bool))
+
+
+def _adjacent(bs, i, j):
+    """The adjacency predicate on balls i and j, one scalar at a time: the
+    surface gap, its squares added in coordinate order, below tau."""
+    sq = 0.0
+    for a, b in zip(bs.centers[i].tolist(), bs.centers[j].tolist()):
+        sq += (a - b) * (a - b)
+    r_i, r_j = float(bs.radii[i]), float(bs.radii[j])
+    return math.sqrt(sq) - (r_i + r_j) < tau(r_i, r_j, int(bs.overlap_counts[i]),
+                                             int(bs.overlap_counts[j]))
+
+
+def _pair_adjacent(bi, bj, oi, oj):
+    """Whether adjacency_graph joins two balls whose overlap counts are set to (oi, oj)."""
+    bs = _ballset([bi, bj], [5, 5], [False, False])
+    bs.overlap_counts = np.array([oi, oj])
+    return adjacency_graph(bs).edges.tolist() == [[0, 1]]
 
 
 def test_criterion_6d_adjacency_symmetry_and_overlap():
@@ -156,9 +182,9 @@ def test_criterion_6d_adjacency_symmetry_and_overlap():
         for _ in range(1000):
             bi, bj = _random_ball(rng), _random_ball(rng)
             oi, oj = int(rng.integers(0, 12)), int(rng.integers(0, 12))
-            assert are_adjacent(bi, bj, oi, oj) == are_adjacent(bj, bi, oj, oi)
-            if float(np.sqrt(((bi.center - bj.center) ** 2).sum())) < bi.radius + bj.radius:
-                assert are_adjacent(bi, bj, oi, oj)
+            assert _pair_adjacent(bi, bj, oi, oj) == _pair_adjacent(bj, bi, oj, oi)
+            if float(np.sqrt(((bi[0] - bj[0]) ** 2).sum())) < bi[1] + bj[1]:
+                assert _pair_adjacent(bi, bj, oi, oj)
 
 
 def test_criterion_6e_tau_monotone_on_full_grid():
@@ -179,9 +205,12 @@ def test_criterion_6f_merge_matches_transitive_closure():
         rng = np.random.default_rng(65)
         for _ in range(200):
             m = int(rng.integers(1, 21))
-            balls = [_random_ball(rng, size=int(rng.integers(1, 4) * 2)) for _ in range(m)]
+            sizes, balls = [], []
+            for _ in range(m):
+                sizes.append(int(rng.integers(1, 4) * 2))
+                balls.append(_random_ball(rng))
             flags = rng.uniform(size=m) < 0.25
-            bs = BallSet.from_balls(balls, noise_ball_flags=flags)
+            bs = _ballset(balls, sizes, flags)
             bs.overlap_counts = count_overlaps(bs)
             got = merge_adjacent(bs)
 
@@ -189,10 +218,7 @@ def test_criterion_6f_merge_matches_transitive_closure():
             adj = np.eye(live.size, dtype=bool)
             for a in range(live.size):
                 for b in range(a + 1, live.size):
-                    hit = are_adjacent(balls[live[a]], balls[live[b]],
-                                       int(bs.overlap_counts[live[a]]),
-                                       int(bs.overlap_counts[live[b]]))
-                    adj[a, b] = adj[b, a] = hit
+                    adj[a, b] = adj[b, a] = _adjacent(bs, live[a], live[b])
             for _ in range(max(live.size, 1)):
                 adj = adj | (adj @ adj)
             expected = np.full(m, -1, dtype=int)

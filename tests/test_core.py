@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from gbcluster.core import (ClusterAssignment, Dataset, distances, farthest_pair_seed, fit_ball,
+from gbcluster.core import (ClusterAssignment, Dataset, distances, farthest_pairs, fit_ball,
                             squared_distances)
+from gbcluster.division import split_once
 
 
 def test_dataset_validation():
@@ -39,29 +40,35 @@ def test_cluster_assignment_invariants():
     assert ClusterAssignment(labels=np.empty(0)).cluster_count == 0
 
 
+def _avg_distance(ball):
+    """The quality measure of a one-ball BallSet."""
+    return ball.sum_radius[0] / ball.sizes[0]
+
+
 def test_fit_ball_singleton():
     ds = Dataset(points=[[1.0, 2.0]])
     b = fit_ball(ds, [0])
-    assert np.array_equal(b.center, [1.0, 2.0])
-    assert b.radius == 0.0
-    assert b.avg_distance == 0.0
+    assert len(b) == 1 and b.order.tolist() == [0] and b.noise_ball_flags.tolist() == [True]
+    assert np.array_equal(b.centers[0], [1.0, 2.0])
+    assert b.radii[0] == 0.0
+    assert _avg_distance(b) == 0.0
 
 
 def test_fit_ball_symmetric_pair():
     ds = Dataset(points=[[0.0, 0.0], [2.0, 0.0]])
     b = fit_ball(ds, [0, 1])
-    assert np.array_equal(b.center, [1.0, 0.0])
-    assert b.radius == 1.0
-    assert b.sum_radius == 2.0
-    assert b.avg_distance == 1.0
+    assert np.array_equal(b.centers[0], [1.0, 0.0])
+    assert b.radii[0] == 1.0
+    assert b.sum_radius[0] == 2.0
+    assert _avg_distance(b) == 1.0
 
 
 def test_fit_ball_unit_square():
     ds = Dataset(points=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     b = fit_ball(ds, range(4))
-    assert np.allclose(b.center, [0.5, 0.5])
-    assert b.radius == pytest.approx(math.sqrt(0.5), rel=1e-12)
-    assert b.avg_distance == pytest.approx(math.sqrt(0.5), rel=1e-12)
+    assert np.allclose(b.centers[0], [0.5, 0.5])
+    assert b.radii[0] == pytest.approx(math.sqrt(0.5), rel=1e-12)
+    assert _avg_distance(b) == pytest.approx(math.sqrt(0.5), rel=1e-12)
 
 
 def test_fit_ball_rejects_bad_members():
@@ -81,11 +88,11 @@ def test_fit_ball_refit_is_bitwise_stable():
         ds = Dataset(points=rng.normal(0, 1, size=(n, int(rng.integers(1, 4)))))
         members = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
         b1 = fit_ball(ds, members)
-        b2 = fit_ball(ds, b1.members)
-        assert np.array_equal(b1.center, b2.center)
-        assert b1.radius == b2.radius
-        assert b1.sum_radius == b2.sum_radius
-        assert b1.avg_distance == b2.avg_distance
+        b2 = fit_ball(ds, b1.order)
+        assert np.array_equal(b1.centers, b2.centers)
+        assert b1.radii[0] == b2.radii[0]
+        assert b1.sum_radius[0] == b2.sum_radius[0]
+        assert _avg_distance(b1) == _avg_distance(b2)
 
 
 def test_ball_geometry_invariants():
@@ -94,48 +101,57 @@ def test_ball_geometry_invariants():
         n = int(rng.integers(1, 60))
         ds = Dataset(points=rng.uniform(-5, 5, size=(n, 2)))
         b = fit_ball(ds, range(n))
-        dists = np.sqrt(((ds.points[b.members] - b.center) ** 2).sum(axis=1))
-        assert dists.max() <= b.radius + 1e-12
-        assert b.avg_distance <= b.radius + 1e-12
+        dists = np.sqrt(((ds.points[b.order] - b.centers[0]) ** 2).sum(axis=1))
+        assert dists.max() <= b.radii[0] + 1e-12
+        assert _avg_distance(b) <= b.radii[0] + 1e-12
 
 
 def test_average_distance_examples():
     single = Dataset(points=[[3.0, 4.0]])
-    assert fit_ball(single, [0]).avg_distance == 0.0
+    assert _avg_distance(fit_ball(single, [0])) == 0.0
     pair = Dataset(points=[[0.0, 0.0], [2.0, 0.0]])
-    assert fit_ball(pair, [0, 1]).avg_distance == 1.0
+    assert _avg_distance(fit_ball(pair, [0, 1])) == 1.0
     collinear = Dataset(points=[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    assert fit_ball(collinear, [0, 1, 2]).avg_distance == pytest.approx(2.0 / 3.0, rel=1e-12)
+    assert _avg_distance(fit_ball(collinear, [0, 1, 2])) == pytest.approx(2.0 / 3.0, rel=1e-12)
+
+
+def _seeds(ds, ball):
+    """The split seeds of a one-ball BallSet, as point indices, from
+    ``farthest_pairs`` on its one segment."""
+    pts = ds.points[ball.order].T.copy()
+    p1, p2 = farthest_pairs(pts, np.array([0]), ball.sizes, distances(pts, ball.centers.T))
+    return int(ball.order[p1[0]]), int(ball.order[p2[0]])
 
 
 def test_farthest_pair_seed_collinear_tiebreak():
     # |0-5| == |10-5|, so the tie at distance 5 resolves to the lower index
     ds = Dataset(points=[[0.0, 0.0], [1.0, 0.0], [9.0, 0.0], [10.0, 0.0]])
-    p1, p2 = farthest_pair_seed(ds, fit_ball(ds, range(4)))
-    assert (p1, p2) == (0, 3)
+    assert _seeds(ds, fit_ball(ds, range(4))) == (0, 3)
 
 
 def test_farthest_pair_seed_two_points():
     ds = Dataset(points=[[0.0, 0.0], [2.0, 0.0]])
-    p1, p2 = farthest_pair_seed(ds, fit_ball(ds, [0, 1]))
-    assert (p1, p2) == (0, 1)
+    assert _seeds(ds, fit_ball(ds, [0, 1])) == (0, 1)
 
 
 def test_farthest_pair_seed_equilateral():
     # all three vertices tie exactly at 1/sqrt(3) from the centroid
     ds = Dataset(points=[[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]])
     ball = fit_ball(ds, range(3))
-    d = np.sqrt(((ds.points - ball.center) ** 2).sum(axis=1))
+    d = np.sqrt(((ds.points - ball.centers[0]) ** 2).sum(axis=1))
     assert d[0] == d[1] == d[2]
-    p1, p2 = farthest_pair_seed(ds, ball)
+    p1, p2 = _seeds(ds, ball)
     assert p1 == 0
     assert p2 in (1, 2)
 
 
 def test_farthest_pair_seed_needs_two_members():
-    ds = Dataset(points=[[0.0, 0.0]])
+    # a one-member segment seeds itself twice, so no split could separate
+    # the seeds: split_once refuses such a ball up front
+    ds = Dataset(points=[[0.0, 0.0], [1.0, 1.0]])
+    assert _seeds(ds, fit_ball(ds, [1])) == (1, 1)
     with pytest.raises(ValueError):
-        farthest_pair_seed(ds, fit_ball(ds, [0]))
+        split_once(ds, fit_ball(ds, [1]))
 
 
 def _in_order(squares):

@@ -1,6 +1,7 @@
 """Ball differentiation: overlap counts, adjacency, merging, noise points."""
 
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -11,25 +12,62 @@ import numpy as np
 import pytest
 
 import gbcluster
-from gbcluster.core import NOISE, BallSet, Dataset, GranularBall, fit_ball, squared_distances
+from gbcluster.core import NOISE, BallSet, Dataset, fit_segments, squared_distances
 from gbcluster.data import BUNDLED_DATASETS, GeneratorSpec, generate
 from gbcluster.differentiation import (_pairwise_center_distances, adjacency_graph,
-                                       are_adjacent, assign_noise, cluster,
-                                       count_overlaps, distance_evaluations,
-                                       merge_adjacent, reset_distance_counter, tau)
-from gbcluster.division import generate_balls
+                                       assign_noise, cluster, count_overlaps,
+                                       distance_evaluations, merge_adjacent,
+                                       reset_distance_counter, tau)
+from gbcluster.division import DivisionTrace, generate_balls
+
+
+def _array_ballset(centers, radii, noise, sizes=5):
+    """Balls of (unused) points, five each unless ``sizes`` says, straight from arrays."""
+    m = len(radii)
+    sizes = np.broadcast_to(np.asarray(sizes, np.int64), m)
+    return BallSet(order=np.arange(sizes.sum()), sizes=sizes.copy(),
+                   centers=np.asarray(centers, float),
+                   radii=np.asarray(radii, float), sum_radius=np.zeros(m),
+                   noise_ball_flags=np.asarray(noise, bool))
 
 
 def _ball(center, radius, size=5):
-    center = np.asarray(center, dtype=float)
-    return GranularBall(members=np.arange(size), center=center, radius=float(radius),
-                        sum_radius=0.0, avg_distance=0.0)
+    """One ball as (centre, radius, size), for ``_ballset``."""
+    return np.asarray(center, dtype=float), float(radius), size
 
 
 def _ballset(balls, noise_flags=None):
-    flags = (np.zeros(len(balls), dtype=bool) if noise_flags is None
-             else np.asarray(noise_flags, dtype=bool))
-    return BallSet.from_balls(balls, noise_ball_flags=flags)
+    centers, radii, sizes = zip(*balls)
+    flags = np.zeros(len(balls), dtype=bool) if noise_flags is None else noise_flags
+    return _array_ballset(centers, radii, flags, sizes)
+
+
+def _fitted(ds, groups):
+    """The balls that fit_ball gives the member groups, as one BallSet."""
+    order = np.concatenate([np.asarray(g, dtype=np.int64) for g in groups])
+    sizes = np.array([len(g) for g in groups])
+    centers, _, radii, sums = fit_segments(ds.points[order].T.copy(), sizes)
+    return BallSet(order=order, sizes=sizes, centers=centers.T, radii=radii, sum_radius=sums)
+
+
+def _adjacent(bs, i, j):
+    """The adjacency predicate on balls i and j of bs, one scalar at a time: the
+    surface gap, its squares added in coordinate order, below tau."""
+    sq = 0.0
+    for a, b in zip(bs.centers[i].tolist(), bs.centers[j].tolist()):
+        sq += (a - b) * (a - b)
+    r_i, r_j = float(bs.radii[i]), float(bs.radii[j])
+    return math.sqrt(sq) - (r_i + r_j) < tau(r_i, r_j, int(bs.overlap_counts[i]),
+                                             int(bs.overlap_counts[j]))
+
+
+def _pair_adjacent(ball_i, ball_j, o_i, o_j):
+    """Whether adjacency_graph joins two balls whose overlap counts are set to (o_i, o_j)."""
+    bs = _ballset([ball_i, ball_j])
+    bs.overlap_counts = np.array([o_i, o_j])
+    edges = adjacency_graph(bs).edges.tolist()
+    assert edges in ([], [[0, 1]])
+    return bool(edges)
 
 
 def test_count_overlaps_examples():
@@ -59,11 +97,11 @@ def test_tau_worked_values():
 def test_are_adjacent_examples():
     # overlapping balls (negative gap) are adjacent for any overlap counts
     for o in ((0, 0), (3, 7), (10, 10)):
-        assert are_adjacent(_ball([0, 0], 1), _ball([1.5, 0], 1), *o)
+        assert _pair_adjacent(_ball([0, 0], 1), _ball([1.5, 0], 1), *o)
     # gap 1 with tau = 1/(1+1) = 0.5 -> not adjacent
-    assert not are_adjacent(_ball([0, 0], 1), _ball([3, 0], 1), 1, 2)
+    assert not _pair_adjacent(_ball([0, 0], 1), _ball([3, 0], 1), 1, 2)
     # gap 0.3 with tau = 1 -> adjacent
-    assert are_adjacent(_ball([0, 0], 1), _ball([2.3, 0], 1), 0, 0)
+    assert _pair_adjacent(_ball([0, 0], 1), _ball([2.3, 0], 1), 0, 0)
 
 
 def test_adjacency_symmetry_and_overlap_implication():
@@ -72,10 +110,10 @@ def test_adjacency_symmetry_and_overlap_implication():
         bi = _ball(rng.uniform(-2, 2, 2), rng.uniform(0, 1.5))
         bj = _ball(rng.uniform(-2, 2, 2), rng.uniform(0, 1.5))
         oi, oj = int(rng.integers(0, 8)), int(rng.integers(0, 8))
-        assert are_adjacent(bi, bj, oi, oj) == are_adjacent(bj, bi, oj, oi)
-        dist = float(np.sqrt(((bi.center - bj.center) ** 2).sum()))
-        if dist < bi.radius + bj.radius:
-            assert are_adjacent(bi, bj, oi, oj)
+        assert _pair_adjacent(bi, bj, oi, oj) == _pair_adjacent(bj, bi, oj, oi)
+        dist = float(np.sqrt(((bi[0] - bj[0]) ** 2).sum()))
+        if dist < bi[1] + bj[1]:
+            assert _pair_adjacent(bi, bj, oi, oj)
 
 
 def test_tau_monotone_in_min_overlap():
@@ -105,19 +143,17 @@ def _adjacency_inputs():
 
 def test_adjacency_graph_matches_pairwise_predicate():
     for balls, expected in _adjacency_inputs():
-        bs = _ballset(balls, [b.size == 1 for b in balls])
+        bs = _ballset(balls, [size == 1 for _, _, size in balls])
         bs.overlap_counts = count_overlaps(bs)
         graph = adjacency_graph(bs)
-        assert set(graph.nodes) == {i for i, b in enumerate(balls) if b.size > 1}
+        assert set(graph.nodes) == set(np.flatnonzero(bs.sizes > 1))
         assert all(i < j for i, j in graph.edges)  # no self-loops, one edge per pair
         edge_set = set(map(tuple, graph.edges.tolist()))
         live = list(graph.nodes)
         for a in range(len(live)):
             for b in range(a + 1, len(live)):
                 i, j = live[a], live[b]
-                hit = are_adjacent(balls[i], balls[j],
-                                   int(bs.overlap_counts[i]), int(bs.overlap_counts[j]))
-                assert ((i, j) in edge_set) == hit
+                assert ((i, j) in edge_set) == _adjacent(bs, i, j)
         if expected is not None:
             assert not bs.overlap_counts.any()
             assert graph.edges.tolist() == expected
@@ -146,18 +182,16 @@ def test_merge_all_noise():
 
 
 def _closure_oracle(bs):
-    """Cluster id per ball from the transitive closure of are_adjacent over all live pairs."""
-    balls, live = bs.balls, np.flatnonzero(~bs.noise_ball_flags)
+    """Cluster id per ball from the transitive closure of _adjacent over all live pairs."""
+    live = np.flatnonzero(~bs.noise_ball_flags)
     adj = np.eye(live.size, dtype=bool)
     for a in range(live.size):
         for b in range(live.size):
             if a != b:
-                adj[a, b] |= are_adjacent(balls[live[a]], balls[live[b]],
-                                          int(bs.overlap_counts[live[a]]),
-                                          int(bs.overlap_counts[live[b]]))
+                adj[a, b] |= _adjacent(bs, live[a], live[b])
     for _ in range(live.size):  # boolean transitive closure
         adj = adj | (adj @ adj)
-    expected = np.full(len(balls), -1, dtype=int)
+    expected = np.full(len(bs), -1, dtype=int)
     next_id = 0
     for a in range(live.size):
         if expected[live[a]] == -1:
@@ -182,8 +216,7 @@ def test_assign_noise_examples():
     pts = np.array([[0.0, 0.0], [0.4, 0.0], [1.0, 0.0], [1.4, 0.0], [0.2, 0.1],
                     [500.0, 500.0]])
     ds = Dataset(points=pts)
-    balls = [fit_ball(ds, [0, 1]), fit_ball(ds, [2, 3]), fit_ball(ds, [4]), fit_ball(ds, [5])]
-    bs = BallSet.from_balls(balls)
+    bs = _fitted(ds, [[0, 1], [2, 3], [4], [5]])
     assert bs.noise_ball_flags.tolist() == [False, False, True, True]
     bs.overlap_counts = count_overlaps(bs)
     ids = merge_adjacent(bs)
@@ -194,7 +227,7 @@ def test_assign_noise_examples():
     # a point at equal gap 0.5 from two unit balls in different clusters
     # joins the ball with the lower index
     ds = Dataset(points=np.array([[2.0, 0.0], [4.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [1.5, 0.0]]))
-    bs = BallSet.from_balls([fit_ball(ds, [0, 1]), fit_ball(ds, [2, 3]), fit_ball(ds, [4])])
+    bs = _fitted(ds, [[0, 1], [2, 3], [4]])
     bs.overlap_counts = count_overlaps(bs)
     ids = merge_adjacent(bs)
     assert ids.tolist() == [0, 1, -1]
@@ -207,8 +240,8 @@ def test_assign_noise_identity_without_singletons():
     assignment, ballset = cluster(ds)
     assert not ballset.noise_ball_flags.any()
     assert assignment.noise_count == 0
-    for i, ball in enumerate(ballset.balls):
-        assert np.unique(assignment.labels[ball.members]).size == 1
+    for members in np.split(ballset.order, np.cumsum(ballset.sizes)[:-1]):
+        assert np.unique(assignment.labels[members]).size == 1
 
 
 def test_assign_noise_memory_at_32_dimensions():
@@ -264,8 +297,8 @@ def test_cluster_fills_overlap_counts():
         for j in live:
             if i == j:
                 continue
-            d = np.sqrt(((ballset.balls[i].center - ballset.balls[j].center) ** 2).sum())
-            expected += d < ballset.balls[i].radius + ballset.balls[j].radius
+            d = np.sqrt(((ballset.centers[i] - ballset.centers[j]) ** 2).sum())
+            expected += d < ballset.radii[i] + ballset.radii[j]
         assert ballset.overlap_counts[i] == expected
     assert (ballset.overlap_counts[ballset.noise_ball_flags] == 0).all()
 
@@ -318,31 +351,22 @@ def _random_ballset(rng, d):
     if rng.uniform() < 0.3:  # coincident centres
         centers[rng.integers(0, m, m // 2)] = centers[0]
     radii = rng.choice([np.zeros(m), np.full(m, rng.uniform(0.2, 1.5)), rng.uniform(0, 1.5, m)])
-    balls = [_ball(c, r) for c, r in zip(centers, radii)]
-    return _ballset(balls, rng.uniform(size=m) < 0.2)
+    return _array_ballset(centers, radii, rng.uniform(size=m) < 0.2)
 
 
 def test_overlaps_and_merge_match_all_pairs_oracle():
     rng = np.random.default_rng(7)
     for trial in range(400):
         bs = _random_ballset(rng, d=(1, 2, 3, 8)[trial % 4])
-        balls, live = bs.balls, np.flatnonzero(~bs.noise_ball_flags)
-        expected = np.zeros(len(balls), dtype=np.int64)
+        live = np.flatnonzero(~bs.noise_ball_flags)
+        expected = np.zeros(len(bs), dtype=np.int64)
         for i in live:
             for j in live:
-                dist = np.sqrt(((balls[i].center - balls[j].center) ** 2).sum())
-                expected[i] += i != j and dist < balls[i].radius + balls[j].radius
+                dist = np.sqrt(((bs.centers[i] - bs.centers[j]) ** 2).sum())
+                expected[i] += i != j and dist < bs.radii[i] + bs.radii[j]
         bs.overlap_counts = count_overlaps(bs)
         assert bs.overlap_counts.tolist() == expected.tolist()
         assert merge_adjacent(bs).tolist() == _closure_oracle(bs)
-
-
-def _array_ballset(centers, radii, noise):
-    """Balls of five (unused) points each, straight from arrays."""
-    m = len(radii)
-    return BallSet(order=np.arange(5 * m), sizes=np.full(m, 5), centers=np.asarray(centers, float),
-                   radii=np.asarray(radii, float), sum_radius=np.zeros(m),
-                   noise_ball_flags=np.asarray(noise, bool))
 
 
 # within reach, yet their squared distance rounds one ulp above fl(lim**2)
@@ -482,7 +506,7 @@ def test_geometry_pass_memory_stays_linear_in_balls():
     # 5,000 balls of radius 0.5 on a 100 x 50 grid with spacing 1: a dense
     # (m, m, 2) float64 array alone would take 400 MB.
     xy = np.stack(np.meshgrid(np.arange(100.0), np.arange(50.0)), axis=-1).reshape(-1, 2)
-    bs = _ballset([_ball(c, 0.5) for c in xy])
+    bs = _array_ballset(xy, np.full(len(xy), 0.5), np.zeros(len(xy), bool))
     tracemalloc.start()
     try:
         bs.overlap_counts = count_overlaps(bs)
@@ -545,12 +569,17 @@ def test_cluster_is_exact_under_power_of_two_scaling(exp):
     # far outside [2**-256, 2**256] the points are clustered scaled back by a
     # power of two, so the result is blobs5's, with its geometry scaled
     ds = generate(BUNDLED_DATASETS["blobs5"])
-    assignment, balls = cluster(ds)
-    scaled_assignment, scaled = cluster(Dataset(points=np.ldexp(ds.points, exp)))
+    trace = DivisionTrace()
+    assignment, balls = cluster(ds, trace=trace)
+    splits = list(trace.accepted_splits)
+    scaled_assignment, scaled = cluster(Dataset(points=np.ldexp(ds.points, exp)), trace=trace)
     assert np.array_equal(scaled_assignment.labels, assignment.labels)
     assert np.array_equal(scaled.order, balls.order) and np.array_equal(scaled.sizes, balls.sizes)
     for name in ("centers", "radii", "sum_radius"):
         assert np.array_equal(getattr(scaled, name), np.ldexp(getattr(balls, name), exp)), name
+    # the trace serves both runs: only the second run's splits are scaled back
+    assert trace.accepted_splits[:len(splits)] == splits
+    assert np.array_equal(trace.accepted_splits[len(splits):], np.ldexp(splits, exp))
 
 
 @pytest.mark.parametrize("factor", [1e300, 1e-300])

@@ -13,30 +13,37 @@ from gbcluster.division import (DivisionConfig, DivisionTrace, _partition, detec
                                 generate_balls, should_split, split_once)
 
 
+def _members(bs):
+    """Member index arrays of the balls of a BallSet, in ball order."""
+    return np.split(bs.order, np.cumsum(bs.sizes)[:-1])
+
+
 def test_split_once_collinear_hand_trace():
     # center x=5; seeds are x=0 (tie-break) and x=10; initial centers 2.5/7.5
     ds = Dataset(points=[[0.0, 0.0], [1.0, 0.0], [9.0, 0.0], [10.0, 0.0]])
-    a, b = split_once(ds, fit_ball(ds, range(4)))
-    assert a.members.tolist() == [0, 1]
-    assert np.allclose(a.center, [0.5, 0.0]) and a.radius == 0.5
-    assert b.members.tolist() == [2, 3]
-    assert np.allclose(b.center, [9.5, 0.0]) and b.radius == 0.5
+    kids = split_once(ds, fit_ball(ds, range(4)))
+    assert len(kids) == 2
+    a, b = _members(kids)
+    assert a.tolist() == [0, 1]
+    assert np.allclose(kids.centers[0], [0.5, 0.0]) and kids.radii[0] == 0.5
+    assert b.tolist() == [2, 3]
+    assert np.allclose(kids.centers[1], [9.5, 0.0]) and kids.radii[1] == 0.5
 
 
 def test_split_once_member_equidistant_from_both_midpoints_joins_child_a():
     # center x=2; seeds x=0 (tie-break) and x=4; midpoints 1 and 3 are both
     # exactly 1 from the member at x=2, which goes to the first child
     ds = Dataset(points=[[0.0], [2.0], [4.0]])
-    a, b = split_once(ds, fit_ball(ds, range(3)))
-    assert a.members.tolist() == [0, 1]
-    assert b.members.tolist() == [2]
+    a, b = _members(split_once(ds, fit_ball(ds, range(3))))
+    assert a.tolist() == [0, 1]
+    assert b.tolist() == [2]
 
 
 def test_split_once_two_points_gives_singletons():
     ds = Dataset(points=[[0.0, 0.0], [2.0, 0.0]])
-    a, b = split_once(ds, fit_ball(ds, [0, 1]))
-    assert a.size == b.size == 1
-    assert a.radius == b.radius == 0.0
+    kids = split_once(ds, fit_ball(ds, [0, 1]))
+    assert kids.sizes.tolist() == [1, 1]
+    assert kids.radii.tolist() == [0.0, 0.0]
 
 
 def test_split_once_coincident_points_fails():
@@ -45,9 +52,27 @@ def test_split_once_coincident_points_fails():
 
 
 def test_split_once_needs_two_members():
-    ds = Dataset(points=[[0.0, 0.0]])
+    ds = Dataset(points=[[0.0, 0.0], [1.0, 0.0], [5.0, 0.0]])
     with pytest.raises(ValueError):
         split_once(ds, fit_ball(ds, [0]))
+    # only a BallSet of one ball: not the two children, nor a bare member list
+    with pytest.raises(ValueError):
+        split_once(ds, split_once(ds, fit_ball(ds, range(3))))
+    with pytest.raises(ValueError):
+        split_once(ds, [0, 1, 2])
+
+
+def test_split_once_runs_the_division_kernels():
+    # the root split of moons1k is accepted: its children are the first
+    # round's balls, and their average distances the first accepted split
+    ds = generate(BUNDLED_DATASETS["moons1k"])
+    trace = DivisionTrace(capture_partitions=True)
+    generate_balls(ds, trace=trace)
+    root = fit_ball(ds, range(len(ds)))
+    kids = split_once(ds, root)
+    assert [m.tolist() for m in _members(kids)] == [m.tolist() for m in trace.partitions[0]]
+    split = (root.sum_radius[0] / root.sizes[0], *(kids.sum_radius / kids.sizes))
+    assert np.array(split).tobytes() == np.array(trace.accepted_splits[0]).tobytes()
 
 
 @pytest.mark.parametrize("parent, child_a, child_b, expected", [
@@ -78,7 +103,7 @@ def test_generate_balls_identical_points():
     ds = Dataset(points=[[2.0, 2.0]] * 50)
     bs = generate_balls(ds)
     assert len(bs) == 1
-    assert bs.balls[0].radius == 0.0
+    assert bs.radii[0] == 0.0
     assert not bs.noise_ball_flags.any()  # 50 members, not a singleton
 
 
@@ -90,8 +115,7 @@ def test_generate_balls_single_point_is_noise_ball():
 def test_generate_balls_partitions_dataset():
     ds = generate(BUNDLED_DATASETS["moons1k"])
     bs = generate_balls(ds)
-    seen = np.concatenate([b.members for b in bs.balls])
-    assert np.array_equal(np.sort(seen), np.arange(len(ds)))
+    assert np.array_equal(np.sort(bs.order), np.arange(len(ds)))
 
 
 def test_generate_balls_separated_blobs_are_pure():
@@ -100,8 +124,8 @@ def test_generate_balls_separated_blobs_are_pure():
                          centers=((0.0, 0.0), (20.0, 0.0)), scales=(1.0, 1.0))
     ds = generate(spec)
     bs = generate_balls(ds)
-    for ball in bs.balls:
-        assert np.unique(ds.labels[ball.members]).size == 1
+    for members in _members(bs):
+        assert np.unique(ds.labels[members]).size == 1
 
 
 def test_generate_balls_moons_granularity_and_radius_rule():
@@ -142,10 +166,8 @@ def test_generate_balls_deterministic():
     b1 = generate_balls(ds)
     b2 = generate_balls(ds)
     assert len(b1) == len(b2)
-    for x, y in zip(b1.balls, b2.balls):
-        assert np.array_equal(x.members, y.members)
-        assert np.array_equal(x.center, y.center)
-        assert x.radius == y.radius
+    for field in ("order", "sizes", "centers", "radii", "sum_radius"):
+        assert np.array_equal(getattr(b1, field), getattr(b2, field))
 
 
 def test_round_cap_warns():
@@ -161,6 +183,19 @@ def test_round_cap_warns():
     assert trace.stop_reason == "round_cap"
 
 
+def test_reused_trace_describes_the_last_run():
+    # a run that hits the round cap, then one that converges, on one trace
+    ds = generate(BUNDLED_DATASETS["moons1k"])
+    trace = DivisionTrace()
+    with pytest.warns(RuntimeWarning):
+        generate_balls(ds, DivisionConfig(max_refinement_rounds=1), trace=trace)
+    assert (trace.round_cap_hit, trace.stop_reason) == (True, "round_cap")
+    generate_balls(ds, trace=trace)
+    assert (trace.round_cap_hit, trace.stop_reason) == (False, "converged")
+    with pytest.raises(AttributeError):
+        trace.round_cap_hit = True  # read from stop_reason, never set
+
+
 def test_failed_split_stops_refinement():
     # The two far points are 2 apart, but at 1e16 both seeds' midpoints round
     # to the same value, so the split puts every member on one side.
@@ -170,7 +205,7 @@ def test_failed_split_stops_refinement():
     assert trace.stop_reason == "split_failed"
     assert not trace.round_cap_hit
     assert detect_oversized(bs.radii).tolist() == [2]
-    assert bs.balls[2].members.tolist() == [30, 31]
+    assert _members(bs)[2].tolist() == [30, 31]
     assert trace.rounds[-1].phase == "refine" and trace.rounds[-1].split_count == 0
 
 
@@ -261,12 +296,9 @@ GOLDEN_BALLS = {
 def test_generate_balls_matches_golden_digests(name):
     points = (_EDGE_INPUTS[name] if name in _EDGE_INPUTS
               else generate(BUNDLED_DATASETS[name]).points)
-    balls = generate_balls(Dataset(points=points)).balls
-    assert (_sha(np.array([b.size for b in balls], dtype=np.int64),
-                 np.concatenate([b.members for b in balls]).astype(np.int64)),
-            _sha(np.array([b.center for b in balls])),
-            _sha(np.array([b.radius for b in balls])),
-            _sha(np.array([b.sum_radius for b in balls]))) == GOLDEN_BALLS[name]
+    bs = generate_balls(Dataset(points=points))
+    assert (_sha(bs.sizes.astype(np.int64), bs.order.astype(np.int64)),
+            _sha(bs.centers), _sha(bs.radii), _sha(bs.sum_radius)) == GOLDEN_BALLS[name]
 
 
 def test_division_trace_matches_golden_digests():
