@@ -205,10 +205,8 @@ def test_criterion_6f_merge_matches_transitive_closure():
         rng = np.random.default_rng(65)
         for _ in range(200):
             m = int(rng.integers(1, 21))
-            sizes, balls = [], []
-            for _ in range(m):
-                sizes.append(int(rng.integers(1, 4) * 2))
-                balls.append(_random_ball(rng))
+            sizes, balls = zip(*[(int(rng.integers(1, 4) * 2), _random_ball(rng))
+                                 for _ in range(m)])
             flags = rng.uniform(size=m) < 0.25
             bs = _ballset(balls, sizes, flags)
             bs.overlap_counts = count_overlaps(bs)
