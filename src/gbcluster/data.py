@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import stat
+import warnings
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Sequence
@@ -19,9 +22,11 @@ from .core import BallSet, ClusterAssignment, Dataset
 
 FAMILIES = ("moons", "blobs", "circles", "spirals")
 
-# Rows per chunk when reading or writing CSV: holds the Python strings of one
-# chunk, never of the whole file.
+# Rows per chunk when writing CSV, and when ``_load_csv_python`` reads it:
+# holds the Python strings of one chunk, never of the whole file.
 _CHUNK_ROWS = 256
+# Bytes per block when scanning a file before numpy's C reader takes it.
+_BLOCK_BYTES = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -220,13 +225,69 @@ def _parse_rows(path, row_nos, rows, width, label_col) -> np.ndarray:
     raise ValueError(_first_fault(path, row_nos, rows, width, label_col))
 
 
+def _dataset(table: np.ndarray, label_col: int | None) -> Dataset:
+    if label_col is None:
+        return Dataset(points=table)
+    return Dataset(points=np.delete(table, label_col, axis=1),
+                   labels=table[:, label_col].astype(np.int64))
+
+
+def _c_table(path, has_header: bool = False) -> np.ndarray | None:
+    """The file as a float64 table by numpy's C reader, or None where the
+    reader refuses it (quotes, comments, ragged or unparsable records) or
+    might part from ``float()``."""
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None  # a pipe is read once, and by the Python reader
+    except OSError:
+        return None  # the Python reader reports it
+    with open(path, "rb") as fh:
+        # a quote in the header may open a cell that runs over the next lines
+        if has_header and b'"' in fh.readline():
+            return None
+        fh.seek(0)
+        # U+001C..U+001F (one byte each in ASCII-compatible encodings) are
+        # whitespace to numpy's float parser, not to float()
+        while block := fh.read(_BLOCK_BYTES):
+            if any(c in block for c in (b"\x1c", b"\x1d", b"\x1e", b"\x1f")):
+                return None
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            return np.loadtxt(path, dtype=np.float64, delimiter=",", skiprows=int(has_header),
+                              comments=None, quotechar=None, ndmin=2)
+    except ValueError:
+        return None
+
+
 def load_csv(path, has_header: bool = False, label_column: int | None = None) -> Dataset:
-    """Load a dataset from a comma-delimited file, ``_CHUNK_ROWS`` rows at a time.
+    """Load a dataset from a comma-delimited file.
 
     Every non-label cell must parse as a finite real; rows must all have the
     same width.  ``label_column`` (0-based) must hold integers that fit in
     int64, and is removed from the features.  The first fault in the file is
-    reported."""
+    reported.
+
+    numpy's C reader parses the file first, and its table is returned when
+    the reader takes every record and the table passes the checks above.
+    Where numpy accepts a cell it yields ``float()``'s bits, so this is what
+    ``_load_csv_python`` returns.  Any other file (quoted cells, ``1_0``,
+    non-ASCII digits, whitespace-only lines, a fault, no data rows) is read
+    again by ``_load_csv_python``, which accepts it or names its first fault.
+    """
+    table = _c_table(path, has_header)
+    if table is not None and len(table) and np.isfinite(table).all():
+        if label_column is None:
+            return _dataset(table, None)
+        width = table.shape[1]
+        if -width <= label_column < width and _is_int64(table[:, label_column]).all():
+            return _dataset(table, label_column % width)
+    return _load_csv_python(path, has_header, label_column)
+
+
+def _load_csv_python(path, has_header: bool = False, label_column: int | None = None) -> Dataset:
+    """``load_csv`` by the ``csv`` module and ``float()``, ``_CHUNK_ROWS``
+    rows at a time: the reference reader, and the one that names faults."""
     tables = []
     width = label_col = None
     with open(path, newline="") as fh:
@@ -251,11 +312,7 @@ def load_csv(path, has_header: bool = False, label_column: int | None = None) ->
             tables.append(_parse_rows(path, row_nos, rows, width, label_col))
     if not tables:
         raise ValueError(f"{path}: no data rows")
-    table = np.concatenate(tables)
-    if label_col is None:
-        return Dataset(points=table)
-    return Dataset(points=np.delete(table, label_col, axis=1),
-                   labels=table[:, label_col].astype(np.int64))
+    return _dataset(np.concatenate(tables), label_col)
 
 
 def _write_table(path, header: list[str], floats: list[np.ndarray], ints: list[np.ndarray]) -> None:

@@ -78,10 +78,11 @@ class _Strips:
     fl(lo_B,k - hi_A,k) <= fl(c_j,k - c_i,k); the other side is alike.  So
     each term of gap2 is at most the matching term of acc_ij, every partial
     sum too (rounded addition is monotone), and gap2 <= acc_ij.  Also
-    r_i <= r_A and r_j <= r_B give lim_ij <= lim_AB, rounded as well, and
-    ``_squared_bound`` is monotone.  A leaf pair with gap2 >
-    _squared_bound(lim_AB) therefore holds no entry that the prefilter would
-    pass, and skipping it drops no pair within reach.
+    r_i <= r_A and r_j <= r_B give lim_ij = fl(fl(r_i + r_j) + min(r_i,
+    r_j)) <= lim_AB, rounded as well, and ``_squared_bound`` is monotone.  A
+    leaf pair with gap2 > _squared_bound(lim_AB) therefore holds no entry
+    with acc_ij <= _squared_bound(lim_ij), which every pair within reach
+    has, and skipping it drops no pair within reach.
     """
 
     def __init__(self, centers: np.ndarray, r_max: float):
@@ -174,6 +175,15 @@ def _pairwise_center_distances(ballset: BallSet) -> tuple[np.ndarray, np.ndarray
     the diagonal; only the entries the prefilter passes get a square root
     and the exact reach test.  Besides its result the pass holds the
     centres, the leaf pairs of a chunk of row leaves and about one tile.
+
+    The prefilter has one bound per tile row: acc_ij <=
+    _squared_bound(lim_i), lim_i = fl(fl(r_i + R) + R), where R is the
+    largest radius of the tile's columns.  A pair within reach has acc_ij
+    <= _squared_bound(lim_ij), lim_ij = fl(fl(r_i + r_j) + min(r_i, r_j))
+    (see ``_squared_bound``).  As r_j <= R and min(r_i, r_j) <= R, and
+    rounding is monotone, lim_ij <= lim_i, so the row's bound passes every
+    entry that the bound of its own pair would; the exact test then
+    decides, as before.
     """
     live = np.flatnonzero(~ballset.noise_ball_flags)
     if live.size < 2:
@@ -229,10 +239,15 @@ def _pairwise_center_distances(ballset: BallSet) -> tuple[np.ndarray, np.ndarray
         _count((rows * (col1 - col0) - (col0 == row0) * rows * (rows + 1) // 2).sum())
         return row0.tolist(), row1.tolist(), col0.tolist(), col1.tolist()
 
-    kept, held = [], []  # every leaf meets itself, so some tile is held
+    # The result grows in place (realloc) by a quarter at a time as keep()
+    # fills it, so it is never held twice; pairs[:kept] and dists[:kept] are filled.
+    pairs, dists, kept = np.empty((0, 2), dtype=np.int64), np.empty(0), 0
+    held = []  # every leaf meets itself, so some tile is held
 
     def keep():
-        """The exact reach test on the held entries of the tiles."""
+        """The exact reach test on the held entries of the tiles; the pairs
+        within reach go to the result."""
+        nonlocal kept
         i, j, acc = (np.concatenate(part) for part in zip(*held))
         held.clear()
         dist = np.sqrt(acc, out=acc)
@@ -244,7 +259,14 @@ def _pairwise_center_distances(ballset: BallSet) -> tuple[np.ndarray, np.ndarray
         ri, rj = r[i], r[j]
         near = np.flatnonzero((j > i) & (dist - (ri + rj) < np.minimum(ri, rj)))
         bi, bj = ball[i[near]], ball[j[near]]
-        kept.append((np.minimum(bi, bj), np.maximum(bi, bj), dist[near]))
+        end = kept + near.size
+        if end > dists.size:
+            pairs.resize((end + end // 4, 2), refcheck=False)
+            dists.resize(end + end // 4, refcheck=False)
+        np.minimum(bi, bj, out=pairs[kept:end, 0])
+        np.maximum(bi, bj, out=pairs[kept:end, 1])
+        dist.take(near, out=dists[kept:end])
+        kept = end
 
     # The row leaves go in chunks that reach about _TILE columns in all, so
     # that a chunk's leaf pairs and column lists take O(m + _TILE) memory.
@@ -254,10 +276,10 @@ def _pairwise_center_distances(ballset: BallSet) -> tuple[np.ndarray, np.ndarray
     size = 0
     for a0, a1, c0, c1 in (t for l0, l1 in zip(edges[:-1], edges[1:]) for t in zip(*tiles(l0, l1))):
         acc = squared_distances(c[:, a0:a1, None], c[:, None, c0:c1])
-        ri, rj = r[a0:a1, None], r[None, c0:c1]
-        lim = ri + rj
-        lim += np.minimum(ri, rj)
-        at = np.flatnonzero(acc <= _squared_bound(lim))
+        r_col = r[c0:c1].max()
+        lim = r[a0:a1] + r_col
+        lim += r_col
+        at = np.flatnonzero(acc <= _squared_bound(lim)[:, None])
         i, j = np.divmod(at, c1 - c0)
         i += a0
         j += c0
@@ -268,11 +290,9 @@ def _pairwise_center_distances(ballset: BallSet) -> tuple[np.ndarray, np.ndarray
             size = 0
     if held:
         keep()
-    bi, bj, dists = zip(*kept)
-    pairs = np.empty((sum(map(len, bi)), 2), dtype=np.int64)
-    np.concatenate(bi, out=pairs[:, 0])
-    np.concatenate(bj, out=pairs[:, 1])
-    return pairs, np.concatenate(dists)
+    pairs.resize((kept, 2), refcheck=False)
+    dists.resize(kept, refcheck=False)
+    return pairs, dists
 
 
 def count_overlaps(ballset: BallSet,

@@ -60,7 +60,11 @@ class DivisionTrace:
     ``stop_reason`` says why the oversized-ball cleanup ended: "converged"
     (no oversized ball left), "round_cap" or "split_failed" (a split of an
     oversized ball put every member on one side); ``round_cap_hit`` is read
-    from it, so both describe the last run.
+    from it.
+
+    A trace passed to several runs accumulates: each run appends to
+    ``rounds``, ``accepted_splits`` and ``partitions``, while
+    ``stop_reason`` and ``round_cap_hit`` describe the last run only.
     """
 
     capture_partitions: bool = False

@@ -1,14 +1,18 @@
 """Synthetic generators and CSV round-trips."""
 
+import csv
 import hashlib
+import math
+import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from gbcluster.core import BallSet, ClusterAssignment, Dataset
-from gbcluster.data import (BUNDLED_DATASETS, GeneratorSpec, generate,
-                            load_csv, save_dataset, save_results)
+from gbcluster.data import (BUNDLED_DATASETS, GeneratorSpec, _c_table, _load_csv_python,
+                            generate, load_csv, save_dataset, save_results)
 from gbcluster.differentiation import cluster
 
 
@@ -290,6 +294,137 @@ def test_parse_table_is_unchanged(tmp_path, case):
     assert ds.points.tobytes() == np.array(points, dtype=np.float64).tobytes()
     assert ds.points.shape == np.shape(points)
     assert (ds.labels is None if labels is None else ds.labels.tolist() == labels)
+
+
+# Inputs for comparing load_csv with the Python reader, beside PARSE_TABLE's:
+# (text, kwargs).  Most are files that numpy's C reader refuses, or that it
+# parses but that fail a check, so that load_csv must fall back.
+READER_INPUTS = {
+    "blank_records": ("\n1,2\n\n3,4\n\n", {}),
+    "whitespace_records": ("1,2\n \t \n3,4\n  \n", {}),
+    "underscore": ("1_0,2\n3,4\n", {}),
+    "non_ascii_digits": ("\u0661\u0662,2\n\uff13,4\n", {}),
+    "unicode_spaces_around_cells": ("\u00a01\u2003,\x0b2\x0c\n\u30003,\x854\n", {}),
+    # whitespace to numpy's float parser, not to float()
+    "information_separators": ("1\x1c,2\x1d\n\x1e3,\x1f4\n", {}),
+    "separator_after_a_cr_header": ("x,y\r1,2\r3\x1c,4\r", {"has_header": True}),
+    "quoted_cell": ('1,"2"\n3,4\n', {}),
+    "quoted_newline_in_header": ('"x\n1",y\n3,4\n', {"has_header": True}),
+    "unclosed_quote_in_header": ('"x\n1,2\n3,4\n', {"has_header": True}),
+    "crlf": ("x,y\r\n1,2\r\n3,4\r\n", {"has_header": True}),
+    "cr_only": ("x,y\r1,2\r3,4\r", {"has_header": True}),
+    "utf8_bom": ("\ufeff1,2\n3,4\n", {}),
+    "utf8_bom_in_header": ("\ufeffx,y\n1,2\n", {"has_header": True}),
+    "no_final_newline": ("1,2\n3,4", {}),
+    "header_only_no_newline": ("x,y", {"has_header": True}),
+    "empty_with_header": ("", {"has_header": True}),
+    "blank_lines_only": ("\n\n\n", {}),
+    "one_column": ("1\n-2.5\n3e2\n", {}),
+    "one_row": ("1,2,3\n", {"label_column": 2}),
+    "label_column_first": ("7,1,2\n-8,3,4\n", {"label_column": -3}),
+    "label_column_past_the_end": ("1,2,3\n", {"label_column": 3}),
+    "label_column_before_the_start": ("1,2,3\n", {"label_column": -4}),
+    "value_1e400": ("1,2\n3,1e400\n", {}),
+    "value_minus_inf": ("1,2\n-inf,4\n", {}),
+    "value_nan_with_label": ("nan,2\n", {"label_column": 1}),
+    "label_1e400": ("1,2\n3,1e400\n", {"label_column": 1}),
+    "label_nan": ("1,2\n3,nan\n", {"label_column": 1}),
+    "label_inf": ("1,inf\n", {"label_column": -1}),
+    "label_2_5": ("1,2\n3,2.5\n", {"label_column": 1}),
+    "label_2_pow_63": ("1,9223372036854775808\n", {"label_column": 1}),
+    "label_minus_2_pow_63": ("1,-9223372036854775808\n", {"label_column": 1}),
+    "label_1e3": ("1,1e3\n2,-0.0\n", {"label_column": 1}),
+    "comment_line": ("1,2\n#3,4\n5,6\n", {}),
+    "comment_in_cell": ("1,2#x\n", {}),
+    "hex_cell": ("0x10,2\n", {}),
+    "infinity_word": ("Infinity,2\n", {}),
+    "empty_cell": ("1,,2\n", {}),
+    "nul_in_cell": ("1,2\x00\n", {}),
+    "ragged": ("1,2\n3,4,5\n", {}),
+}
+
+
+def _read(reader, path, kwargs):
+    """What reader(path, **kwargs) gives: the points and labels as bytes, or
+    the type and message of its error."""
+    try:
+        ds = reader(path, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    labels = None if ds.labels is None else (ds.labels.dtype.str, ds.labels.tobytes())
+    return ds.points.dtype.str, ds.points.shape, ds.points.tobytes(), labels
+
+
+def _write(path, text):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_TABLE) + sorted(READER_INPUTS))
+def test_load_csv_matches_the_python_reader(tmp_path, case):
+    assert not PARSE_TABLE.keys() & READER_INPUTS.keys()
+    text, kwargs = READER_INPUTS[case] if case in READER_INPUTS else PARSE_TABLE[case][:2]
+    p = tmp_path / "in.csv"
+    _write(p, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's "input contained no data" stays inside
+        got = _read(load_csv, p, kwargs)
+    assert got == _read(_load_csv_python, p, kwargs)
+
+
+def _fuzzed_cells(rng, n):
+    """Decimal numbers with 1 to 40 digits and exponents -340 to 320, every
+    tenth the shortest repr of a subnormal, with signs and spaces around."""
+    cells = []
+    for k in range(n):
+        if k % 10 == 0:
+            num = repr(float(np.uint64(rng.integers(1, 2**52)).view(np.float64)))
+        else:
+            digits = "".join(map(str, rng.integers(0, 10, rng.integers(1, 41))))
+            point = int(rng.integers(0, len(digits) + 1))
+            num = digits if rng.random() < 0.3 else digits[:point] + "." + digits[point:]
+            if rng.random() < 0.8:
+                num += f"{rng.choice(['e', 'E'])}{rng.integers(-340, 321)}"
+        pad = rng.choice(["", "", " ", "\t"], 2)
+        cells.append(f"{pad[0]}{rng.choice(['', '-', '+'])}{num}{pad[1]}")
+    return cells
+
+
+def test_c_reader_gives_float_bits_on_fuzzed_cells(tmp_path):
+    cells = _fuzzed_cells(np.random.default_rng(15), 2000)
+    values = np.array([float(c) for c in cells])
+    assert np.isinf(values).any() and (values == 0).any() and (abs(values) < 2.0**-1022).any()
+    p = tmp_path / "cells.csv"
+    _write(p, "\n".join(cells) + "\n")
+    assert _c_table(p).tobytes() == values.tobytes()
+    # the finite cells, four to a row, last column labels where integral
+    finite = [c for c, v in zip(cells, values) if math.isfinite(v)]
+    rows = [",".join(finite[k:k + 4]) for k in range(0, len(finite) - 3, 4)]
+    _write(p, "\n".join(rows) + "\n")
+    assert _c_table(p) is not None
+    for kwargs in ({}, {"label_column": 3}):
+        assert _read(load_csv, p, kwargs) == _read(_load_csv_python, p, kwargs)
+
+
+def test_load_csv_reads_a_pipe(tmp_path):
+    # a pipe can be read only once, so the C reader leaves it alone
+    r, w = os.pipe()
+    os.write(w, b"1,2\n3,4\n")
+    os.close(w)
+    try:
+        assert load_csv(f"/dev/fd/{r}").points.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    finally:
+        os.close(r)
+
+
+def test_c_reader_takes_a_cell_past_the_csv_field_limit(tmp_path):
+    # the csv module refuses a field of more than 131,072 characters (a
+    # csv.Error, not a fault of the cell); numpy parses it as float() does
+    p = tmp_path / "long.csv"
+    _write(p, "1." + "0" * 140_000 + ",2\n")
+    assert load_csv(p).points.tolist() == [[1.0, 2.0]]
+    with pytest.raises(csv.Error, match="field larger than field limit"):
+        _load_csv_python(p)
 
 
 @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e19", "9223372036854775808"])

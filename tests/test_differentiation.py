@@ -449,15 +449,22 @@ def test_pairwise_center_distances_match_all_pairs_in_chunks(d, monkeypatch):
     test_pairwise_center_distances_match_all_pairs(d)
 
 
-def test_prefilter_keeps_a_pair_whose_squared_distance_rounds_past_the_bound():
+def test_prefilter_keeps_a_pair_whose_squared_distance_rounds_past_the_bound(monkeypatch):
     # within reach, yet the squared distance rounds one ulp above fl(lim**2):
-    # the prefilter's factor 1 + 2**-40 keeps it
+    # the prefilter's factor 1 + 2**-40 keeps it.  A tile row's bound takes
+    # the larger radius twice, so the factor counts in the leaf box test,
+    # which on leaves of one ball computes the pair's own acc and lim.
     (ri, rj), (p, q) = _EDGE_RADII, _EDGE_PAIR
     lim = (ri + rj) + min(ri, rj)
     acc = squared_distances(np.array(p)[:, None], np.array(q)[:, None])[0]
     assert acc > lim * lim and np.sqrt(acc) - (ri + rj) < min(ri, rj)
-    pairs, dists = _pairwise_center_distances(_array_ballset([p, q], [ri, rj], [False, False]))
-    assert pairs.tolist() == [[0, 1]] and dists.tolist() == [np.sqrt(acc)]
+    bs = _array_ballset([p, q], [ri, rj], [False, False])
+    for leaf_size in (None, 1):
+        if leaf_size:
+            monkeypatch.setattr(gbcluster.differentiation, "_FILL", leaf_size)
+            monkeypatch.setattr(gbcluster.differentiation, "_TILE", leaf_size)
+        pairs, dists = _pairwise_center_distances(bs)
+        assert pairs.tolist() == [[0, 1]] and dists.tolist() == [np.sqrt(acc)]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 8])
@@ -539,6 +546,7 @@ def test_geometry_pass_memory_at_d8():
     tracemalloc.start()
     try:
         pairs = _pairwise_center_distances(bs)
+        pass_peak = tracemalloc.get_traced_memory()[1]
         evals = distance_evaluations()
         bs.overlap_counts = count_overlaps(bs, pairs)
         ids = merge_adjacent(bs, pairs)
@@ -548,6 +556,10 @@ def test_geometry_pass_memory_at_d8():
     assert evals <= 1.5 * within
     assert peak < 10 * 2 ** 20
     assert len(pairs[0]) == 138_053
+    # the result takes 24 B a pair, the held tiles and their reach test about
+    # 20 more here (Python 3.11, numpy 2.4: 44.2 B a pair); a pass that holds
+    # its result twice, the pieces and the whole, took 50.6 B a pair
+    assert pass_peak < 46 * len(pairs[0])
     assert ids.max() == 4
 
 

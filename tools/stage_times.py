@@ -1,4 +1,5 @@
-"""Time each stage of cluster() alone on the benchmark's blob sets; write BENCH_<label>.json.
+"""Time each stage of cluster() alone on the benchmark's blob sets, and the
+CLI's stages on the bundled sets; write BENCH_<label>.json.
 
     python3 tools/stage_times.py --label NAME [--src PATH]
 
@@ -12,10 +13,18 @@ minimum of 7 runs: division (``generate_balls``), the pair pass
 (``distance_evaluations`` over one pass), the pairs kept, the pairs of live
 centres within 3 * r_max and the ``tracemalloc`` peak of one pass.
 
+The CLI row covers what ``gbcluster run`` does on the five bundled sets, as
+the ``bundled-cli`` workload does: each set, shuffled with seed 1 and
+written by ``save_dataset``, goes through ``load_csv``, ``cluster()`` and
+``save_results``.  Each stage's time is the minimum of 7 runs on one set,
+added over the five sets.
+
 ``--src`` is the ``src`` directory of the checkout to measure (default:
-this one's), so that two commits can be timed by the same script; the git
-SHA recorded is that checkout's.  Alternate the commits and repeat, since
-the speed of a shared host drifts.
+this one's), so that two commits can be timed by the same script.  The git
+SHA recorded is that checkout's, and ``git_status`` lists what
+``git status --porcelain`` shows of its ``src`` (empty when the timed code
+is the commit's).  Alternate the commits and repeat, since the speed of a
+shared host drifts.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -63,13 +73,18 @@ def pairs_within(centers: np.ndarray, reach: float) -> int:
     return total
 
 
-def _git_sha(src: Path) -> str | None:
+def _git(src: Path, *args: str) -> str:
+    return subprocess.run(["git", "-C", str(src), *args], capture_output=True, text=True,
+                          check=True).stdout
+
+
+def _git_state(src: Path) -> tuple[str | None, list[str] | None]:
+    """HEAD of the checkout holding src, and the ``git status --porcelain``
+    lines of src; None and None outside a git checkout."""
     try:
-        out = subprocess.run(["git", "-C", str(src), "rev-parse", "HEAD"],
-                             capture_output=True, text=True, check=True)
+        return _git(src, "rev-parse", "HEAD").strip(), _git(src, "status", "--porcelain", "--", ".").splitlines()
     except (OSError, subprocess.CalledProcessError):
-        return None
-    return out.stdout.strip()
+        return None, None
 
 
 def measure(name: str, n: int, dim: int) -> dict:
@@ -104,6 +119,27 @@ def measure(name: str, n: int, dim: int) -> dict:
     }
 
 
+def measure_cli() -> dict:
+    from workloads import shuffled
+    from gbcluster.data import BUNDLED_DATASETS, generate, load_csv, save_dataset, save_results
+    from gbcluster.differentiation import cluster
+
+    seconds, rows = dict.fromkeys(("load_csv", "cluster", "save_results"), 0.0), 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, spec in sorted(BUNDLED_DATASETS.items()):
+            data = shuffled(generate(spec), SHUFFLE_SEED)[0]
+            path = os.path.join(tmp, f"{name}.csv")
+            save_dataset(path, data)
+            ds, t = _best(lambda: load_csv(path, has_header=True, label_column=data.dim))
+            seconds["load_csv"] += t
+            (assignment, ballset), t = _best(lambda: cluster(ds))
+            seconds["cluster"] += t
+            _, t = _best(lambda: save_results(os.path.join(tmp, name), ds, assignment, ballset))
+            seconds["save_results"] += t
+            rows += len(ds)
+    return {"name": "bundled-cli", "sets": sorted(BUNDLED_DATASETS), "rows": rows, "seconds": seconds}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="names the output, BENCH_<label>.json")
@@ -114,8 +150,9 @@ def main(argv=None) -> int:
     import gbcluster
     if Path(gbcluster.__file__).resolve().parent != src / "gbcluster":
         parser.error(f"gbcluster was not imported from {src}")
+    sha, status = _git_state(src)
     result = {
-        "label": args.label, "git_sha": _git_sha(src), "numpy": np.__version__,
+        "label": args.label, "git_sha": sha, "git_status": status, "numpy": np.__version__,
         "python": platform.python_version(),
         "machine": {"platform": platform.platform(), "processor": platform.processor() or platform.machine(),
                     "cpus": os.cpu_count()},
@@ -127,6 +164,9 @@ def main(argv=None) -> int:
         stages = "  ".join(f"{k} {v * 1e3:.1f}" for k, v in row["seconds"].items())
         print(f"{name}: m={row['balls']}  {stages} ms  entries {row['tile_entries']:,}  "
               f"kept {row['pairs_kept']:,}  within 3*r_max {row['pairs_within_3rmax']:,}", flush=True)
+    result["cli"] = measure_cli()
+    stages = "  ".join(f"{k} {v * 1e3:.1f}" for k, v in result["cli"]["seconds"].items())
+    print(f"bundled-cli: {result['cli']['rows']:,} rows  {stages} ms", flush=True)
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {path}")
