@@ -237,10 +237,11 @@ def _c_table(path, has_header: bool = False) -> np.ndarray | None:
     reader refuses it (quotes, comments, ragged or unparsable records) or
     might part from ``float()``."""
     try:
-        if not stat.S_ISREG(os.stat(path).st_mode):
-            return None  # a pipe is read once, and by the Python reader
-    except OSError:
-        return None  # the Python reader reports it
+        # numpy opens str paths only, and a pipe can be read only once
+        if not (isinstance(os.fspath(path), str) and stat.S_ISREG(os.stat(path).st_mode)):
+            return None
+    except (TypeError, OSError):
+        return None  # the Python reader opens it, or reports why it cannot
     with open(path, "rb") as fh:
         # a quote in the header may open a cell that runs over the next lines
         if has_header and b'"' in fh.readline():

@@ -173,8 +173,9 @@ def _pairwise_center_distances(ballset: BallSet) -> tuple[np.ndarray, np.ndarray
     meets, cut to ``reach`` on the second coordinate, is one dense tile of
     squared distances.  Counts one distance evaluation per tile entry above
     the diagonal; only the entries the prefilter passes get a square root
-    and the exact reach test.  Besides its result the pass holds the
-    centres, the leaf pairs of a chunk of row leaves and about one tile.
+    and the exact reach test.  Besides its result, with up to a quarter of
+    it spare, the pass holds the centres, the leaf pairs of a chunk of row
+    leaves and about one tile.
 
     The prefilter has one bound per tile row: acc_ij <=
     _squared_bound(lim_i), lim_i = fl(fl(r_i + R) + R), where R is the
@@ -240,7 +241,8 @@ def _pairwise_center_distances(ballset: BallSet) -> tuple[np.ndarray, np.ndarray
         return row0.tolist(), row1.tolist(), col0.tolist(), col1.tolist()
 
     # The result grows in place (realloc) by a quarter at a time as keep()
-    # fills it, so it is never held twice; pairs[:kept] and dists[:kept] are filled.
+    # fills it, so it is never held twice; pairs[:kept] and dists[:kept] are
+    # filled.  No view of either outlives a call, so resizing is safe.
     pairs, dists, kept = np.empty((0, 2), dtype=np.int64), np.empty(0), 0
     held = []  # every leaf meets itself, so some tile is held
 

@@ -406,8 +406,9 @@ def test_c_reader_gives_float_bits_on_fuzzed_cells(tmp_path):
         assert _read(load_csv, p, kwargs) == _read(_load_csv_python, p, kwargs)
 
 
-def test_load_csv_reads_a_pipe(tmp_path):
-    # a pipe can be read only once, so the C reader leaves it alone
+def test_load_csv_reads_a_pipe_and_a_descriptor(tmp_path):
+    # a pipe can be read only once, and numpy opens no descriptor, so the
+    # C reader leaves both to the Python reader
     r, w = os.pipe()
     os.write(w, b"1,2\n3,4\n")
     os.close(w)
@@ -415,6 +416,9 @@ def test_load_csv_reads_a_pipe(tmp_path):
         assert load_csv(f"/dev/fd/{r}").points.tolist() == [[1.0, 2.0], [3.0, 4.0]]
     finally:
         os.close(r)
+    p = tmp_path / "in.csv"
+    p.write_text("1,2\n3,4\n")
+    assert load_csv(os.open(p, os.O_RDONLY)).points.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 def test_c_reader_takes_a_cell_past_the_csv_field_limit(tmp_path):
