@@ -25,8 +25,8 @@ FAMILIES = ("moons", "blobs", "circles", "spirals")
 # Rows per chunk when writing CSV, and when ``_load_csv_python`` reads it:
 # holds the Python strings of one chunk, never of the whole file.
 _CHUNK_ROWS = 256
-# Bytes per block when scanning a file before numpy's C reader takes it.
-_BLOCK_BYTES = 2 ** 18
+# Characters per block when scanning a file before numpy's C reader takes it.
+_BLOCK_CHARS = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -234,30 +234,29 @@ def _dataset(table: np.ndarray, label_col: int | None) -> Dataset:
 
 def _c_table(path, has_header: bool = False) -> np.ndarray | None:
     """The file as a float64 table by numpy's C reader, or None where the
-    reader refuses it (quotes, comments, ragged or unparsable records) or
-    might part from ``float()``."""
+    reader refuses it (comments, ragged or unparsable records) or might part
+    from the ``csv`` module and ``float()``."""
     try:
-        # numpy opens str paths only, and a pipe can be read only once
+        # open() would take over a descriptor, and a pipe can be read only once
         if not (isinstance(os.fspath(path), str) and stat.S_ISREG(os.stat(path).st_mode)):
             return None
     except (TypeError, OSError):
         return None  # the Python reader opens it, or reports why it cannot
-    with open(path, "rb") as fh:
-        # a quote in the header may open a cell that runs over the next lines
-        if has_header and b'"' in fh.readline():
-            return None
-        fh.seek(0)
-        # U+001C..U+001F (one byte each in ASCII-compatible encodings) are
-        # whitespace to numpy's float parser, not to float()
-        while block := fh.read(_BLOCK_BYTES):
-            if any(c in block for c in (b"\x1c", b"\x1d", b"\x1e", b"\x1f")):
-                return None
     try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            return np.loadtxt(path, dtype=np.float64, delimiter=",", skiprows=int(has_header),
-                              comments=None, quotechar=None, ndmin=2)
-    except ValueError:
+        # opened here, in the Python reader's encoding: given the path,
+        # numpy would pick a decompressor by its suffix (.gz, .bz2, .xz, ...)
+        with open(path) as fh:
+            # a quote may open a cell that runs over lines, and U+001C..U+001F
+            # are whitespace to numpy's float parser, not to float()
+            while block := fh.read(_BLOCK_CHARS):
+                if any(c in block for c in '"\x1c\x1d\x1e\x1f'):
+                    return None
+            fh.seek(0)
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                return np.loadtxt(fh, dtype=np.float64, delimiter=",", skiprows=int(has_header),
+                                  comments=None, quotechar=None, ndmin=2)
+    except ValueError:  # UnicodeDecodeError too
         return None
 
 

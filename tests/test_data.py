@@ -1,6 +1,7 @@
 """Synthetic generators and CSV round-trips."""
 
 import csv
+import gzip
 import hashlib
 import math
 import os
@@ -407,8 +408,8 @@ def test_c_reader_gives_float_bits_on_fuzzed_cells(tmp_path):
 
 
 def test_load_csv_reads_a_pipe_and_a_descriptor(tmp_path):
-    # a pipe can be read only once, and numpy opens no descriptor, so the
-    # C reader leaves both to the Python reader
+    # a pipe can be read only once, and a descriptor the C reader opened
+    # would be closed before a fall back, so it leaves both to the Python reader
     r, w = os.pipe()
     os.write(w, b"1,2\n3,4\n")
     os.close(w)
@@ -419,6 +420,23 @@ def test_load_csv_reads_a_pipe_and_a_descriptor(tmp_path):
     p = tmp_path / "in.csv"
     p.write_text("1,2\n3,4\n")
     assert load_csv(os.open(p, os.O_RDONLY)).points.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    p.write_text('1,"2"\n3,4\n')  # the C reader refuses quotes
+    assert load_csv(os.open(p, os.O_RDONLY)).points.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma", ".zip"])
+def test_load_csv_ignores_a_compressed_suffix(tmp_path, suffix):
+    # both readers read the bytes as text, whatever the name; numpy, given
+    # the path, would open .gz, .bz2 and .xz files through a decompressor
+    p = tmp_path / ("in.csv" + suffix)
+    _write(p, "x,y\n1,2\n3,4\n")
+    for label_column, shape in ((None, (2, 2)), (1, (2, 1))):
+        got = _read(load_csv, p, {"has_header": True, "label_column": label_column})
+        assert got == _read(_load_csv_python, p, {"has_header": True, "label_column": label_column})
+        assert got[1] == shape
+    p.write_bytes(gzip.compress(b"1,2\n3,4\n", mtime=0))
+    got = _read(load_csv, p, {})
+    assert got == _read(_load_csv_python, p, {}) and got[0] is UnicodeDecodeError
 
 
 def test_c_reader_takes_a_cell_past_the_csv_field_limit(tmp_path):
