@@ -13,7 +13,10 @@ strips, each strip is cut into kd leaves with bounding boxes, and each
 leaf meets the leaves near it, in its own strip and the next, as small
 dense tiles of squared distances; leaf pairs whose boxes lie out of reach
 compute nothing.  A prefilter on the tiles spares the square root for all
-but the pairs near enough to overlap or be adjacent.  Noise points search
+but the pairs near enough to overlap or be adjacent.  This one sweep counts
+the overlaps and joins each overlapping pair as it finds it, since such a
+pair is adjacent whatever tau is; it keeps only the other pairs within
+reach, for tau to decide once the counts are complete.  Noise points search
 the same strips.  The module counts its distance evaluations so that
 budget is checkable.
 """
@@ -162,8 +165,50 @@ def _leaves(c: np.ndarray, bounds: np.ndarray, limit: np.ndarray) -> tuple[np.nd
         bounds = np.sort(np.append(bounds, bounds[:-1][big] + sizes[big] // 2))
 
 
-def _pairwise_center_distances(ballset: BallSet) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs of non-noise balls within reach, (E, 2) ball indices i < j, and their centre distances.
+@dataclass(frozen=True, eq=False)
+class _Sweep:
+    """What the geometry sweep leaves.
+
+    ``counts`` is each ball's overlap count, and ``root`` the lowest ball
+    index that chains of overlapping pairs join it to.  ``kept`` holds the
+    pairs within reach that do not overlap, a batch at a time: (k, 2) ball
+    indices i < j, and their gaps fl(d - fl(r_i + r_j)), which tau decides.
+    ``strips`` holds the live centres, or None under two live balls.
+    """
+
+    counts: np.ndarray
+    root: np.ndarray
+    kept: list[tuple[np.ndarray, np.ndarray]]
+    strips: _Strips | None
+
+
+def _hook(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Join the components of a[k] and b[k] for every k, in place.
+
+    root maps every node to the lowest node of its component, before and
+    after: the larger root of each edge's ends is hooked to the smaller (the
+    least of them, where several edges hook one root), then pointers jump
+    until every node points at its root; an edge is dropped once its ends
+    agree.  A round costs O(m + edges), so callers gather m edges or more.
+    """
+    ra, rb = root[a], root[b]
+    while True:
+        apart = np.flatnonzero(ra != rb)
+        if not apart.size:
+            return
+        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root[:] = jumped
+        ra, rb = root[a], root[b]
+
+
+def _pairwise_center_distances(ballset: BallSet) -> _Sweep:
+    """The geometry sweep over the non-noise balls: their overlap counts, the
+    components that overlaps join, and the other pairs within reach.
 
     Overlap needs d_ij < r_i + r_j and adjacency d_ij < r_i + r_j + tau, with
     tau <= min(r_i, r_j); both stay below 3 * r_max.  The centres are swept in
@@ -173,9 +218,16 @@ def _pairwise_center_distances(ballset: BallSet) -> tuple[np.ndarray, np.ndarray
     meets, cut to ``reach`` on the second coordinate, is one dense tile of
     squared distances.  Counts one distance evaluation per tile entry above
     the diagonal; only the entries the prefilter passes get a square root
-    and the exact reach test.  Besides its result, with up to a quarter of
-    it spare, the pass holds the centres, the leaf pairs of a chunk of row
-    leaves and about one tile.
+    and the exact test.
+
+    The entries held go through the exact test a batch at a time.  A pair
+    overlaps when its gap g = fl(d - fl(r_i + r_j)) is below 0, which is
+    exactly d < r_i + r_j.  It is added to both balls' counts and joined at
+    once, because tau >= 0 > g makes it adjacent whatever the counts.  A pair
+    with 0 <= g < min(r_i, r_j) is kept with its gap for tau to decide.  So
+    the sweep holds the centres, a count and a root per ball, the kept pairs,
+    the leaf pairs of a chunk of row leaves and about one batch of entries,
+    and nothing per overlapping pair.
 
     The prefilter has one bound per tile row: acc_ij <=
     _squared_bound(lim_i), lim_i = fl(fl(r_i + R) + R), where R is the
@@ -186,9 +238,11 @@ def _pairwise_center_distances(ballset: BallSet) -> tuple[np.ndarray, np.ndarray
     entry that the bound of its own pair would; the exact test then
     decides, as before.
     """
+    m = len(ballset)
+    counts, root = np.zeros(m, dtype=np.int64), np.arange(m)
     live = np.flatnonzero(~ballset.noise_ball_flags)
     if live.size < 2:
-        return np.empty((0, 2), dtype=np.int64), np.empty(0)
+        return _Sweep(counts, root, [], None)
     radii = ballset.radii[live]
     strips = _Strips(ballset.centers.take(live, axis=0), float(radii.max()))
     # a strip's rows meet its own columns and the next strip's; a leaf holds
@@ -238,37 +292,42 @@ def _pairwise_center_distances(ballset: BallSet) -> tuple[np.ndarray, np.ndarray
         row0, row1 = starts[leaf], bounds[leaf + 1]
         rows = row1 - row0
         _count((rows * (col1 - col0) - (col0 == row0) * rows * (rows + 1) // 2).sum())
+        # a tile of more than _TILE entries goes in pieces of _TILE // rows columns
+        step = np.maximum(1, _TILE // rows)
+        pieces = -(-(col1 - col0) // step)
+        k = np.arange(pieces.sum()) - np.repeat(np.cumsum(pieces) - pieces, pieces)  # piece of its tile
+        row0, row1, col0, col1, step = (np.repeat(v, pieces) for v in (row0, row1, col0, col1, step))
+        col0 += k * step
+        col1 = np.minimum(col1, col0 + step)
         return row0.tolist(), row1.tolist(), col0.tolist(), col1.tolist()
 
-    # The result grows in place (realloc) by a quarter at a time as keep()
-    # fills it, so it is never held twice; pairs[:kept] and dists[:kept] are
-    # filled.  No view of either outlives a call, so resizing is safe.
-    pairs, dists, kept = np.empty((0, 2), dtype=np.int64), np.empty(0), 0
-    held = []  # every leaf meets itself, so some tile is held
+    kept, held, joins = [], [], []  # every leaf meets itself, so some tile is held
+
+    def join():
+        """Count and hook the overlapping pairs gathered so far."""
+        a, b = (np.concatenate(part) for part in zip(*joins))
+        joins.clear()
+        counts[:] += np.bincount(a, minlength=m) + np.bincount(b, minlength=m)
+        _hook(root, a, b)
 
     def keep():
-        """The exact reach test on the held entries of the tiles; the pairs
-        within reach go to the result."""
-        nonlocal kept
+        """The exact test on the held entries of the tiles: overlapping pairs
+        go to be counted and joined, the other pairs within reach are kept."""
         i, j, acc = (np.concatenate(part) for part in zip(*held))
         held.clear()
-        dist = np.sqrt(acc, out=acc)
-        # Reach: the gap fl(d - s), s = fl(r_i + r_j), is below min(r_i, r_j).
-        # Adjacency needs gap < tau, and tau <= min(r_i, r_j) in floating point
-        # too; overlap needs d < s, and then fl(d - s) < 0 <= min(r_i, r_j).
-        # So every overlapping and every adjacent pair is kept.  A leaf's own
-        # tile also holds each pair below the diagonal; j > i keeps it once.
         ri, rj = r[i], r[j]
-        near = np.flatnonzero((j > i) & (dist - (ri + rj) < np.minimum(ri, rj)))
-        bi, bj = ball[i[near]], ball[j[near]]
-        end = kept + near.size
-        if end > dists.size:
-            pairs.resize((end + end // 4, 2), refcheck=False)
-            dists.resize(end + end // 4, refcheck=False)
-        np.minimum(bi, bj, out=pairs[kept:end, 0])
-        np.maximum(bi, bj, out=pairs[kept:end, 1])
-        dist.take(near, out=dists[kept:end])
-        kept = end
+        gap = np.sqrt(acc, out=acc)
+        gap -= ri + rj
+        # Reach: the gap is below min(r_i, r_j).  Adjacency needs gap < tau, and
+        # tau <= min(r_i, r_j) in floating point too; overlap needs gap < 0.  A
+        # leaf's own tile also holds each pair below the diagonal; j > i takes
+        # it once.
+        upper = j > i
+        hit = np.flatnonzero(upper & (gap < 0))
+        joins.append((ball[i[hit]], ball[j[hit]]))
+        near = np.flatnonzero(upper & (gap >= 0) & (gap < np.minimum(ri, rj)))
+        a, b = ball[i[near]], ball[j[near]]
+        kept.append((np.stack((np.minimum(a, b), np.maximum(a, b)), axis=1), gap[near]))
 
     # The row leaves go in chunks that reach about _TILE columns in all, so
     # that a chunk's leaf pairs and column lists take O(m + _TILE) memory.
@@ -282,32 +341,28 @@ def _pairwise_center_distances(ballset: BallSet) -> tuple[np.ndarray, np.ndarray
         lim = r[a0:a1] + r_col
         lim += r_col
         at = np.flatnonzero(acc <= _squared_bound(lim)[:, None])
+        if size + at.size > _TILE:  # a batch holds _TILE entries at the most, as a tile does
+            keep()
+            size = 0
+            # a round of hooking costs O(m), so overlapping pairs wait until there are m
+            if sum(a.size for a, _ in joins) >= m:
+                join()
         i, j = np.divmod(at, c1 - c0)
         i += a0
         j += c0
         held.append((i, j, acc.take(at)))
-        size += i.size
-        if size >= _TILE:
-            keep()
-            size = 0
-    if held:
-        keep()
-    pairs.resize((kept, 2), refcheck=False)
-    dists.resize(kept, refcheck=False)
-    return pairs, dists
+        size += at.size
+    keep()
+    join()
+    return _Sweep(counts, root, kept, strips)
 
 
-def count_overlaps(ballset: BallSet,
-                   _pairs: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+def count_overlaps(ballset: BallSet, _sweep: _Sweep | None = None) -> np.ndarray:
     """Number of other non-noise balls strictly overlapping each ball.
 
     Noise balls neither overlap nor are overlapped; their count is 0.
     """
-    pairs, dists = _pairwise_center_distances(ballset) if _pairs is None else _pairs
-    i, j, radii = pairs[:, 0], pairs[:, 1], ballset.radii
-    hit = dists < radii[i] + radii[j]
-    return (np.bincount(i.compress(hit), minlength=len(ballset))
-            + np.bincount(j.compress(hit), minlength=len(ballset)))
+    return (_pairwise_center_distances(ballset) if _sweep is None else _sweep).counts
 
 
 def tau(r_i, r_j, o_i, o_j):
@@ -320,7 +375,7 @@ def tau(r_i, r_j, o_i, o_j):
 
 @dataclass(frozen=True, eq=False)
 class AdjacencyGraph:
-    """Undirected adjacency over non-noise balls.
+    """Adjacency over non-noise balls, less the pairs that overlap.
 
     ``nodes`` are ball indices; ``edges`` is an (E, 2) array of ball-index
     pairs (i, j) with i < j, so the relation is symmetric by construction
@@ -331,62 +386,42 @@ class AdjacencyGraph:
     edges: np.ndarray
 
 
-def adjacency_graph(ballset: BallSet,
-                    _pairs: tuple[np.ndarray, np.ndarray] | None = None) -> AdjacencyGraph:
-    """Evaluate the adjacency criterion over the candidate pairs of non-noise balls.
+def adjacency_graph(ballset: BallSet, _sweep: _Sweep | None = None) -> AdjacencyGraph:
+    """The adjacent pairs of non-noise balls that do not overlap: the pairs
+    the sweep kept whose gap is below tau.
 
-    Requires ballset.overlap_counts to be filled in (two-pass scheme: counts
-    first, adjacency second).
+    An overlapping pair is adjacent whatever the overlap counts, and the
+    sweep has joined it already, so it is not among the edges.  Requires
+    ballset.overlap_counts to be filled in (two-pass scheme: counts first,
+    adjacency second).
     """
-    pairs, dists = _pairwise_center_distances(ballset) if _pairs is None else _pairs
+    sweep = _pairwise_center_distances(ballset) if _sweep is None else _sweep
     radii, overlaps = ballset.radii, ballset.overlap_counts
-    adjacent = np.empty(dists.size, dtype=bool)
-    for s in range(0, dists.size, _TILE):  # a tile of pairs at a time bounds the temporaries
-        i, j = pairs[s:s + _TILE, 0], pairs[s:s + _TILE, 1]
-        ri, rj = radii[i], radii[j]
-        adjacent[s:s + _TILE] = dists[s:s + _TILE] - (ri + rj) < tau(ri, rj, overlaps[i], overlaps[j])
-    return AdjacencyGraph(nodes=np.flatnonzero(~ballset.noise_ball_flags),
-                          edges=pairs.compress(adjacent, axis=0))
+    edges = [np.empty((0, 2), dtype=np.int64)]
+    for pairs, gaps in sweep.kept:  # a batch at a time bounds the temporaries
+        i, j = pairs[:, 0], pairs[:, 1]
+        edges.append(pairs[gaps < tau(radii[i], radii[j], overlaps[i], overlaps[j])])
+    return AdjacencyGraph(nodes=np.flatnonzero(~ballset.noise_ball_flags), edges=np.concatenate(edges))
 
 
-def _components(n: int, edges: np.ndarray) -> np.ndarray:
-    """Per node, the lowest node index of its connected component.
-
-    Min-label hooking of roots over the edges, then pointer jumping until
-    every node points at its root; an edge is dropped once both ends agree.
-    """
-    root = np.arange(n)
-    a, b = edges[:, 0], edges[:, 1]
-    ra, rb = a, b  # the roots of the ends while root is the identity
-    while ra.size:
-        np.minimum.at(root, ra, rb)
-        np.minimum.at(root, rb, ra)
-        while True:
-            jumped = root[root]
-            if np.array_equal(jumped, root):
-                break
-            root = jumped
-        ra, rb = root[a], root[b]
-        apart = np.flatnonzero(ra != rb)
-        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
-    return root
-
-
-def merge_adjacent(ballset: BallSet,
-                   _pairs: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+def merge_adjacent(ballset: BallSet, _sweep: _Sweep | None = None) -> np.ndarray:
     """Cluster id per ball: connected components of the adjacency graph.
 
-    Components are numbered 0..K-1 in order of the smallest ball index they
-    contain; noise balls get -1.
+    The edges tau accepts are hooked into the components that the sweep's
+    overlapping pairs joined.  Components are numbered 0..K-1 in order of
+    the smallest ball index they contain; noise balls get -1.
     """
+    sweep = _pairwise_center_distances(ballset) if _sweep is None else _sweep
+    graph = adjacency_graph(ballset, sweep)
+    root = sweep.root.copy()
+    _hook(root, graph.edges[:, 0], graph.edges[:, 1])
     ids = np.full(len(ballset), NOISE, dtype=np.int64)
-    graph = adjacency_graph(ballset, _pairs)
-    root = _components(len(ballset), graph.edges)
     ids[graph.nodes] = np.unique(root[graph.nodes], return_inverse=True)[1]
     return ids
 
 
-def assign_noise(dataset: Dataset, ballset: BallSet, ball_cluster_ids: np.ndarray) -> ClusterAssignment:
+def assign_noise(dataset: Dataset, ballset: BallSet, ball_cluster_ids: np.ndarray,
+                 _strips: _Strips | None = None) -> ClusterAssignment:
     """Turn ball cluster ids into per-point labels.
 
     Points of noise balls join the cluster of the nearest non-noise ball
@@ -406,8 +441,9 @@ def assign_noise(dataset: Dataset, ballset: BallSet, ball_cluster_ids: np.ndarra
     pts = dataset.points.take(points, axis=0).T.copy()
     # A winning ball has gap <= mean_radius <= r_max, so its centre lies within
     # 2 * r_max of the point: in the point's strip or a neighbour, within
-    # ``reach`` on the second coordinate.
-    strips = _Strips(ballset.centers.take(live, axis=0), float(radii.max()))
+    # ``reach`` on the second coordinate.  The sweep's strips are these.
+    strips = (_Strips(ballset.centers.take(live, axis=0), float(radii.max()))
+              if _strips is None else _strips)
     r = radii[strips.order]
     bound = _squared_bound(mean_radius + r)  # prefilter of gap = fl(dist - r) <= mean_radius
     strip, y = strips.locate(pts)
@@ -456,11 +492,11 @@ def cluster(dataset: Dataset, config: DivisionConfig | None = None,
     # a reused trace holds earlier runs' splits, already at their own scale
     earlier = len(trace.accepted_splits) if trace is not None else 0
     ballset = generate_balls(dataset, config, trace)
-    # one set of candidate pairs serves both the overlap and adjacency passes
-    pairs = _pairwise_center_distances(ballset)
-    ballset.overlap_counts = count_overlaps(ballset, pairs)
-    ids = merge_adjacent(ballset, pairs)
-    assignment = assign_noise(dataset, ballset, ids)
+    # one sweep serves the overlap counts, the merge and the noise search
+    sweep = _pairwise_center_distances(ballset)
+    ballset.overlap_counts = count_overlaps(ballset, sweep)
+    ids = merge_adjacent(ballset, sweep)
+    assignment = assign_noise(dataset, ballset, ids, sweep.strips)
     if exp:
         ballset.centers, ballset.radii, ballset.sum_radius = (
             np.ldexp(a, exp) for a in (ballset.centers, ballset.radii, ballset.sum_radius))

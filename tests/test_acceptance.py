@@ -18,9 +18,8 @@ from gbcluster.baselines import dbscan, dpeak
 from gbcluster.cli import BENCH_BASELINES, EXIT_OK, EXIT_USAGE, main
 from gbcluster.core import BallSet, Dataset, fit_ball
 from gbcluster.data import BUNDLED_DATASETS, generate
-from gbcluster.differentiation import (adjacency_graph, cluster, count_overlaps,
-                                       distance_evaluations, merge_adjacent,
-                                       reset_distance_counter, tau)
+from gbcluster.differentiation import (cluster, count_overlaps, distance_evaluations,
+                                       merge_adjacent, reset_distance_counter, tau)
 from gbcluster.division import DivisionTrace, detect_oversized, generate_balls
 from gbcluster.metrics import benchmark, rand_index
 
@@ -170,10 +169,10 @@ def _adjacent(bs, i, j):
 
 
 def _pair_adjacent(bi, bj, oi, oj):
-    """Whether adjacency_graph joins two balls whose overlap counts are set to (oi, oj)."""
+    """Whether merge_adjacent joins two balls whose overlap counts are set to (oi, oj)."""
     bs = _ballset([bi, bj], [5, 5], [False, False])
     bs.overlap_counts = np.array([oi, oj])
-    return adjacency_graph(bs).edges.tolist() == [[0, 1]]
+    return merge_adjacent(bs).tolist() == [0, 0]
 
 
 def test_criterion_6d_adjacency_symmetry_and_overlap():

@@ -42,6 +42,12 @@ def _ballset(balls, noise_flags=None):
     return _array_ballset(centers, radii, flags, sizes)
 
 
+def _kept(sweep):
+    """The pairs the sweep kept, (K, 2), and their gaps, its batches joined."""
+    pairs, gaps = zip(*sweep.kept) if sweep.kept else ((), ())
+    return np.concatenate([np.empty((0, 2), np.int64), *pairs]), np.concatenate([np.empty(0), *gaps])
+
+
 def _fitted(ds, groups):
     """The balls that fit_ball gives the member groups, as one BallSet."""
     order = np.concatenate([np.asarray(g, dtype=np.int64) for g in groups])
@@ -61,13 +67,21 @@ def _adjacent(bs, i, j):
                                              int(bs.overlap_counts[j]))
 
 
+def _overlapping(bs, i, j):
+    """Whether balls i and j of bs overlap, one scalar at a time."""
+    sq = 0.0
+    for a, b in zip(bs.centers[i].tolist(), bs.centers[j].tolist()):
+        sq += (a - b) * (a - b)
+    return math.sqrt(sq) < float(bs.radii[i]) + float(bs.radii[j])
+
+
 def _pair_adjacent(ball_i, ball_j, o_i, o_j):
-    """Whether adjacency_graph joins two balls whose overlap counts are set to (o_i, o_j)."""
+    """Whether merge_adjacent joins two balls whose overlap counts are set to (o_i, o_j)."""
     bs = _ballset([ball_i, ball_j])
     bs.overlap_counts = np.array([o_i, o_j])
-    edges = adjacency_graph(bs).edges.tolist()
-    assert edges in ([], [[0, 1]])
-    return bool(edges)
+    ids = merge_adjacent(bs).tolist()
+    assert ids in ([0, 0], [0, 1])
+    return ids == [0, 0]
 
 
 def test_count_overlaps_examples():
@@ -102,6 +116,38 @@ def test_are_adjacent_examples():
     assert not _pair_adjacent(_ball([0, 0], 1), _ball([3, 0], 1), 1, 2)
     # gap 0.3 with tau = 1 -> adjacent
     assert _pair_adjacent(_ball([0, 0], 1), _ball([2.3, 0], 1), 0, 0)
+
+
+def test_overlapping_pair_is_joined_however_small_tau_is():
+    # a centre gap 2**-40 short of r_i + r_j: the pair overlaps, and overlap
+    # counts of 10**15 make tau about 1e-15, far below the pair's gap in
+    # magnitude; the sweep joins it anyway, and tau never sees it
+    bs = _ballset([_ball([0.0, 0.0], 1.0), _ball([2.0 - 2.0 ** -40, 0.0], 1.0)])
+    sweep = _pairwise_center_distances(bs)
+    assert sweep.counts.tolist() == [1, 1] and sweep.root.tolist() == [0, 0]
+    assert _kept(sweep)[0].tolist() == []
+    bs.overlap_counts = np.array([10 ** 15, 10 ** 15])
+    assert tau(1.0, 1.0, 10 ** 15, 10 ** 15) < 2.0 ** -40
+    assert adjacency_graph(bs).edges.tolist() == []
+    assert merge_adjacent(bs).tolist() == [0, 0]
+
+
+def test_tangent_pair_is_left_to_tau():
+    # gap exactly 0: not an overlap (counts stay 0), so the pair is kept with
+    # its gap and tau decides it: tau = 1 joins the unit balls, and the tau
+    # of 0 that a zero radius gives does not join the other pair
+    unit = _ballset([_ball([0.0, 0.0], 1.0), _ball([2.0, 0.0], 1.0)])
+    sweep = _pairwise_center_distances(unit)
+    assert sweep.counts.tolist() == [0, 0] and sweep.root.tolist() == [0, 1]
+    pairs, gaps = _kept(sweep)
+    assert pairs.tolist() == [[0, 1]] and gaps.tolist() == [0.0]
+    unit.overlap_counts = count_overlaps(unit, sweep)
+    assert adjacency_graph(unit, sweep).edges.tolist() == [[0, 1]]
+    assert merge_adjacent(unit, sweep).tolist() == [0, 0]
+    point = _ballset([_ball([0.0, 0.0], 1.0), _ball([1.0, 0.0], 0.0)])
+    point.overlap_counts = count_overlaps(point)
+    assert point.overlap_counts.tolist() == [0, 0]
+    assert merge_adjacent(point).tolist() == [0, 1]
 
 
 def test_adjacency_symmetry_and_overlap_implication():
@@ -149,11 +195,16 @@ def test_adjacency_graph_matches_pairwise_predicate():
         assert set(graph.nodes) == set(np.flatnonzero(bs.sizes > 1))
         assert all(i < j for i, j in graph.edges)  # no self-loops, one edge per pair
         edge_set = set(map(tuple, graph.edges.tolist()))
+        root = _pairwise_center_distances(bs).root
         live = list(graph.nodes)
         for a in range(len(live)):
             for b in range(a + 1, len(live)):
                 i, j = live[a], live[b]
-                assert ((i, j) in edge_set) == _adjacent(bs, i, j)
+                # overlapping pairs are joined by the sweep, the others by tau
+                overlapping = _overlapping(bs, i, j)
+                assert ((i, j) in edge_set) == (_adjacent(bs, i, j) and not overlapping)
+                if overlapping:
+                    assert root[i] == root[j]
         if expected is not None:
             assert not bs.overlap_counts.any()
             assert graph.edges.tolist() == expected
@@ -419,10 +470,26 @@ def _sweep_inputs(rng, d):
     yield "clusters", _array_ballset(*_clusters(rng, d), np.zeros(m, bool))
 
 
+def _components_oracle(m, a, b):
+    """Per node, the lowest node of its component under the edges (a, b): a
+    breadth-first search from each node not yet reached, in index order."""
+    adj = np.zeros((m, m), dtype=bool)
+    adj[a, b] = adj[b, a] = True
+    root = np.full(m, -1)
+    for start in range(m):
+        if root[start] < 0:
+            root[start], frontier = start, [start]
+            while frontier:
+                reached = np.flatnonzero(adj[frontier].any(axis=0) & (root < 0))
+                root[reached], frontier = start, reached.tolist()
+    return root
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 8, 9, 16])
 def test_pairwise_center_distances_match_all_pairs(d):
-    # every pair within reach, and its distance bits, the squares added in
-    # coordinate order over all pairs
+    # over all pairs, the squares added in coordinate order: the overlap
+    # count of every ball, the components that overlapping pairs join, and
+    # every pair within reach that does not overlap, with its gap bits
     rng = np.random.default_rng(d)
     for name, bs in _sweep_inputs(rng, d):
         live = np.flatnonzero(~bs.noise_ball_flags)
@@ -434,12 +501,21 @@ def test_pairwise_center_distances_match_all_pairs(d):
             for k in range(1, d):
                 squared += (c[a, k] - c[b, k]) ** 2
             dist = np.sqrt(squared)
-            near = dist - (r[a] + r[b]) < np.minimum(r[a], r[b])
-            pairs, dists = _pairwise_center_distances(bs)
+            gap = dist - (r[a] + r[b])
+            near = gap < np.minimum(r[a], r[b])
+            sweep = _pairwise_center_distances(bs)
+        overlap = dist < r[a] + r[b]
+        assert np.array_equal(overlap, gap < 0), name
         assert near.any() == (r[live] > 0).any(), name
+        m = len(bs)
+        counts = np.bincount(a[overlap], minlength=m) + np.bincount(b[overlap], minlength=m)
+        assert sweep.counts.tolist() == counts.tolist(), name
+        assert sweep.root.tolist() == _components_oracle(m, a[overlap], b[overlap]).tolist(), name
+        apart = near & ~overlap
+        pairs, gaps = _kept(sweep)
         order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-        assert pairs[order].tolist() == np.column_stack((a[near], b[near])).tolist(), name
-        assert dists[order].tobytes() == dist[near].tobytes(), name
+        assert pairs[order].tolist() == np.column_stack((a[apart], b[apart])).tolist(), name
+        assert gaps[order].tobytes() == gap[apart].tobytes(), name
 
 
 @pytest.mark.parametrize("d", [2, 8])
@@ -463,8 +539,11 @@ def test_prefilter_keeps_a_pair_whose_squared_distance_rounds_past_the_bound(mon
         if leaf_size:
             monkeypatch.setattr(gbcluster.differentiation, "_FILL", leaf_size)
             monkeypatch.setattr(gbcluster.differentiation, "_TILE", leaf_size)
-        pairs, dists = _pairwise_center_distances(bs)
-        assert pairs.tolist() == [[0, 1]] and dists.tolist() == [np.sqrt(acc)]
+        sweep = _pairwise_center_distances(bs)
+        # apart (acc > lim**2 > (r_i + r_j)**2), so kept with its gap
+        assert sweep.counts.tolist() == [0, 0] and sweep.root.tolist() == [0, 1]
+        pairs, gaps = _kept(sweep)
+        assert pairs.tolist() == [[0, 1]] and gaps.tolist() == [np.sqrt(acc) - (ri + rj)]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 8])
@@ -490,6 +569,9 @@ def test_assign_noise_matches_all_balls_oracle(d):
                      sum_radius=np.zeros(m + len(singles)))
         ids = np.r_[np.arange(m) % max(1, m // 3), np.full(len(singles), -1)]
         labels = assign_noise(Dataset(points=pts), bs, ids).labels
+        # the strips the sweep built serve the noise search unchanged
+        strips = _pairwise_center_distances(bs).strips
+        assert np.array_equal(assign_noise(Dataset(points=pts), bs, ids, strips).labels, labels)
         gaps = np.sqrt(((singles[:, None, :] - centers[None]) ** 2).sum(axis=-1)) - radii
         least = gaps.min(axis=1)
         expected = np.where(least <= radii.mean(), ids[np.argmax(gaps == least[:, None], axis=1)], -1)
@@ -531,7 +613,8 @@ def test_geometry_pass_memory_at_d8():
     # fall into two strips, whose raw coordinates cannot tell the blobs
     # apart, but the boxes of the kd leaves inside them can.  So the tiles
     # compute about as many of the 690,900 pairs as lie within 3 * r_max
-    # (138,092), and only the 138,053 pairs within reach are kept
+    # (138,092).  Of the 138,053 pairs within reach, 135,123 overlap and are
+    # counted and joined in the sweep; only the other 2,930 are kept
     centers = np.hstack([np.array(BUNDLED_DATASETS["blobs10k"].centers),
                          np.random.default_rng(1).uniform(-3.0, 9.0, size=(5, 6))])
     spec = GeneratorSpec(family="blobs", n=20_000, seed=1, scales=(0.5,) * 5,
@@ -545,23 +628,43 @@ def test_geometry_pass_memory_at_d8():
     reset_distance_counter()
     tracemalloc.start()
     try:
-        pairs = _pairwise_center_distances(bs)
-        pass_peak = tracemalloc.get_traced_memory()[1]
+        sweep = _pairwise_center_distances(bs)
         evals = distance_evaluations()
-        bs.overlap_counts = count_overlaps(bs, pairs)
-        ids = merge_adjacent(bs, pairs)
+        bs.overlap_counts = count_overlaps(bs, sweep)
+        ids = merge_adjacent(bs, sweep)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert evals <= 1.5 * within
     assert peak < 10 * 2 ** 20
-    assert len(pairs[0]) == 138_053
-    # a pass that holds its result twice, the pieces and the whole, peaks at
-    # twice the result's 24 B a pair at least (50.6 B a pair measured).  This
-    # one holds the result with up to a quarter spare, the centres and about
-    # one chunk of tile entries: 44.2 B a pair on Python 3.11 with numpy 2.4
-    assert pass_peak < 2 * (pairs[0].nbytes + pairs[1].nbytes)
+    overlapping, kept = int(bs.overlap_counts.sum()) // 2, len(_kept(sweep)[1])
+    assert (overlapping, kept) == (135_123, 2_930)
+    # the sweep, overlaps and merge hold no pair that overlaps: they stay
+    # below the 24 B a pair of an (E, 2) int64 and distance result of the
+    # 138,053 pairs (2.58 of 3.16 MiB on Python 3.11 with numpy 2.4)
+    assert peak < 24 * (overlapping + kept)
     assert ids.max() == 4
+
+
+def test_geometry_memory_on_a_dense_8d_set():
+    # 2,000 balls of one 8-d cloud, 1.99 M of their 2.0 M pairs within reach
+    # and 1.70 M overlapping.  As an (E, 2) int64 and distance result those
+    # pairs took 24 B each; the sweep holds only the kept ones, 24 B each,
+    # the centres and one batch (9.9 of 45.6 MiB on Python 3.11 with numpy 2.4)
+    rng = np.random.default_rng(8)
+    bs = _array_ballset(rng.normal(size=(2_000, 8)), rng.uniform(2.0, 3.0, 2_000), np.zeros(2_000, bool))
+    tracemalloc.start()
+    try:
+        sweep = _pairwise_center_distances(bs)
+        bs.overlap_counts = count_overlaps(bs, sweep)
+        ids = merge_adjacent(bs, sweep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    overlapping, kept = int(bs.overlap_counts.sum()) // 2, len(_kept(sweep)[1])
+    assert overlapping > 1_500_000 and overlapping + kept > 1_900_000
+    assert peak < 24 * (overlapping + kept) / 2
+    assert ids.tolist() == [0] * 2_000
 
 
 def test_clustering_does_not_import_scipy():

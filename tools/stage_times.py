@@ -4,14 +4,18 @@ CLI's stages on the bundled sets; write BENCH_<label>.json.
     python3 tools/stage_times.py --label NAME [--src PATH]
 
 The point sets are perfbench's ``blob_points`` at 2-d 100k and 300k, 8-d 20k
-and 100k and 32-d 100k, shuffled with seed 1 as the benchmark's seed 1 does.
-Each stage runs on the outputs of the stages before it, and its time is the
-minimum of 7 runs: division (``generate_balls``), the pair pass
-(``_pairwise_center_distances``), overlaps (``count_overlaps``), merge
-(``merge_adjacent``) and noise (``assign_noise``), then the whole
-``cluster()``.  For the pair pass the file also records the tile entries
-(``distance_evaluations`` over one pass), the pairs kept, the pairs of live
-centres within 3 * r_max and the ``tracemalloc`` peak of one pass.
+and 100k and 32-d 100k, and five sigma-0.5 blobs on a line at 1-d 100k
+(``blob_points`` gives 2-d points for ``dim`` 1), each shuffled with seed 1
+as the benchmark's seed 1 does.  Each stage runs on the outputs of the
+stages before it, and its time is the minimum of 7 runs: division
+(``generate_balls``), the sweep (``_pairwise_center_distances``), overlaps
+(``count_overlaps``), merge (``merge_adjacent``) and noise
+(``assign_noise``, given the sweep's strips where the sweep has them, as
+``cluster()`` does), then the whole ``cluster()``.  For the sweep the file
+also records the tile entries (``distance_evaluations`` over one sweep),
+the overlapping pairs, the pairs within reach that do not overlap, the
+pairs of live centres within 3 * r_max, and the ``tracemalloc`` peaks of
+one sweep and of one sweep, overlaps and merge (``geometry_peak_mib``).
 
 The CLI row covers what ``gbcluster run`` does on the five bundled sets, as
 the ``bundled-cli`` workload does: each set, shuffled with seed 1 and
@@ -20,11 +24,14 @@ written by ``save_dataset``, goes through ``load_csv``, ``cluster()`` and
 added over the five sets.
 
 ``--src`` is the ``src`` directory of the checkout to measure (default:
-this one's), so that two commits can be timed by the same script.  The git
-SHA recorded is that checkout's, and ``git_status`` lists what
-``git status --porcelain`` shows of its ``src`` (empty when the timed code
-is the commit's).  Alternate the commits and repeat, since the speed of a
-shared host drifts.
+this one's), so that two commits can be timed by the same script.  The
+sweep's result is either a sweep (overlap counts, roots and the pairs that
+do not overlap) or, before it, every pair within reach with its distance;
+the pair counts are read from either.  The git SHA recorded is that
+checkout's, and ``git_status`` lists what ``git status --porcelain`` shows
+of its ``src`` (empty when the timed code is the commit's).  Alternate the
+commits and repeat, since the speed of a shared host drifts.  For paired
+in-process ratios, use ``tools/ab.py``.
 """
 
 from __future__ import annotations
@@ -43,8 +50,9 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-SETS = (("blobs-2d-100k", 100_000, 2), ("blobs-2d-300k", 300_000, 2), ("blobs-8d-20k", 20_000, 8),
-        ("blobs-8d-100k", 100_000, 8), ("blobs-32d-100k", 100_000, 32))
+SETS = (("blobs-1d-100k", 100_000, 1), ("blobs-2d-100k", 100_000, 2), ("blobs-2d-300k", 300_000, 2),
+        ("blobs-8d-20k", 20_000, 8), ("blobs-8d-100k", 100_000, 8), ("blobs-32d-100k", 100_000, 32))
+LINE_CENTERS = ((0.0,), (6.0,), (12.0,), (18.0,), (24.0,))
 SHUFFLE_SEED = 1
 REPEAT = 7  # runs per stage; the least time counts
 
@@ -87,35 +95,54 @@ def _git_state(src: Path) -> tuple[str | None, list[str] | None]:
         return None, None
 
 
-def measure(name: str, n: int, dim: int) -> dict:
+def points(n: int, dim: int):
+    """The set's points in the benchmark's seed-1 order: ``blob_points``, or
+    five blobs on a line in 1-d."""
     from workloads import blob_points, shuffled
+    from gbcluster.data import GeneratorSpec, generate
+
+    if dim == 1:
+        data = generate(GeneratorSpec(family="blobs", n=n, seed=1, scales=0.5, centers=LINE_CENTERS))
+    else:
+        data = blob_points(n, dim)
+    return shuffled(data, SHUFFLE_SEED)[0]
+
+
+def measure(name: str, n: int, dim: int) -> dict:
     from gbcluster import differentiation as D
     from gbcluster.core import Dataset
     from gbcluster.division import generate_balls
 
-    data = Dataset(points=shuffled(blob_points(n, dim), SHUFFLE_SEED)[0].points)
+    data = Dataset(points=points(n, dim).points)
     seconds = {}
     ballset, seconds["division"] = _best(lambda: generate_balls(data))
     D.reset_distance_counter()
-    pairs = D._pairwise_center_distances(ballset)
-    entries = D.distance_evaluations()
     tracemalloc.start()
-    D._pairwise_center_distances(ballset)
-    peak = tracemalloc.get_traced_memory()[1]
+    sweep = D._pairwise_center_distances(ballset)
+    entries = D.distance_evaluations()
+    sweep_peak = tracemalloc.get_traced_memory()[1]
+    ballset.overlap_counts = D.count_overlaps(ballset, sweep)
+    D.merge_adjacent(ballset, sweep)
+    geometry_peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    _, seconds["pair_pass"] = _best(lambda: D._pairwise_center_distances(ballset))
-    ballset.overlap_counts, seconds["overlaps"] = _best(lambda: D.count_overlaps(ballset, pairs))
-    ids, seconds["merge"] = _best(lambda: D.merge_adjacent(ballset, pairs))
-    _, seconds["noise"] = _best(lambda: D.assign_noise(data, ballset, ids))
+    _, seconds["sweep"] = _best(lambda: D._pairwise_center_distances(ballset))
+    _, seconds["overlaps"] = _best(lambda: D.count_overlaps(ballset, sweep))
+    ids, seconds["merge"] = _best(lambda: D.merge_adjacent(ballset, sweep))
+    strips = getattr(sweep, "strips", None)
+    extra = () if strips is None else (strips,)
+    _, seconds["noise"] = _best(lambda: D.assign_noise(data, ballset, ids, *extra))
     (assignment, _), seconds["cluster"] = _best(lambda: D.cluster(data))
     live = ~ballset.noise_ball_flags
+    overlapping = int(ballset.overlap_counts.sum()) // 2
+    kept = getattr(sweep, "kept", None)
+    within_reach = overlapping + sum(len(g) for _, g in kept) if kept is not None else len(sweep[1])
     return {
         "name": name, "n": n, "d": dim, "balls": len(ballset), "live_balls": int(live.sum()),
         "clusters": assignment.cluster_count, "noise_points": assignment.noise_count,
-        "seconds": seconds,
-        "tile_entries": entries, "pairs_kept": len(pairs[1]),
+        "seconds": seconds, "tile_entries": entries,
+        "pairs_overlapping": overlapping, "pairs_apart_within_reach": within_reach - overlapping,
         "pairs_within_3rmax": pairs_within(ballset.centers[live], 3 * float(ballset.radii[live].max())),
-        "pair_pass_peak_mib": peak / 2 ** 20,
+        "sweep_peak_mib": sweep_peak / 2 ** 20, "geometry_peak_mib": geometry_peak / 2 ** 20,
     }
 
 
@@ -163,7 +190,9 @@ def main(argv=None) -> int:
         result["sets"].append(row)
         stages = "  ".join(f"{k} {v * 1e3:.1f}" for k, v in row["seconds"].items())
         print(f"{name}: m={row['balls']}  {stages} ms  entries {row['tile_entries']:,}  "
-              f"kept {row['pairs_kept']:,}  within 3*r_max {row['pairs_within_3rmax']:,}", flush=True)
+              f"overlapping {row['pairs_overlapping']:,}  apart {row['pairs_apart_within_reach']:,}  "
+              f"within 3*r_max {row['pairs_within_3rmax']:,}  "
+              f"geometry peak {row['geometry_peak_mib']:.1f} MiB", flush=True)
     result["cli"] = measure_cli()
     stages = "  ".join(f"{k} {v * 1e3:.1f}" for k, v in result["cli"]["seconds"].items())
     print(f"bundled-cli: {result['cli']['rows']:,} rows  {stages} ms", flush=True)
