@@ -21,13 +21,16 @@ prints the ``tracemalloc`` peak of one geometry run per copy.
 
 Run it on an idle host: a paired ratio cancels slow drift of the host, not
 a second load that arrives within one pair.  Against the commit itself
-(``--base HEAD`` on a clean checkout) it measures its own noise.
+(``--base HEAD`` on a clean checkout) it measures its own noise; a stage of
+a few microseconds, such as overlaps reading the sweep's counts, is below
+what it resolves.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
+import io
 import subprocess
 import sys
 import tarfile
@@ -44,10 +47,9 @@ STAGES = ("sweep", "overlaps", "merge", "geometry", "cluster")
 
 def load_base(rev: str, tmp: str, name: str = "gbcluster_base"):
     """The package ``src/gbcluster`` of commit rev, imported as ``name``."""
-    archive = Path(tmp) / "src.tar"
-    with open(archive, "wb") as out:
-        subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src/gbcluster"], stdout=out, check=True)
-    with tarfile.open(archive) as tar:
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src/gbcluster"],
+                             capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(tmp, filter="data")
     package = Path(tmp) / "src" / "gbcluster"
     spec = importlib.util.spec_from_file_location(name, package / "__init__.py",
