@@ -16,15 +16,16 @@ compute nothing.  A prefilter on the tiles spares the square root for all
 but the pairs near enough to overlap or be adjacent.  This one sweep counts
 the overlaps and joins each overlapping pair as it finds it, since such a
 pair is adjacent whatever tau is; it keeps only the other pairs within
-reach, for tau to decide once the counts are complete.  Noise points search
-the same strips.  The module counts its distance evaluations so that
-budget is checkable.
+reach, for tau to decide once the counts are complete.  Noise balls ride the
+same sweep, reaching as far as the mean live radius, and it keeps the live
+balls near each of them.  The module counts its distance evaluations so
+that budget is checkable.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,7 +44,7 @@ def distance_evaluations() -> int:
     """Distance evaluations performed by this module since the last reset.
 
     One per squared centre distance a tile computes, each pair counted at
-    most once, and one per (noise point, ball) distance computed.
+    most once.
     """
     return _DIST_EVALS
 
@@ -92,32 +93,16 @@ class _Strips:
         low = centers.min(axis=0)
         span = centers.max(axis=0) - low
         self.axes = np.argsort(-span, kind="stable")[:2]
-        self.origin = low[self.axes[0]]
         self.reach = 4 * r_max
-        self.width = max(self.reach, float(span.max()) * _FILL / len(centers)) or 1.0
-        strip, y = self.locate(centers.T)
+        width = max(self.reach, float(span.max()) * _FILL / len(centers)) or 1.0
+        strip = np.floor((centers[:, self.axes[0]] - low[self.axes[0]]) / width).astype(np.int64)
+        y = centers[:, self.axes[-1]]
         self.order = np.lexsort((y, strip))
         self.centers = centers.take(self.order, axis=0).T.copy()  # (d, m), coordinates first
         self.y = y[self.order]
-        self.ids, self.bounds = _runs(strip[self.order])
-
-    def locate(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Strip (from -1 up) and second coordinate of every point of a (d, n) array."""
-        x = (points[self.axes[0]] - self.origin) / self.width
-        return np.floor(np.clip(x, -1, 2 ** 52)).astype(np.int64), points[self.axes[-1]]
-
-    def window(self, k: int, y_lo: float, y_hi: float) -> tuple[int, int]:
-        """Sorted positions [lo, hi) of the centres of the k-th strip with y in [y_lo, y_hi]."""
-        s, e = self.bounds[k], self.bounds[k + 1]
-        ys = self.y[s:e]
-        return (s + int(np.searchsorted(ys, y_lo, side="left")),
-                s + int(np.searchsorted(ys, y_hi, side="right")))
-
-
-def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of sorted keys, and the bounds [start, ..., len] of their runs."""
-    starts = np.flatnonzero(np.diff(keys, prepend=keys[:1] - 1))
-    return keys[starts], np.append(starts, keys.size)
+        strip = strip[self.order]
+        starts = np.flatnonzero(np.diff(strip, prepend=strip[:1] - 1))  # of the runs of one strip
+        self.ids, self.bounds = strip[starts], np.append(starts, strip.size)
 
 
 def _squared_bound(lim: np.ndarray) -> np.ndarray:
@@ -173,13 +158,14 @@ class _Sweep:
     index that chains of overlapping pairs join it to.  ``kept`` holds the
     pairs within reach that do not overlap, a batch at a time: (k, 2) ball
     indices i < j, and their gaps fl(d - fl(r_i + r_j)), which tau decides.
-    ``strips`` holds the live centres, or None under two live balls.
+    ``noise`` holds (noise ball, gap, live ball) for every noise ball and
+    live ball whose gap fl(d - r_live) is within the mean live radius.
     """
 
     counts: np.ndarray
     root: np.ndarray
     kept: list[tuple[np.ndarray, np.ndarray]]
-    strips: _Strips | None
+    noise: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _hook(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
@@ -207,8 +193,9 @@ def _hook(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
 
 
 def _pairwise_center_distances(ballset: BallSet) -> _Sweep:
-    """The geometry sweep over the non-noise balls: their overlap counts, the
-    components that overlaps join, and the other pairs within reach.
+    """The geometry sweep over the balls: the overlap counts of the non-noise
+    balls, the components that overlaps join, the other pairs within reach,
+    and the live balls near each noise ball.
 
     Overlap needs d_ij < r_i + r_j and adjacency d_ij < r_i + r_j + tau, with
     tau <= min(r_i, r_j); both stay below 3 * r_max.  The centres are swept in
@@ -237,14 +224,23 @@ def _pairwise_center_distances(ballset: BallSet) -> _Sweep:
     rounding is monotone, lim_ij <= lim_i, so the row's bound passes every
     entry that the bound of its own pair would; the exact test then
     decides, as before.
+
+    Noise balls take the mean live radius r_mean as their radius in the
+    strips, the leaf boxes and the prefilter, once any ball is live.  A noise
+    ball and a live ball are near when fl(d - r_live) <= r_mean, whose
+    bound fl(r_live + r_mean) is at most the lim_ij above with r_i = r_mean,
+    and r_mean <= r_max; so the strips and bounds pass every near pair.  In
+    the exact test a noise ball's radius is NaN, which fails the overlap and
+    reach tests of every pair it is in and marks its gaps.
     """
     m = len(ballset)
     counts, root = np.zeros(m, dtype=np.int64), np.arange(m)
-    live = np.flatnonzero(~ballset.noise_ball_flags)
-    if live.size < 2:
-        return _Sweep(counts, root, [], None)
-    radii = ballset.radii[live]
-    strips = _Strips(ballset.centers.take(live, axis=0), float(radii.max()))
+    alone = ballset.noise_ball_flags
+    live_radii = ballset.radii[~alone]
+    if not live_radii.size:
+        return _Sweep(counts, root, [], (root[:0], np.empty(0), root[:0]))
+    r_mean = float(live_radii.mean())
+    strips = _Strips(ballset.centers, float(live_radii.max()))
     # a strip's rows meet its own columns and the next strip's; a leaf holds
     # a tile's worth of rows against those, or _FILL at the least
     sizes = np.diff(strips.bounds)
@@ -253,11 +249,12 @@ def _pairwise_center_distances(ballset: BallSet) -> _Sweep:
     order, bounds = _leaves(strips.centers, strips.bounds,
                             np.maximum(_FILL, _TILE // (reach_end - strips.bounds[:-1])))
     c, y, w = strips.centers.take(order, axis=1), strips.y[order], strips.reach
-    order = strips.order[order]
-    r, ball = radii[order], live[order]
+    ball = strips.order[order]
+    r = np.where(alone, np.nan, ballset.radii)[ball]
+    r_bound = np.where(alone, r_mean, ballset.radii)[ball]
     starts = bounds[:-1]
     lo, hi = np.minimum.reduceat(c, starts, axis=1), np.maximum.reduceat(c, starts, axis=1)
-    r_leaf = np.maximum.reduceat(r, starts)
+    r_leaf = np.maximum.reduceat(r_bound, starts)
     strip = np.searchsorted(strips.bounds, starts, side="right") - 1
     end = np.searchsorted(bounds, reach_end[strip])  # past the last leaf a leaf can meet
 
@@ -301,7 +298,7 @@ def _pairwise_center_distances(ballset: BallSet) -> _Sweep:
         col1 = np.minimum(col1, col0 + step)
         return row0.tolist(), row1.tolist(), col0.tolist(), col1.tolist()
 
-    kept, held, joins = [], [], []  # every leaf meets itself, so some tile is held
+    kept, near_noise, held, joins = [], [], [], []  # every leaf meets itself, so some tile is held
 
     def join():
         """Count and hook the overlapping pairs gathered so far."""
@@ -312,12 +309,14 @@ def _pairwise_center_distances(ballset: BallSet) -> _Sweep:
 
     def keep():
         """The exact test on the held entries of the tiles: overlapping pairs
-        go to be counted and joined, the other pairs within reach are kept."""
+        go to be counted and joined, the other pairs within reach are kept,
+        and so are the near pairs of a noise and a live ball."""
         i, j, acc = (np.concatenate(part) for part in zip(*held))
         held.clear()
         ri, rj = r[i], r[j]
-        gap = np.sqrt(acc, out=acc)
-        gap -= ri + rj
+        dist = np.sqrt(acc, out=acc)
+        gap = ri + rj
+        np.subtract(dist, gap, out=gap)
         # Reach: the gap is below min(r_i, r_j).  Adjacency needs gap < tau, and
         # tau <= min(r_i, r_j) in floating point too; overlap needs gap < 0.  A
         # leaf's own tile also holds each pair below the diagonal; j > i takes
@@ -325,6 +324,15 @@ def _pairwise_center_distances(ballset: BallSet) -> _Sweep:
         upper = j > i
         hit = np.flatnonzero(upper & (gap < 0))
         joins.append((ball[i[hit]], ball[j[hit]]))
+        # a NaN gap has a noise ball in its pair; the live ball of the pair, if
+        # one is, is near when fl(d - r_live) <= r_mean
+        one = np.flatnonzero(np.isnan(gap))
+        one = one[upper[one] & (np.isnan(ri[one]) != np.isnan(rj[one]))]
+        swap = np.isnan(rj[one])
+        noise, live = np.where(swap, j[one], i[one]), np.where(swap, i[one], j[one])
+        d = dist[one] - r[live]
+        close = d <= r_mean
+        near_noise.append((ball[noise[close]], d[close], ball[live[close]]))
         near = np.flatnonzero(upper & (gap >= 0) & (gap < np.minimum(ri, rj)))
         a, b = ball[i[near]], ball[j[near]]
         kept.append((np.stack((np.minimum(a, b), np.maximum(a, b)), axis=1), gap[near]))
@@ -337,8 +345,8 @@ def _pairwise_center_distances(ballset: BallSet) -> _Sweep:
     size = 0
     for a0, a1, c0, c1 in (t for l0, l1 in zip(edges[:-1], edges[1:]) for t in zip(*tiles(l0, l1))):
         acc = squared_distances(c[:, a0:a1, None], c[:, None, c0:c1])
-        r_col = r[c0:c1].max()
-        lim = r[a0:a1] + r_col
+        r_col = r_bound[c0:c1].max()
+        lim = r_bound[a0:a1] + r_col
         lim += r_col
         at = np.flatnonzero(acc <= _squared_bound(lim)[:, None])
         if size + at.size > _TILE:  # a batch holds _TILE entries at the most, as a tile does
@@ -354,7 +362,7 @@ def _pairwise_center_distances(ballset: BallSet) -> _Sweep:
         size += at.size
     keep()
     join()
-    return _Sweep(counts, root, kept, strips)
+    return _Sweep(counts, root, kept, tuple(np.concatenate(part) for part in zip(*near_noise)))
 
 
 def count_overlaps(ballset: BallSet, _sweep: _Sweep | None = None) -> np.ndarray:
@@ -421,57 +429,27 @@ def merge_adjacent(ballset: BallSet, _sweep: _Sweep | None = None) -> np.ndarray
 
 
 def assign_noise(dataset: Dataset, ballset: BallSet, ball_cluster_ids: np.ndarray,
-                 _strips: _Strips | None = None) -> ClusterAssignment:
+                 _sweep: _Sweep | None = None) -> ClusterAssignment:
     """Turn ball cluster ids into per-point labels.
 
-    Points of noise balls join the cluster of the nearest non-noise ball
-    (nearest by gap: point-to-center distance minus radius, ties to the
-    lowest ball index) when that gap is within the mean non-noise radius;
-    otherwise they are labelled -1.
+    Noise balls, each of one point, join the cluster of the nearest non-noise
+    ball (nearest by gap: centre distance minus radius, ties to the lowest
+    ball index) when that gap is within the mean non-noise radius; otherwise
+    their points are labelled -1.  The sweep finds the candidates; without
+    one, a copy of ballset whose noise balls sit at their points is swept.
     """
     flags = ballset.noise_ball_flags
+    if _sweep is None:
+        centers = ballset.centers.copy()
+        centers[flags] = dataset.points[ballset.order[ballset.starts[flags]]]
+        _sweep = _pairwise_center_distances(replace(ballset, centers=centers))
+    noise, gaps, ball = _sweep.noise
+    order = np.lexsort((ball, gaps, noise))
+    first = order[np.diff(noise[order], prepend=-1) != 0]  # the nearest to every noise ball
+    ids = np.where(flags, NOISE, ball_cluster_ids)
+    ids[noise[first]] = ball_cluster_ids[ball[first]]
     labels = np.full(len(dataset), NOISE, dtype=np.int64)
-    labels[ballset.order] = np.repeat(np.where(flags, NOISE, ball_cluster_ids), ballset.sizes)
-    live = np.flatnonzero(~flags)
-    if live.size == 0 or live.size == flags.size:
-        return ClusterAssignment(labels=labels)
-    radii = ballset.radii[live]
-    mean_radius = float(radii.mean())
-    points = ballset.order[np.repeat(flags, ballset.sizes)]
-    pts = dataset.points.take(points, axis=0).T.copy()
-    # A winning ball has gap <= mean_radius <= r_max, so its centre lies within
-    # 2 * r_max of the point: in the point's strip or a neighbour, within
-    # ``reach`` on the second coordinate.  The sweep's strips are these.
-    strips = (_Strips(ballset.centers.take(live, axis=0), float(radii.max()))
-              if _strips is None else _strips)
-    r = radii[strips.order]
-    bound = _squared_bound(mean_radius + r)  # prefilter of gap = fl(dist - r) <= mean_radius
-    strip, y = strips.locate(pts)
-    by = np.lexsort((y, strip))
-    ids, bounds = _runs(strip[by])
-    found = [(by[:0], np.empty(0), by[:0])]  # (row, gap, ball); no tile may run
-    for k, sid in enumerate(ids):
-        first = int(np.searchsorted(strips.ids, sid - 1))
-        last = int(np.searchsorted(strips.ids, sid + 1, side="right")) - 1
-        if first > last:
-            continue
-        step = max(1, _TILE // (strips.bounds[last + 1] - strips.bounds[first]))
-        for p0 in range(bounds[k], bounds[k + 1], step):
-            rows = by[p0:min(p0 + step, bounds[k + 1])]
-            y_lo, y_hi = y[rows[0]] - strips.reach, y[rows[-1]] + strips.reach
-            lo, hi = strips.window(first, y_lo, y_hi)[0], strips.window(last, y_lo, y_hi)[1]
-            _count(rows.size * (hi - lo))
-            acc = squared_distances(pts.take(rows, axis=1)[:, :, None],
-                                    strips.centers[:, None, lo:hi])
-            i, j = np.nonzero(acc <= bound[lo:hi])
-            gaps = np.sqrt(acc[i, j]) - r[lo + j]
-            won = gaps <= mean_radius
-            found.append((rows[i[won]], gaps[won], strips.order[lo + j[won]]))
-    row, gaps, ball = (np.concatenate(part) for part in zip(*found))
-    order = np.lexsort((ball, gaps, row))
-    row, ball = row[order], ball[order]
-    won = np.diff(row, prepend=-1) != 0  # the first, nearest, of every point
-    labels[points[row[won]]] = ball_cluster_ids[live[ball[won]]]
+    labels[ballset.order] = np.repeat(ids, ballset.sizes)
     return ClusterAssignment(labels=labels)
 
 
@@ -492,11 +470,12 @@ def cluster(dataset: Dataset, config: DivisionConfig | None = None,
     # a reused trace holds earlier runs' splits, already at their own scale
     earlier = len(trace.accepted_splits) if trace is not None else 0
     ballset = generate_balls(dataset, config, trace)
-    # one sweep serves the overlap counts, the merge and the noise search
+    # one sweep serves the overlap counts, the merge and the noise balls,
+    # whose centres are their points
     sweep = _pairwise_center_distances(ballset)
     ballset.overlap_counts = count_overlaps(ballset, sweep)
     ids = merge_adjacent(ballset, sweep)
-    assignment = assign_noise(dataset, ballset, ids, sweep.strips)
+    assignment = assign_noise(dataset, ballset, ids, sweep)
     if exp:
         ballset.centers, ballset.radii, ballset.sum_radius = (
             np.ldexp(a, exp) for a in (ballset.centers, ballset.radii, ballset.sum_radius))

@@ -468,6 +468,13 @@ def _sweep_inputs(rng, d):
     for name, (centers, radii) in cases.items():
         yield name, _array_ballset(centers, radii, rng.uniform(size=m) < 0.1)
     yield "clusters", _array_ballset(*_clusters(rng, d), np.zeros(m, bool))
+    # noise balls just off small live balls, within the mean live radius
+    # (0.11, raised by ten far balls) of their surfaces or beyond it: only the
+    # mean radius that noise balls reach with brings them into the bounds
+    radii = np.r_[np.full(290, 0.01), np.full(10, 3.0), np.zeros(300)]
+    centers = np.vstack([x[:290], 1000 + x[:10] * 0.1, x[np.arange(300) % 290]])
+    centers[300:, 0] += 0.01 + rng.uniform(0, 0.12, 300)
+    yield "noise off small balls", _array_ballset(centers, radii, np.arange(m) >= 300)
 
 
 def _components_oracle(m, a, b):
@@ -488,8 +495,10 @@ def _components_oracle(m, a, b):
 @pytest.mark.parametrize("d", [1, 2, 3, 8, 9, 16])
 def test_pairwise_center_distances_match_all_pairs(d):
     # over all pairs, the squares added in coordinate order: the overlap
-    # count of every ball, the components that overlapping pairs join, and
-    # every pair within reach that does not overlap, with its gap bits
+    # count of every ball, the components that overlapping pairs join,
+    # every pair within reach that does not overlap, with its gap bits, and
+    # every noise ball and live ball whose gap to the live ball's surface is
+    # within the mean live radius, with that gap's bits
     rng = np.random.default_rng(d)
     for name, bs in _sweep_inputs(rng, d):
         live = np.flatnonzero(~bs.noise_ball_flags)
@@ -516,6 +525,19 @@ def test_pairwise_center_distances_match_all_pairs(d):
         order = np.lexsort((pairs[:, 1], pairs[:, 0]))
         assert pairs[order].tolist() == np.column_stack((a[apart], b[apart])).tolist(), name
         assert gaps[order].tobytes() == gap[apart].tobytes(), name
+        p = np.repeat(np.flatnonzero(bs.noise_ball_flags), live.size)
+        q = np.tile(live, p.size // live.size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            squared = (c[p, 0] - c[q, 0]) ** 2
+            for k in range(1, d):
+                squared += (c[p, k] - c[q, k]) ** 2
+            gap = np.sqrt(squared) - r[q]
+        close = gap <= r[live].mean()
+        noise, gaps, ball = sweep.noise
+        order = np.lexsort((ball, noise))
+        assert noise[order].tolist() == p[close].tolist(), name
+        assert ball[order].tolist() == q[close].tolist(), name
+        assert gaps[order].tobytes() == gap[close].tobytes(), name
 
 
 @pytest.mark.parametrize("d", [2, 8])
@@ -569,9 +591,9 @@ def test_assign_noise_matches_all_balls_oracle(d):
                      sum_radius=np.zeros(m + len(singles)))
         ids = np.r_[np.arange(m) % max(1, m // 3), np.full(len(singles), -1)]
         labels = assign_noise(Dataset(points=pts), bs, ids).labels
-        # the strips the sweep built serve the noise search unchanged
-        strips = _pairwise_center_distances(bs).strips
-        assert np.array_equal(assign_noise(Dataset(points=pts), bs, ids, strips).labels, labels)
+        # the sweep of bs, whose noise balls sit at their points, gives the same labels
+        sweep = _pairwise_center_distances(bs)
+        assert np.array_equal(assign_noise(Dataset(points=pts), bs, ids, sweep).labels, labels)
         gaps = np.sqrt(((singles[:, None, :] - centers[None]) ** 2).sum(axis=-1)) - radii
         least = gaps.min(axis=1)
         expected = np.where(least <= radii.mean(), ids[np.argmax(gaps == least[:, None], axis=1)], -1)
@@ -579,16 +601,33 @@ def test_assign_noise_matches_all_balls_oracle(d):
         assert labels[:2 * m].tolist() == np.repeat(ids[:m], 2).tolist()
 
 
+_EDGE_INPUTS = {"n=1": np.zeros((1, 2)), "identical": np.ones((50, 2)),
+                "1-d": np.linspace(0, 1, 300)[:, None],
+                "d=32": np.random.default_rng(0).normal(size=(500, 32))}
+
+
 @pytest.mark.parametrize("points, expected", [
-    (np.zeros((1, 2)), (1, 0, 1)),
-    (np.ones((50, 2)), (1, 1, 0)),
-    (np.linspace(0, 1, 300)[:, None], (16, 1, 0)),
-    (np.random.default_rng(0).normal(size=(500, 32)), (39, 1, 0)),
+    (_EDGE_INPUTS["n=1"], (1, 0, 1)),
+    (_EDGE_INPUTS["identical"], (1, 1, 0)),
+    (_EDGE_INPUTS["1-d"], (16, 1, 0)),
+    (_EDGE_INPUTS["d=32"], (39, 1, 0)),
 ], ids=["n=1", "identical", "1-d", "d=32"])
 def test_cluster_edge_inputs(points, expected):
     # (balls, clusters, noise points) as the dense all-pairs geometry pass gave them
     assignment, ballset = cluster(Dataset(points=points))
     assert (len(ballset), assignment.cluster_count, assignment.noise_count) == expected
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_DATASETS) + sorted(_EDGE_INPUTS))
+def test_one_point_balls_sit_at_their_points(name):
+    # cluster() hands assign_noise the sweep's gaps of the noise balls' centres
+    # as those of their points: the centre of a one-point ball is its point,
+    # bit for bit
+    points = _EDGE_INPUTS[name] if name in _EDGE_INPUTS else generate(BUNDLED_DATASETS[name]).points
+    bs = generate_balls(Dataset(points=points))
+    one = bs.sizes == 1
+    assert np.array_equal(bs.noise_ball_flags, one)
+    assert bs.centers[one].tobytes() == points[bs.order[bs.starts[one]]].tobytes()
 
 
 def test_geometry_pass_memory_stays_linear_in_balls():
