@@ -162,11 +162,12 @@ def _make_runner(args):
 
 
 def _cmd_run(args) -> int:
-    if args.algo == "gbc":
-        extra = _baseline_flags(args)
-        if extra:
-            raise UsageError(f"{', '.join(extra)}: gbc takes no algorithm parameters; "
-                             "drop the flag or pick a baseline with --algo")
+    takes = {"kmeans": ["--k"], "dbscan": ["--eps", "--min-pts"], "dpeak": ["--dc", "--k"]}.get(args.algo, [])
+    extra = [flag for flag in _baseline_flags(args) if flag not in takes]
+    if extra:
+        what = f"takes only {' and '.join(takes)}" if takes else "takes no algorithm parameters"
+        raise UsageError(f"{', '.join(extra)}: {args.algo} {what}; drop the flag or pick "
+                         f"{'another algorithm' if takes else 'a baseline'} with --algo")
     dataset = _load_run_input(args)
     trace = None
     ballset = None

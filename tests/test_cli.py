@@ -54,6 +54,25 @@ def test_baselines_require_their_flags(tmp_path, capsys):
                  "--seed", "1", "--out", str(out)]) == EXIT_OK
 
 
+@pytest.mark.parametrize("algo, given, unused", [
+    ("kmeans", ["--k", "2", "--eps", "0.3"], "--eps"),
+    ("dbscan", ["--eps", "0.1", "--min-pts", "5", "--dc", "0.2"], "--dc"),
+    ("dpeak", ["--dc", "0.15", "--k", "2", "--min-pts", "9"], "--min-pts"),
+])
+def test_baselines_reject_flags_they_do_not_take(tmp_path, capsys, algo, given, unused):
+    data = _gen(tmp_path)
+    out = tmp_path / algo
+    code = main(["run", "--algo", algo, "--in", str(data), "--out", str(out), *given])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith(f"error: {unused}: {algo} takes only ")
+    assert not (tmp_path / f"{algo}_points.csv").exists()
+    # without the unused flag the same run succeeds
+    at = given.index(unused)
+    assert main(["run", "--algo", algo, "--in", str(data), "--out", str(out),
+                 *given[:at], *given[at + 2:]]) == EXIT_OK
+
+
 def test_missing_input_is_io_error(tmp_path, capsys):
     code = main(["run", "--algo", "gbc", "--in", str(tmp_path / "nope.csv")])
     assert code == EXIT_IO
