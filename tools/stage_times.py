@@ -10,12 +10,13 @@ as the benchmark's seed 1 does.  Each stage runs on the outputs of the
 stages before it, and its time is the minimum of 7 runs: division
 (``generate_balls``), the sweep (``_pairwise_center_distances``), overlaps
 (``count_overlaps``), merge (``merge_adjacent``) and noise
-(``assign_noise``, given the sweep's strips where the sweep has them, as
-``cluster()`` does), then the whole ``cluster()``.  For the sweep the file
-also records the tile entries (``distance_evaluations`` over one sweep),
-the overlapping pairs, the pairs within reach that do not overlap, the
-pairs of live centres within 3 * r_max, and the ``tracemalloc`` peaks of
-one sweep and of one sweep, overlaps and merge (``geometry_peak_mib``).
+(``assign_noise``, handed what ``cluster()`` hands it: the sweep, or at
+the commits that have them the sweep's strips), then the whole
+``cluster()``.  For the sweep the file also records the tile entries
+(``distance_evaluations`` over one sweep), the overlapping pairs, the pairs
+within reach that do not overlap, the pairs of live centres within
+3 * r_max, and the ``tracemalloc`` peaks of one sweep and of one sweep,
+overlaps and merge (``geometry_peak_mib``).
 
 The CLI row covers what ``gbcluster run`` does on the five bundled sets, as
 the ``bundled-cli`` workload does: each set, shuffled with seed 1 and
@@ -37,6 +38,7 @@ in-process ratios, use ``tools/ab.py``.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import platform
@@ -95,6 +97,15 @@ def _git_state(src: Path) -> tuple[str | None, list[str] | None]:
         return None, None
 
 
+def noise_handoff(D, sweep) -> tuple:
+    """The arguments past the cluster ids that ``cluster()`` of differentiation
+    module D hands ``assign_noise``: the sweep, its strips, or none."""
+    params = inspect.signature(D.assign_noise).parameters
+    if "_sweep" in params:
+        return (sweep,)
+    return (sweep.strips,) if "_strips" in params else ()
+
+
 def points(n: int, dim: int):
     """The set's points in the benchmark's seed-1 order: ``blob_points``, or
     five blobs on a line in 1-d."""
@@ -128,8 +139,7 @@ def measure(name: str, n: int, dim: int) -> dict:
     _, seconds["sweep"] = _best(lambda: D._pairwise_center_distances(ballset))
     _, seconds["overlaps"] = _best(lambda: D.count_overlaps(ballset, sweep))
     ids, seconds["merge"] = _best(lambda: D.merge_adjacent(ballset, sweep))
-    strips = getattr(sweep, "strips", None)
-    extra = () if strips is None else (strips,)
+    extra = noise_handoff(D, sweep)
     _, seconds["noise"] = _best(lambda: D.assign_noise(data, ballset, ids, *extra))
     (assignment, _), seconds["cluster"] = _best(lambda: D.cluster(data))
     live = ~ballset.noise_ball_flags
