@@ -138,7 +138,7 @@ def squared_distances(pts: np.ndarray, to: np.ndarray, sizes: np.ndarray | None 
 
 def distances(pts: np.ndarray, to: np.ndarray, sizes: np.ndarray | None = None) -> np.ndarray:
     """Euclidean distances, ``np.sqrt(squared_distances(pts, to, sizes))``: member
-    to centre, centre to centre and noise point to centre alike."""
+    to centre and centre to centre alike."""
     acc = squared_distances(pts, to, sizes)
     return np.sqrt(acc, out=acc)
 
