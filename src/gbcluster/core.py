@@ -143,17 +143,6 @@ def distances(pts: np.ndarray, to: np.ndarray, sizes: np.ndarray | None = None) 
     return np.sqrt(acc, out=acc)
 
 
-def take_columns(pts: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """``pts.take(idx, axis=1)``, a row at a time: the rows of pts (d, n) need not
-    be one block, as in a column range of a larger array, which ``take``
-    would copy whole first.  ("wrap" spares ``take`` a buffered copy; the
-    indices are in range.)"""
-    out = np.empty((pts.shape[0], idx.size))
-    for row, dst in zip(pts, out):
-        np.take(row, idx, out=dst, mode="wrap")
-    return out
-
-
 def fit_segments(pts: np.ndarray, sizes: np.ndarray):
     """Fit one ball to every segment, a run ``sizes`` of the columns of pts
     (d, n), members ascending.
@@ -183,7 +172,7 @@ def farthest_pairs(pts: np.ndarray, starts: np.ndarray, sizes: np.ndarray, dists
     which is the lowest point index, so splitting stays deterministic.
     """
     p1 = first_argmax(dists, starts, sizes)
-    return p1, first_argmax(squared_distances(pts, take_columns(pts, p1), sizes), starts, sizes)
+    return p1, first_argmax(squared_distances(pts, pts.take(p1, axis=1), sizes), starts, sizes)
 
 
 def fit_ball(dataset: Dataset, members: Iterable[int]) -> BallSet:

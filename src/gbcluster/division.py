@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (BallSet, Dataset, distances, farthest_pairs, fit_ball, fit_segments,
-                   squared_distances, take_columns)
+                   squared_distances)
 
 
 @dataclass(frozen=True)
@@ -77,11 +77,12 @@ class DivisionTrace:
     def round_cap_hit(self) -> bool:
         return self.stop_reason == "round_cap"
 
-    def _snapshot(self, members: np.ndarray, sizes: list[np.ndarray]):
-        """Record the balls whose members are the runs ``sizes`` of ``members``."""
+    def _snapshot(self, members: list[np.ndarray], sizes: list[np.ndarray]):
+        """Record the balls whose members are the runs ``sizes`` of the
+        pieces ``members`` joined."""
         if self.capture_partitions:
             bounds = np.cumsum(np.concatenate(sizes))[:-1]
-            self.partitions.append([m.copy() for m in np.split(members, bounds)])
+            self.partitions.append(np.split(np.concatenate(members), bounds))
 
 
 def _runs(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -119,14 +120,14 @@ def _split(pts: np.ndarray, dists: np.ndarray, sizes: np.ndarray, centers: np.nd
     child sizes, columns (d, by child members) and fit.
     """
     if rows is not None:
-        pts, dists = take_columns(pts, rows), dists[rows]
+        pts, dists = pts.take(rows, axis=1), dists[rows]
     starts = np.cumsum(sizes) - sizes
     p1, p2 = farthest_pairs(pts, starts, sizes, dists)
-    c1 = (centers + take_columns(pts, p1)) / 2.0
-    c2 = (centers + take_columns(pts, p2)) / 2.0
+    c1 = (centers + pts.take(p1, axis=1)) / 2.0
+    c2 = (centers + pts.take(p2, axis=1)) / 2.0
     ok, child_sizes, part = _partition(
         squared_distances(pts, c1, sizes) <= squared_distances(pts, c2, sizes), sizes, starts)
-    child_pts = take_columns(pts, part)
+    child_pts = pts.take(part, axis=1)
     return (ok, part if rows is None else rows[part], child_sizes, child_pts,
             fit_segments(child_pts, child_sizes))
 
@@ -176,7 +177,8 @@ def generate_balls(dataset: Dataset, config: DivisionConfig | None = None,
     Each round splits all of its balls at once, on arrays.  A ball is a run
     of columns, members ascending, of the points (d, n), their ids and their
     distances to the ball's centre, so each ball is fitted once; tables hold
-    the sizes, centres (d, k), radii and distance sums.
+    the sizes, centres (d, k), radii and distance sums.  In phase 1 these
+    hold the pending balls only, in phase 2 every ball.
     """
     if config is None:
         config = DivisionConfig()
@@ -189,47 +191,42 @@ def generate_balls(dataset: Dataset, config: DivisionConfig | None = None,
 
     # Phase 1: quality-driven splitting.  Each ball is examined once; a ball
     # whose split fails or is rejected is final, its children otherwise
-    # re-enter the queue.  Final balls keep the order of the per-ball loop
-    # that defines the method, since phase 2's mean radius sums in it: they
-    # fill the first ``end`` columns, and the balls of the round the rest.
-    tables, end = [], 0  # per round: sizes, centres, radii and sums of its final balls
+    # re-enter the queue.  A round's final balls leave for ``final``, and the
+    # accepted children, as _split gathered them, are the next round's
+    # arrays.  So the final balls keep the order of the per-ball loop that
+    # defines the method, in which phase 2's mean radius sums.
+    final = []  # per round: sizes, centres, radii, sums, columns, ids and distances
     while sizes.size:
         starts = np.cumsum(sizes) - sizes
         tried = np.flatnonzero(sizes >= config.min_split_size)
         rows = None if tried.size == sizes.size else _runs(starts[tried], sizes[tried])
-        live_pts, live_ids, live_dist = pts[:, end:], ids[end:], dist[end:]
         ok, part, c_sizes, c_pts, (c_centers, c_dist, c_radii, c_sums) = _split(
-            live_pts, live_dist, sizes[tried], centers.take(tried, axis=1), rows)
+            pts, dist, sizes[tried], centers.take(tried, axis=1), rows)
         parent_ad = sums[tried[ok]] / sizes[tried[ok]]
         child_ad = (c_sums / c_sizes).reshape(-1, 2)
         better = should_split(parent_ad, child_ad[:, 0], child_ad[:, 1])
         trace.accepted_splits.extend(zip(parent_ad[better].tolist(), *child_ad[better].T.tolist()))
         split = np.zeros(sizes.size, dtype=bool)
         split[tried[ok][better]] = True
-        # the round's final balls, then the accepted children
         stay = _runs(starts[~split], sizes[~split])
-        moved = np.repeat(better, c_sizes[::2] + c_sizes[1::2])
-        for row, kids in zip(live_pts, c_pts):
-            row[:stay.size] = row.take(stay)
-            row[stay.size:] = kids[moved]
-        live_ids[:] = live_ids[np.concatenate((stay, part[moved]))]
-        live_dist[:] = np.concatenate((live_dist[stay], c_dist[moved]))
-        end += stay.size
-        tables.append((sizes[~split], centers.compress(~split, axis=1), radii[~split], sums[~split]))
-        kids = np.repeat(better, 2)
+        final.append((sizes[~split], centers.compress(~split, axis=1), radii[~split], sums[~split],
+                      pts.take(stay, axis=1), ids[stay], dist[stay]))
+        moved, kids = np.repeat(better, c_sizes[::2] + c_sizes[1::2]), np.repeat(better, 2)
+        pts, ids, dist = c_pts.compress(moved, axis=1), ids[part[moved]], c_dist[moved]
         sizes, centers = c_sizes[kids], c_centers.compress(kids, axis=1)
         radii, sums = c_radii[kids], c_sums[kids]
-        trace.rounds.append(RoundStats("divide", sum(t[0].size for t in tables) + sizes.size,
+        trace.rounds.append(RoundStats("divide", sum(f[0].size for f in final) + sizes.size,
                                        int(better.sum()), 0))
-        trace._snapshot(ids, [t[0] for t in tables] + [sizes])
-    sizes, centers, radii, sums = (np.concatenate(a, axis=-1) for a in zip(*tables))
+        trace._snapshot([f[5] for f in final] + [ids], [f[0] for f in final] + [sizes])
+    sizes, centers, radii, sums, pts, ids, dist = (np.concatenate(a, axis=-1) for a in zip(*final))
+    del final  # the pieces, a second copy of the columns
 
     # Phase 2: force-split oversized balls, recomputing the radius statistics
     # each round because splits shift the mean and median.  Children take
     # their parent's place in the columns.  In the tables, child a takes its
-    # parent's row and child b is appended (the tables double when full);
-    # ``seq`` lists the rows in column order, the order of the per-ball loop,
-    # in which the mean radius sums.
+    # parent's row and child b's row is appended; ``seq`` lists the rows in
+    # column order, the order of the per-ball loop, in which the mean radius
+    # sums.
     trace.stop_reason = "converged"
     rounds, seq = 0, np.arange(sizes.size)
     while True:
@@ -250,17 +247,14 @@ def generate_balls(dataset: Dataset, config: DivisionConfig | None = None,
         ids[split_pos], dist[split_pos] = ids[part], c_dist
         for row, kids in zip(pts, c_pts):
             row[split_pos] = kids
-        b_rows = np.arange(seq.size, seq.size + ok.sum())
-        if b_rows.size and b_rows[-1] >= sizes.size:
-            sizes, centers, radii, sums = (np.concatenate((t, t), axis=-1)
-                                           for t in (sizes, centers, radii, sums))
-        for table, kids in zip((sizes, centers, radii, sums),
-                               (c_sizes, c_centers, c_radii, c_sums)):
+        seq = np.insert(seq, over[ok] + 1, np.arange(seq.size, seq.size + ok.sum()))
+        tables, children = (sizes, centers, radii, sums), (c_sizes, c_centers, c_radii, c_sums)
+        for table, kids in zip(tables, children):
             table[..., oversized[ok]] = kids[..., ::2]
-            table[..., b_rows] = kids[..., 1::2]
-        seq = np.insert(seq, over[ok] + 1, b_rows)
+        sizes, centers, radii, sums = (np.concatenate((table, kids[..., 1::2]), axis=-1)
+                                       for table, kids in zip(tables, children))
         trace.rounds.append(RoundStats("refine", seq.size, int(ok.sum()), over.size))
-        trace._snapshot(ids, [sizes[seq]])
+        trace._snapshot([ids], [sizes[seq]])
         if not ok.all():
             trace.stop_reason = "split_failed"  # degenerate ball; kept as-is
             break

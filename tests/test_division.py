@@ -161,6 +161,69 @@ def test_partition_holds_after_every_round():
             assert np.array_equal(np.sort(seen), np.arange(n))
 
 
+def _reference_division(ds, config):
+    """Division one ball at a time, as the method states it; the member
+    arrays of every ball after each round.
+
+    Phase 1 is a queue: a ball of at least ``min_split_size`` members is
+    split, and its children join the back of the queue when both improve on
+    its average distance; every other ball is final.  A round is one pass
+    over the queue as it stood.  Phase 2 is a list: each ball that
+    ``detect_oversized`` flags, on the radii in list order, is replaced in
+    place by its two children.
+    """
+    snapshots, final, queue = [], [], [fit_ball(ds, np.arange(len(ds)))]
+    while queue:
+        pending = []
+        for ball in queue:
+            kids = split_once(ds, ball) if ball.sizes[0] >= config.min_split_size else None
+            ad = kids.sum_radius / kids.sizes if kids is not None else None
+            if kids is not None and should_split(ball.sum_radius[0] / ball.sizes[0], *ad):
+                pending += [fit_ball(ds, m) for m in _members(kids)]
+            else:
+                final.append(ball)
+        queue = pending
+        snapshots.append([b.order for b in final + queue])
+    balls, rounds = final, 0
+    while rounds < config.max_refinement_rounds:
+        over = detect_oversized([b.radii[0] for b in balls]).tolist()
+        if not over:
+            break
+        rounds += 1
+        kids = {i: split_once(ds, balls[i]) for i in over}
+        balls = [part for i, b in enumerate(balls)
+                 for part in ([b] if kids.get(i) is None else
+                              [fit_ball(ds, m) for m in _members(kids[i])])]
+        snapshots.append([b.order for b in balls])
+        if any(k is None for k in kids.values()):
+            break
+    return snapshots
+
+
+def test_division_matches_the_per_ball_reference():
+    # The rounds' balls, in order, after every round: phase 2's mean radius
+    # sums in this order, and splitting one ball at a time fixes it.
+    rng = np.random.default_rng(19)
+    refined = 0
+    for trial in range(40):
+        n, d = int(rng.integers(30, 601)), int(rng.choice([1, 2, 3, 8]))
+        pts = rng.normal(size=(n, d))
+        if trial % 2:  # wide tails, so that phase 2 has balls to split
+            pts = rng.standard_cauchy(size=(n, d))
+        if trial % 3 == 0:  # ties and duplicate points
+            pts = np.round(pts, 1)
+        ds = Dataset(points=pts)
+        config = DivisionConfig(min_split_size=int(rng.integers(2, 41)))
+        trace = DivisionTrace(capture_partitions=True)
+        generate_balls(ds, config, trace=trace)
+        expected = _reference_division(ds, config)
+        assert len(trace.partitions) == len(expected), trial
+        for got, want in zip(trace.partitions, expected):
+            assert [m.tolist() for m in got] == [m.tolist() for m in want], trial
+        refined += trace.rounds[-1].phase == "refine"
+    assert refined >= 10  # premise: phase 2 runs on a good share of the inputs
+
+
 def test_generate_balls_deterministic():
     ds = generate(BUNDLED_DATASETS["blobs5"])
     b1 = generate_balls(ds)
