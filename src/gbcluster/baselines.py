@@ -102,11 +102,7 @@ def kmeans(dataset: Dataset, config: KMeansConfig) -> ClusterAssignment:
                 centers[j] = new_c
         if shift < config.tol:
             break
-    used = np.unique(labels)
-    if used.size < config.k:
-        remap = {int(old): new for new, old in enumerate(used)}
-        labels = np.array([remap[int(v)] for v in labels])
-    return ClusterAssignment(labels=labels)
+    return ClusterAssignment(labels=np.unique(labels, return_inverse=True)[1])
 
 
 def dbscan(dataset: Dataset, config: DbscanConfig) -> ClusterAssignment:
