@@ -86,7 +86,7 @@ def _build_parser() -> _Parser:
     run.add_argument("--eps", type=float, default=None, help="neighborhood radius (dbscan)")
     run.add_argument("--min-pts", type=int, default=None, help="core threshold (dbscan)")
     run.add_argument("--dc", type=float, default=None, help="cutoff distance (dpeak)")
-    run.add_argument("--verbose", action="store_true", help="print division trace")
+    run.add_argument("--verbose", action="store_true", help="print the division trace (gbc only)")
 
     ev = sub.add_parser("eval", help="Rand index between two label columns")
     ev.add_argument("--truth", required=True, help="CSV with ground-truth labels")
@@ -168,6 +168,9 @@ def _cmd_run(args) -> int:
         what = f"takes only {' and '.join(takes)}" if takes else "takes no algorithm parameters"
         raise UsageError(f"{', '.join(extra)}: {args.algo} {what}; drop the flag or pick "
                          f"{'another algorithm' if takes else 'a baseline'} with --algo")
+    if args.verbose and args.algo != "gbc":
+        raise UsageError(f"--verbose: {args.algo} has no division trace to print; "
+                         "drop the flag or pick gbc with --algo")
     dataset = _load_run_input(args)
     trace = None
     ballset = None

@@ -73,6 +73,21 @@ def test_baselines_reject_flags_they_do_not_take(tmp_path, capsys, algo, given, 
                  *given[:at], *given[at + 2:]]) == EXIT_OK
 
 
+@pytest.mark.parametrize("algo, given", [
+    ("kmeans", ["--k", "1"]),
+    ("dbscan", ["--eps", "0.1", "--min-pts", "5"]),
+    ("dpeak", ["--dc", "0.15", "--k", "2"]),
+])
+def test_baselines_reject_verbose(tmp_path, capsys, algo, given):
+    # only gbc has a division trace to print
+    data = _gen(tmp_path)
+    out = tmp_path / algo
+    code = main(["run", "--algo", algo, "--in", str(data), "--out", str(out), *given, "--verbose"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: --verbose: {algo} ")
+    assert not (tmp_path / f"{algo}_points.csv").exists()
+
+
 def test_missing_input_is_io_error(tmp_path, capsys):
     code = main(["run", "--algo", "gbc", "--in", str(tmp_path / "nope.csv")])
     assert code == EXIT_IO
