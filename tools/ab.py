@@ -1,4 +1,4 @@
-"""Paired, in-process timing of the geometry stages, cluster() and the CLI at two commits.
+"""Paired, in-process timing of division, the geometry stages, cluster() and the CLI at two commits.
 
     python3 tools/ab.py [--base REV] [--pairs N] [--sets NAME,...] [--peak]
 
@@ -10,21 +10,22 @@ disk.  The point sets are ``tools/stage_times.py``'s, and the ball set is
 divided once by each copy (the two must agree).
 
 Each pair calls one stage on the same inputs in both copies, the base first
-in even pairs and the change first in odd ones.  The stages are the sweep
-(``_pairwise_center_distances``), overlaps (``count_overlaps``), merge
-(``merge_adjacent``), noise (``assign_noise``, handed what ``cluster()``
-hands it), the first three in a row (``geometry``), and the whole
-``cluster()``.  For each, the tool prints the median of the paired ratios
+in even pairs and the change first in odd ones.  The stages are division
+(``generate_balls``), the sweep (``_pairwise_center_distances``), overlaps
+(``count_overlaps``), merge (``merge_adjacent``), noise (``assign_noise``,
+handed what ``cluster()`` hands it), the sweep, overlaps and merge in a row
+(``geometry``), and the whole ``cluster()``.  For each, the tool prints the median of the paired ratios
 change / base, their interquartile range, and the pairs the change won
 (ratio below 1).  It checks that both copies give the same labels and
 overlap counts from ``cluster()``, and prints each copy's distance
 evaluations, which a change may mean to alter.  With ``--peak`` it also
-prints the ``tracemalloc`` peak of one geometry run per copy.
+prints the ``tracemalloc`` peaks of one division and one geometry run per
+copy.
 
-The set ``bundled-cli`` times ``cluster()`` over the five bundled sets, and
-``cli.main(["run", "--algo", "gbc", ...])`` over them as the benchmark's
-``bundled-cli`` workload runs it: each set shuffled with seed 1 and written
-once to a temporary directory.  Its check is that both copies write the same
+The set ``bundled-cli`` times division and ``cluster()`` over the five
+bundled sets, and ``cli.main(["run", "--algo", "gbc", ...])`` over them as
+the benchmark's ``bundled-cli`` workload runs it: each set shuffled with
+seed 1 and written once to a temporary directory.  Its check is that both copies write the same
 points and balls files.
 
 Run it on an idle host: a paired ratio cancels slow drift of the host, not
@@ -70,11 +71,12 @@ def load_base(rev: str, tmp: str, name: str = "gbcluster_base"):
     return module
 
 
-def stage_calls(D, data, ballset) -> dict:
-    """One call of each stage of differentiation module D, on ballset's own
-    sweep where a stage reads one."""
+def stage_calls(pkg, data, ballset) -> dict:
+    """One call of each stage of package pkg, on ballset's own sweep where a
+    stage reads one."""
     from stage_times import noise_handoff
 
+    D = pkg.differentiation
     sweep = D._pairwise_center_distances(ballset)
     ballset.overlap_counts = D.count_overlaps(ballset, sweep)
     ids, extra = D.merge_adjacent(ballset, sweep), noise_handoff(D, sweep)
@@ -84,7 +86,8 @@ def stage_calls(D, data, ballset) -> dict:
         D.count_overlaps(ballset, s)
         return D.merge_adjacent(ballset, s)
 
-    return {"sweep": lambda: D._pairwise_center_distances(ballset),
+    return {"division": lambda: pkg.division.generate_balls(data),
+            "sweep": lambda: D._pairwise_center_distances(ballset),
             "overlaps": lambda: D.count_overlaps(ballset, sweep),
             "merge": lambda: D.merge_adjacent(ballset, sweep),
             "noise": lambda: D.assign_noise(data, ballset, ids, *extra),
@@ -120,7 +123,7 @@ def blob_sides(packages, n: int, dim: int) -> tuple[list[dict], str]:
         D.reset_distance_counter()
         assignment, balls = D.cluster(ds)
         evals = D.distance_evaluations()  # of this one cluster()
-        sides.append((stage_calls(D, ds, ballset), ballset, assignment, balls, evals))
+        sides.append((stage_calls(pkg, ds, ballset), ballset, assignment, balls, evals))
     (base, base_balls, *base_out), (change, change_balls, *change_out) = sides
     same_balls = all(np.array_equal(getattr(base_balls, k), getattr(change_balls, k))
                      for k in ("order", "sizes", "centers", "radii"))
@@ -152,11 +155,15 @@ def cli_sides(packages, tmp: str) -> tuple[list[dict], str]:
                 return [cli.main(["run", "--algo", "gbc", "--in", os.path.join(tmp, f"{name}.csv"),
                                   "--out", os.path.join(tmp, f"{k}-{name}")]) for name in names]
 
+        def division(divide=pkg.division.generate_balls, sets=sets):
+            for ds in sets:
+                divide(ds)
+
         def cluster(D=pkg.differentiation, sets=sets):
             for ds in sets:
                 D.cluster(ds)
 
-        sides.append({"cluster": cluster, "cli": run})
+        sides.append({"division": division, "cluster": cluster, "cli": run})
     codes = [side["cli"]() for side in sides]
     same = all(Path(tmp, f"0-{name}_{part}.csv").read_bytes() == Path(tmp, f"1-{name}_{part}.csv").read_bytes()
                for name in names for part in ("points", "balls"))
@@ -178,9 +185,10 @@ def compare(name: str, sides: list[dict], note: str, pairs: int, peak: bool) -> 
         q25, q50, q75 = np.percentile(ratios, [25, 50, 75])
         won = sum(r < 1 for r in ratios)
         print(f"  {stage:9s} ratio {q50:.3f} [IQR {q25:.3f}-{q75:.3f}]  won {won} of {pairs}", flush=True)
-    if peak and "geometry" in change:
-        print(f"  geometry tracemalloc peak: base {_peak(base['geometry']):.1f} MiB, "
-              f"change {_peak(change['geometry']):.1f} MiB", flush=True)
+    for stage in ("division", "geometry") if peak else ():
+        if stage in change:
+            print(f"  {stage} tracemalloc peak: base {_peak(base[stage]):.1f} MiB, "
+                  f"change {_peak(change[stage]):.1f} MiB", flush=True)
 
 
 def main(argv=None) -> int:
@@ -195,7 +203,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=30, help="pairs of calls per stage")
     parser.add_argument("--sets", default="blobs-2d-100k,blobs-8d-20k,bundled-cli",
                         help=f"comma-separated, from: {', '.join(sets)}")
-    parser.add_argument("--peak", action="store_true", help="print the geometry's tracemalloc peaks")
+    parser.add_argument("--peak", action="store_true",
+                        help="print the division's and geometry's tracemalloc peaks")
     args = parser.parse_args(argv)
     names = args.sets.split(",")
     unknown = [s for s in names if s not in sets]
