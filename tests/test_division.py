@@ -177,8 +177,8 @@ def _reference_division(ds, config):
         pending = []
         for ball in queue:
             kids = split_once(ds, ball) if ball.sizes[0] >= config.min_split_size else None
-            ad = kids.sum_radius / kids.sizes if kids is not None else None
-            if kids is not None and should_split(ball.sum_radius[0] / ball.sizes[0], *ad):
+            if kids is not None and should_split(ball.sum_radius[0] / ball.sizes[0],
+                                                 *(kids.sum_radius / kids.sizes)):
                 pending += [fit_ball(ds, m) for m in _members(kids)]
             else:
                 final.append(ball)

@@ -14,19 +14,19 @@ in even pairs and the change first in odd ones.  The stages are division
 (``generate_balls``), the sweep (``_pairwise_center_distances``), overlaps
 (``count_overlaps``), merge (``merge_adjacent``), noise (``assign_noise``,
 handed what ``cluster()`` hands it), the sweep, overlaps and merge in a row
-(``geometry``), and the whole ``cluster()``.  For each, the tool prints the median of the paired ratios
-change / base, their interquartile range, and the pairs the change won
-(ratio below 1).  It checks that both copies give the same labels and
-overlap counts from ``cluster()``, and prints each copy's distance
-evaluations, which a change may mean to alter.  With ``--peak`` it also
-prints the ``tracemalloc`` peaks of one division and one geometry run per
-copy.
+(``geometry``), and the whole ``cluster()``.  For each, the tool prints the
+median of the paired ratios change / base, their interquartile range, and
+the pairs the change won (ratio below 1).  It checks that both copies give
+the same labels and overlap counts from ``cluster()``, and prints each
+copy's distance evaluations, which a change may mean to alter.  With
+``--peak`` it also prints the ``tracemalloc`` peaks of one division and one
+geometry run per copy.
 
 The set ``bundled-cli`` times division and ``cluster()`` over the five
 bundled sets, and ``cli.main(["run", "--algo", "gbc", ...])`` over them as
 the benchmark's ``bundled-cli`` workload runs it: each set shuffled with
-seed 1 and written once to a temporary directory.  Its check is that both copies write the same
-points and balls files.
+seed 1 and written once to a temporary directory.  Its check is that both
+copies write the same points and balls files.
 
 Run it on an idle host: a paired ratio cancels slow drift of the host, not
 a second load that arrives within one pair.  Against the commit itself
