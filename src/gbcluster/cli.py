@@ -250,13 +250,14 @@ def _cmd_bench(args) -> int:
         raise UsageError(f"--repetitions must be >= 1, got {args.repetitions}")
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     names = [d.strip() for d in args.data.split(",") if d.strip()]
-    for a in algos:
-        if a not in ALGORITHMS:
-            raise UsageError(f"unknown algorithm {a!r}; choose from {', '.join(ALGORITHMS)}")
-    for d in names:
-        if d not in BUNDLED_DATASETS:
-            raise UsageError(f"unknown dataset {d!r}; choose from "
-                             f"{', '.join(sorted(BUNDLED_DATASETS))}")
+    for flag, what, given, known in (("--algos", "algorithm", algos, ALGORITHMS),
+                                     ("--data", "dataset", names, sorted(BUNDLED_DATASETS))):
+        choose = f"choose from {', '.join(known)}"
+        if not given:
+            raise UsageError(f"{flag}: names no {what}; {choose}")
+        for x in given:
+            if x not in known:
+                raise UsageError(f"unknown {what} {x!r}; {choose}")
     reports: list[BenchReport] = []
     for name in names:
         ds = generate(BUNDLED_DATASETS[name])

@@ -164,14 +164,15 @@ def first_argmax(x: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.nda
     return hit[np.searchsorted(hit, starts)]
 
 
-def farthest_pairs(pts: np.ndarray, starts: np.ndarray, sizes: np.ndarray, dists: np.ndarray):
+def farthest_pairs(pts: np.ndarray, starts: np.ndarray, sizes: np.ndarray, far: np.ndarray):
     """Columns of the split seeds of every segment of pts (d, n).
 
-    p1 is the member farthest from the centre (``dists``), p2 the member
-    farthest from p1, by squared distance.  Ties go to the first column,
-    which is the lowest point index, so splitting stays deterministic.
+    p1 is the member at offset ``far`` (a ``first_argmax`` of the distances
+    to the centre), p2 the member farthest from p1, by squared distance.
+    Ties go to the first column, which is the lowest point index, so
+    splitting stays deterministic.
     """
-    p1 = first_argmax(dists, starts, sizes)
+    p1 = starts + far
     return p1, first_argmax(squared_distances(pts, pts.take(p1, axis=1), sizes), starts, sizes)
 
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (BallSet, Dataset, distances, farthest_pairs, fit_ball, fit_segments,
-                   squared_distances)
+from .core import (BallSet, Dataset, distances, farthest_pairs, first_argmax, fit_ball,
+                   fit_segments, squared_distances)
 
 
 @dataclass(frozen=True)
@@ -106,30 +106,33 @@ def _partition(to_a: np.ndarray, sizes: np.ndarray, starts: np.ndarray):
     return ok, side_sizes, by_side.take(_runs(side_starts, side_sizes))
 
 
-def _split(pts: np.ndarray, dists: np.ndarray, sizes: np.ndarray, centers: np.ndarray,
+def _split(pts: np.ndarray, far: np.ndarray, sizes: np.ndarray, centers: np.ndarray,
            rows: np.ndarray | None = None):
     """Split every ball, a run ``sizes`` of the columns ``rows`` (default all)
-    of pts (d, n), in one assignment pass; ``dists`` holds each column's
-    distance to its ball's centre (``centers``, d by k).
+    of pts (d, n), in one assignment pass; ``far`` holds each ball's offset
+    of its member farthest from its centre (``centers``, d by k).
 
     The child centres start at the midpoints between the ball centre and
     each seed; every member joins the nearer by squared distance (ties go
     to the first child).  Returns ``ok`` (k,), False where a side ends up
     empty (coincident members); the positions of the columns of the ok
     balls, children in the order a0, b0, a1, ..., members ascending; and the
-    child sizes, columns (d, by child members) and fit.
+    child sizes, columns (d, by child members) and fit, with farthest offsets.
     """
     if rows is not None:
-        pts, dists = pts.take(rows, axis=1), dists[rows]
+        pts = pts.take(rows, axis=1)
     starts = np.cumsum(sizes) - sizes
-    p1, p2 = farthest_pairs(pts, starts, sizes, dists)
+    p1, p2 = farthest_pairs(pts, starts, sizes, far)
     c1 = (centers + pts.take(p1, axis=1)) / 2.0
     c2 = (centers + pts.take(p2, axis=1)) / 2.0
     ok, child_sizes, part = _partition(
         squared_distances(pts, c1, sizes) <= squared_distances(pts, c2, sizes), sizes, starts)
     child_pts = pts.take(part, axis=1)
+    del pts  # the gathered copy, when rows are given
+    c_centers, c_dists, c_radii, c_sums = fit_segments(child_pts, child_sizes)
+    c_starts = np.cumsum(child_sizes) - child_sizes
     return (ok, part if rows is None else rows[part], child_sizes, child_pts,
-            fit_segments(child_pts, child_sizes))
+            (c_centers, first_argmax(c_dists, c_starts, child_sizes) - c_starts, c_radii, c_sums))
 
 
 def split_once(dataset: Dataset, ball: BallSet):
@@ -143,7 +146,7 @@ def split_once(dataset: Dataset, ball: BallSet):
     pts = dataset.points.take(ball.order, axis=0).T.copy()
     center = ball.centers.T
     ok, part, sizes, _, (centers, _, radii, sums) = _split(
-        pts, distances(pts, center), ball.sizes, center)
+        pts, first_argmax(distances(pts, center), np.array([0]), ball.sizes), ball.sizes, center)
     if not ok[0]:
         return None
     return BallSet(order=ball.order[part], sizes=sizes, centers=centers.T, radii=radii,
@@ -175,19 +178,21 @@ def generate_balls(dataset: Dataset, config: DivisionConfig | None = None,
     progress, the round-cap warning flag and why refinement stopped.
 
     Each round splits all of its balls at once, on arrays.  A ball is a run
-    of columns, members ascending, of the points (d, n), their ids and their
-    distances to the ball's centre, so each ball is fitted once; tables hold
-    the sizes, centres (d, k), radii and distance sums.  In phase 1 these
-    hold the pending balls only, in phase 2 every ball.
+    of columns, members ascending, of the points (d, n) and their ids, so
+    each ball is fitted once; tables hold the sizes, centres (d, k), radii,
+    distance sums and the offset in its run of the member farthest from the
+    centre.  In phase 1 these hold the pending balls only, in phase 2 every
+    ball.  Each round's copies are dropped before the next round's split.
     """
     if config is None:
         config = DivisionConfig()
     if trace is None:
         trace = DivisionTrace()
     root = fit_ball(dataset, np.arange(len(dataset)))
-    pts, ids = dataset.points.T.copy(), np.arange(len(dataset))
     sizes, centers, radii, sums = root.sizes, root.centers.T, root.radii, root.sum_radius
-    dist = distances(pts, centers)
+    del root  # its order is a second arange(n)
+    pts, ids = dataset.points.T.copy(), np.arange(len(dataset))
+    far = first_argmax(distances(pts, centers), np.array([0]), sizes)
 
     # Phase 1: quality-driven splitting.  Each ball is examined once; a ball
     # whose split fails or is rejected is final, its children otherwise
@@ -195,13 +200,14 @@ def generate_balls(dataset: Dataset, config: DivisionConfig | None = None,
     # accepted children, as _split gathered them, are the next round's
     # arrays.  So the final balls keep the order of the per-ball loop that
     # defines the method, in which phase 2's mean radius sums.
-    final = []  # per round: sizes, centres, radii, sums, columns, ids and distances
+    final = []  # per round: sizes, centres, radii, sums, farthest offsets, columns and ids
     while sizes.size:
         starts = np.cumsum(sizes) - sizes
         tried = np.flatnonzero(sizes >= config.min_split_size)
         rows = None if tried.size == sizes.size else _runs(starts[tried], sizes[tried])
-        ok, part, c_sizes, c_pts, (c_centers, c_dist, c_radii, c_sums) = _split(
-            pts, dist, sizes[tried], centers.take(tried, axis=1), rows)
+        ok, part, c_sizes, c_pts, (c_centers, c_far, c_radii, c_sums) = _split(
+            pts, far[tried], sizes[tried], centers.take(tried, axis=1), rows)
+        del rows
         parent_ad = sums[tried[ok]] / sizes[tried[ok]]
         child_ad = (c_sums / c_sizes).reshape(-1, 2)
         better = should_split(parent_ad, child_ad[:, 0], child_ad[:, 1])
@@ -210,15 +216,16 @@ def generate_balls(dataset: Dataset, config: DivisionConfig | None = None,
         split[tried[ok][better]] = True
         stay = _runs(starts[~split], sizes[~split])
         final.append((sizes[~split], centers.compress(~split, axis=1), radii[~split], sums[~split],
-                      pts.take(stay, axis=1), ids[stay], dist[stay]))
+                      far[~split], pts.take(stay, axis=1), ids[stay]))
         moved, kids = np.repeat(better, c_sizes[::2] + c_sizes[1::2]), np.repeat(better, 2)
-        pts, ids, dist = c_pts.compress(moved, axis=1), ids[part[moved]], c_dist[moved]
-        sizes, centers = c_sizes[kids], c_centers.compress(kids, axis=1)
+        pts, ids = c_pts.compress(moved, axis=1), ids[part[moved]]
+        del stay, c_pts, part, moved
+        sizes, centers, far = c_sizes[kids], c_centers.compress(kids, axis=1), c_far[kids]
         radii, sums = c_radii[kids], c_sums[kids]
         trace.rounds.append(RoundStats("divide", sum(f[0].size for f in final) + sizes.size,
                                        int(better.sum()), 0))
-        trace._snapshot([f[5] for f in final] + [ids], [f[0] for f in final] + [sizes])
-    sizes, centers, radii, sums, pts, ids, dist = (np.concatenate(a, axis=-1) for a in zip(*final))
+        trace._snapshot([f[6] for f in final] + [ids], [f[0] for f in final] + [sizes])
+    sizes, centers, radii, sums, far, pts, ids = (np.concatenate(a, axis=-1) for a in zip(*final))
     del final  # the pieces, a second copy of the columns
 
     # Phase 2: force-split oversized balls, recomputing the radius statistics
@@ -241,18 +248,20 @@ def generate_balls(dataset: Dataset, config: DivisionConfig | None = None,
         rounds += 1
         in_seq, oversized = sizes[seq], seq[over]
         pos = _runs((np.cumsum(in_seq) - in_seq)[over], in_seq[over])
-        ok, part, c_sizes, c_pts, (c_centers, c_dist, c_radii, c_sums) = _split(
-            pts, dist, in_seq[over], centers.take(oversized, axis=1), pos)
+        ok, part, c_sizes, c_pts, (c_centers, c_far, c_radii, c_sums) = _split(
+            pts, far[oversized], in_seq[over], centers.take(oversized, axis=1), pos)
         split_pos = pos[np.repeat(ok, in_seq[over])]
-        ids[split_pos], dist[split_pos] = ids[part], c_dist
+        ids[split_pos] = ids[part]
         for row, kids in zip(pts, c_pts):
             row[split_pos] = kids
+        del pos, part, c_pts, split_pos
         seq = np.insert(seq, over[ok] + 1, np.arange(seq.size, seq.size + ok.sum()))
-        tables, children = (sizes, centers, radii, sums), (c_sizes, c_centers, c_radii, c_sums)
+        tables = (sizes, centers, radii, sums, far)
+        children = (c_sizes, c_centers, c_radii, c_sums, c_far)
         for table, kids in zip(tables, children):
             table[..., oversized[ok]] = kids[..., ::2]
-        sizes, centers, radii, sums = (np.concatenate((table, kids[..., 1::2]), axis=-1)
-                                       for table, kids in zip(tables, children))
+        sizes, centers, radii, sums, far = (np.concatenate((table, kids[..., 1::2]), axis=-1)
+                                            for table, kids in zip(tables, children))
         trace.rounds.append(RoundStats("refine", seq.size, int(ok.sum()), over.size))
         trace._snapshot([ids], [sizes[seq]])
         if not ok.all():
@@ -260,6 +269,7 @@ def generate_balls(dataset: Dataset, config: DivisionConfig | None = None,
             break
 
     # Balls are numbered by their smallest member, members still ascending.
+    del pts
     in_seq = sizes[seq]
     starts = np.cumsum(in_seq) - in_seq
     by = np.argsort(ids[starts])

@@ -172,6 +172,16 @@ def test_bench_rejects_unknown_names(capsys):
     assert main(["bench", "--algos", "quantum", "--data", "moons1k"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("flag, given", [("--algos", ["--algos", "", "--data", "moons1k"]),
+                                         ("--data", ["--algos", "gbc", "--data", " , "])])
+def test_bench_rejects_an_empty_list(tmp_path, capsys, flag, given):
+    # an empty list measured nothing and, with --out, wrote a header-only table
+    out = tmp_path / "report.csv"
+    assert main(["bench", *given, "--repetitions", "1", "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: {flag}: names no ")
+    assert not out.exists()
+
+
 def test_repeated_runs_are_byte_identical(tmp_path):
     data = _gen(tmp_path)
     p1, p2 = tmp_path / "r1", tmp_path / "r2"

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from gbcluster.core import (ClusterAssignment, Dataset, distances, farthest_pairs, fit_ball,
-                            squared_distances)
+from gbcluster.core import (ClusterAssignment, Dataset, distances, farthest_pairs,
+                            first_argmax, fit_ball, squared_distances)
 from gbcluster.division import split_once
 
 
@@ -119,7 +119,8 @@ def _seeds(ds, ball):
     """The split seeds of a one-ball BallSet, as point indices, from
     ``farthest_pairs`` on its one segment."""
     pts = ds.points[ball.order].T.copy()
-    p1, p2 = farthest_pairs(pts, np.array([0]), ball.sizes, distances(pts, ball.centers.T))
+    far = first_argmax(distances(pts, ball.centers.T), np.array([0]), ball.sizes)
+    p1, p2 = farthest_pairs(pts, np.array([0]), ball.sizes, far)
     return int(ball.order[p1[0]]), int(ball.order[p2[0]])
 
 

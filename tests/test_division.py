@@ -473,3 +473,26 @@ def test_division_memory_at_8_dimensions():
     finally:
         tracemalloc.stop()
     assert peak < 6.87 * 2 ** 20 + 8 * n * d
+
+
+@pytest.mark.parametrize("n, dim, times", [
+    # 12.40 MiB (8.1 times the input) while division carried a distance per
+    # member through every round and kept each round's copies alive; 7.73 MiB
+    # (5.1 times) with a farthest-member offset per ball and the copies freed
+    (100_000, 2, 6.5),
+    # 6.60 MiB (5.4 times) then, 4.33 MiB (3.5 times) now
+    (20_000, 8, 4.5),
+], ids=["2d-100k", "8d-20k"])
+def test_division_working_set_in_input_bytes(n, dim, times):
+    if dim == 2:  # the input of test_division_memory_stays_linear_in_points
+        centers = BUNDLED_DATASETS["blobs10k"].centers
+        ds = generate(GeneratorSpec(family="blobs", n=n, seed=1, centers=centers, scales=0.5))
+    else:
+        ds = _blob_points(n, dim)
+    tracemalloc.start()
+    try:
+        generate_balls(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < times * ds.points.nbytes

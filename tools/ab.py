@@ -11,10 +11,12 @@ divided once by each copy (the two must agree).
 
 Each pair calls one stage on the same inputs in both copies, the base first
 in even pairs and the change first in odd ones.  The stages are division
-(``generate_balls``), the sweep (``_pairwise_center_distances``), overlaps
-(``count_overlaps``), merge (``merge_adjacent``), noise (``assign_noise``,
-handed what ``cluster()`` hands it), the sweep, overlaps and merge in a row
-(``geometry``), and the whole ``cluster()``.  For each, the tool prints the
+(``generate_balls``), the sweep (``_pairwise_center_distances``), merge
+(``merge_adjacent``), noise (``assign_noise``, handed what ``cluster()``
+hands it), the sweep, overlaps (``count_overlaps``) and merge in a row
+(``geometry``), and the whole ``cluster()``.  Overlaps has no stage of its
+own: it reads the counts the sweep kept, below what a pair of calls
+resolves.  For each, the tool prints the
 median of the paired ratios change / base, their interquartile range, and
 the pairs the change won (ratio below 1).  It checks that both copies give
 the same labels and overlap counts from ``cluster()``, and prints each
@@ -30,9 +32,7 @@ copies write the same points and balls files.
 
 Run it on an idle host: a paired ratio cancels slow drift of the host, not
 a second load that arrives within one pair.  Against the commit itself
-(``--base HEAD`` on a clean checkout) it measures its own noise; a stage of
-a few microseconds, such as overlaps reading the sweep's counts, is below
-what it resolves.
+(``--base HEAD`` on a clean checkout) it measures its own noise.
 """
 
 from __future__ import annotations
@@ -88,7 +88,6 @@ def stage_calls(pkg, data, ballset) -> dict:
 
     return {"division": lambda: pkg.division.generate_balls(data),
             "sweep": lambda: D._pairwise_center_distances(ballset),
-            "overlaps": lambda: D.count_overlaps(ballset, sweep),
             "merge": lambda: D.merge_adjacent(ballset, sweep),
             "noise": lambda: D.assign_noise(data, ballset, ids, *extra),
             "geometry": geometry,

@@ -16,7 +16,8 @@ the commits that have them the sweep's strips), then the whole
 (``distance_evaluations`` over one sweep), the overlapping pairs, the pairs
 within reach that do not overlap, the pairs of live centres within
 3 * r_max, and the ``tracemalloc`` peaks of one sweep and of one sweep,
-overlaps and merge (``geometry_peak_mib``).
+overlaps and merge (``geometry_peak_mib``).  ``division_peak_mib`` is the
+``tracemalloc`` peak of one ``generate_balls``.
 
 The CLI row covers what ``gbcluster run`` does on the five bundled sets, as
 the ``bundled-cli`` workload does: each set, shuffled with seed 1 and
@@ -127,6 +128,10 @@ def measure(name: str, n: int, dim: int) -> dict:
     data = Dataset(points=points(n, dim).points)
     seconds = {}
     ballset, seconds["division"] = _best(lambda: generate_balls(data))
+    tracemalloc.start()
+    generate_balls(data)
+    division_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     D.reset_distance_counter()
     tracemalloc.start()
     sweep = D._pairwise_center_distances(ballset)
@@ -152,7 +157,8 @@ def measure(name: str, n: int, dim: int) -> dict:
         "seconds": seconds, "tile_entries": entries,
         "pairs_overlapping": overlapping, "pairs_apart_within_reach": within_reach - overlapping,
         "pairs_within_3rmax": pairs_within(ballset.centers[live], 3 * float(ballset.radii[live].max())),
-        "sweep_peak_mib": sweep_peak / 2 ** 20, "geometry_peak_mib": geometry_peak / 2 ** 20,
+        "division_peak_mib": division_peak / 2 ** 20, "sweep_peak_mib": sweep_peak / 2 ** 20,
+        "geometry_peak_mib": geometry_peak / 2 ** 20,
     }
 
 
@@ -202,6 +208,7 @@ def main(argv=None) -> int:
         print(f"{name}: m={row['balls']}  {stages} ms  entries {row['tile_entries']:,}  "
               f"overlapping {row['pairs_overlapping']:,}  apart {row['pairs_apart_within_reach']:,}  "
               f"within 3*r_max {row['pairs_within_3rmax']:,}  "
+              f"division peak {row['division_peak_mib']:.1f} MiB  "
               f"geometry peak {row['geometry_peak_mib']:.1f} MiB", flush=True)
     result["cli"] = measure_cli()
     stages = "  ".join(f"{k} {v * 1e3:.1f}" for k, v in result["cli"]["seconds"].items())
