@@ -16,13 +16,13 @@ in even pairs and the change first in odd ones.  The stages are division
 hands it), the sweep, overlaps (``count_overlaps``) and merge in a row
 (``geometry``), and the whole ``cluster()``.  Overlaps has no stage of its
 own: it reads the counts the sweep kept, below what a pair of calls
-resolves.  For each, the tool prints the
-median of the paired ratios change / base, their interquartile range, and
-the pairs the change won (ratio below 1).  It checks that both copies give
-the same labels and overlap counts from ``cluster()``, and prints each
-copy's distance evaluations, which a change may mean to alter.  With
-``--peak`` it also prints the ``tracemalloc`` peaks of one division and one
-geometry run per copy.
+resolves.  For each stage, the tool prints the median of the paired ratios
+change / base, their interquartile range, and the pairs the change won
+(ratio below 1).  It checks that both copies give the same labels and
+overlap counts from ``cluster()``, and prints each copy's distance
+evaluations, which a change may mean to alter.  With ``--peak`` it also
+prints the ``tracemalloc`` peaks of one division and one geometry run per
+copy.
 
 The set ``bundled-cli`` times division and ``cluster()`` over the five
 bundled sets, and ``cli.main(["run", "--algo", "gbc", ...])`` over them as
