@@ -13,6 +13,7 @@ import csv
 import json
 import sys
 import time
+from dataclasses import fields
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +27,15 @@ from .differentiation import cluster
 from .division import DivisionTrace
 from .metrics import BenchReport, benchmark, rand_index
 
-ALGORITHMS = ("gbc", "kmeans", "dbscan", "dpeak")
+# Each baseline's function, config class and run flags, with an example
+# value of each for the usage message.  A flag's dest is also the config
+# field it sets; ``--seed`` goes to the configs that have a seed.
+BASELINES = {
+    "kmeans": (kmeans, KMeansConfig, {"--k": "2"}),
+    "dbscan": (dbscan, DbscanConfig, {"--eps": "0.2", "--min-pts": "5"}),
+    "dpeak": (dpeak, DpeakConfig, {"--dc": "0.2", "--k": "2"}),
+}
+ALGORITHMS = ("gbc", *BASELINES)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -137,33 +146,25 @@ def _load_run_input(args) -> Dataset:
     return load_csv(args.infile, has_header=has_header, label_column=label_col)
 
 
-def _baseline_flags(args) -> list[str]:
-    return [flag for flag, value in
-            (("--k", args.k), ("--eps", args.eps), ("--min-pts", args.min_pts), ("--dc", args.dc))
-            if value is not None]
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
 
-def _make_runner(args):
-    algo = args.algo
-    if algo == "kmeans":
-        if args.k is None:
-            raise UsageError("kmeans needs --k; try --k 2")
-        cfg = KMeansConfig(k=args.k, seed=args.seed)
-        return lambda ds: kmeans(ds, cfg)
-    if algo == "dbscan":
-        if args.eps is None or args.min_pts is None:
-            raise UsageError("dbscan needs --eps and --min-pts; try --eps 0.2 --min-pts 5")
-        cfg = DbscanConfig(eps=args.eps, min_pts=args.min_pts)
-        return lambda ds: dbscan(ds, cfg)
-    if args.dc is None or args.k is None:
-        raise UsageError("dpeak needs --dc and --k; try --dc 0.2 --k 2")
-    cfg = DpeakConfig(dc=args.dc, k=args.k)
-    return lambda ds: dpeak(ds, cfg)
+def _run_baseline(args, dataset: Dataset):
+    run, config, flags = BASELINES[args.algo]
+    values = {_dest(flag): getattr(args, _dest(flag)) for flag in flags}
+    if None in values.values():
+        raise UsageError(f"{args.algo} needs {' and '.join(flags)}; "
+                         f"try {' '.join(f'{flag} {value}' for flag, value in flags.items())}")
+    if "seed" in {f.name for f in fields(config)}:
+        values["seed"] = args.seed
+    return run(dataset, config(**values))
 
 
 def _cmd_run(args) -> int:
-    takes = {"kmeans": ["--k"], "dbscan": ["--eps", "--min-pts"], "dpeak": ["--dc", "--k"]}.get(args.algo, [])
-    extra = [flag for flag in _baseline_flags(args) if flag not in takes]
+    takes = BASELINES[args.algo][2] if args.algo in BASELINES else {}
+    every = dict.fromkeys(flag for _, _, flags in BASELINES.values() for flag in flags)
+    extra = [flag for flag in every if getattr(args, _dest(flag)) is not None and flag not in takes]
     if extra:
         what = f"takes only {' and '.join(takes)}" if takes else "takes no algorithm parameters"
         raise UsageError(f"{', '.join(extra)}: {args.algo} {what}; drop the flag or pick "
@@ -179,7 +180,7 @@ def _cmd_run(args) -> int:
         trace = DivisionTrace()
         assignment, ballset = cluster(dataset, trace=trace)
     else:
-        assignment = _make_runner(args)(dataset)
+        assignment = _run_baseline(args, dataset)
     wall = time.perf_counter() - t0
 
     if args.verbose and trace is not None:
@@ -237,12 +238,8 @@ def _cmd_eval(args) -> int:
 def _bench_runner(algo: str, dataset_name: str):
     if algo == "gbc":
         return lambda ds: cluster(ds)[0]
-    params = BENCH_BASELINES[dataset_name][algo]
-    if algo == "kmeans":
-        return lambda ds: kmeans(ds, params)
-    if algo == "dbscan":
-        return lambda ds: dbscan(ds, params)
-    return lambda ds: dpeak(ds, params)
+    run, params = BASELINES[algo][0], BENCH_BASELINES[dataset_name][algo]
+    return lambda ds: run(ds, params)
 
 
 def _cmd_bench(args) -> int:

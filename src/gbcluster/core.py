@@ -158,9 +158,10 @@ def fit_segments(pts: np.ndarray, sizes: np.ndarray):
     return centers, dists, np.maximum.reduceat(dists, starts), np.add.reduceat(dists, starts)
 
 
-def first_argmax(x: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Position in x of the first maximum of every segment."""
-    hit = np.flatnonzero(x == np.repeat(np.maximum.reduceat(x, starts), sizes))
+def first_argmax(x: np.ndarray, starts: np.ndarray, sizes: np.ndarray, maxima=None) -> np.ndarray:
+    """Position in x of the first maximum of every segment; ``maxima``, if given, are those maxima."""
+    maxima = np.maximum.reduceat(x, starts) if maxima is None else maxima
+    hit = np.flatnonzero(x == np.repeat(maxima, sizes))
     return hit[np.searchsorted(hit, starts)]
 
 

@@ -131,8 +131,9 @@ def _split(pts: np.ndarray, far: np.ndarray, sizes: np.ndarray, centers: np.ndar
     del pts  # the gathered copy, when rows are given
     c_centers, c_dists, c_radii, c_sums = fit_segments(child_pts, child_sizes)
     c_starts = np.cumsum(child_sizes) - child_sizes
+    c_far = first_argmax(c_dists, c_starts, child_sizes, c_radii) - c_starts
     return (ok, part if rows is None else rows[part], child_sizes, child_pts,
-            (c_centers, first_argmax(c_dists, c_starts, child_sizes) - c_starts, c_radii, c_sums))
+            (c_centers, c_far, c_radii, c_sums))
 
 
 def split_once(dataset: Dataset, ball: BallSet):

@@ -1,0 +1,54 @@
+"""tools/ab.py: the row it measures for one set, with this checkout's
+gbcluster on both sides, so both sides must agree in every count."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+import gbcluster
+from gbcluster.data import BUNDLED_DATASETS, GeneratorSpec, generate
+from gbcluster.differentiation import cluster
+
+_spec = importlib.util.spec_from_file_location(
+    "ab", Path(__file__).resolve().parent.parent / "tools" / "ab.py")
+ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab)
+
+CLUSTER_STAGES = {"division", "sweep", "merge", "noise", "geometry", "cluster"}
+
+
+@pytest.mark.parametrize("name, data, cli", [
+    ("blobs-5k", generate(GeneratorSpec(family="blobs", n=5000, seed=1, scales=0.5,
+                                        centers=((0.0, 0.0), (5.0, 0.0), (0.0, 5.0)))), False),
+    ("moons1k", generate(BUNDLED_DATASETS["moons1k"]), True),
+], ids=["blobs-5k", "moons1k-cli"])
+def test_one_set_row_has_every_field_and_the_sides_agree(tmp_path, name, data, cli):
+    row = ab.measure(name, (gbcluster, gbcluster), [data], pairs=2,
+                     tmp=str(tmp_path) if cli else None)
+    json.dumps(row, allow_nan=False)
+    assert set(row) == {"name", "rows", "d", "identical", "counts", "peak_mib", "stages"}
+    assert (row["name"], row["rows"], row["d"]) == (name, len(data), data.dim)
+
+    assert row["identical"] == {"balls": True, "labels_and_overlaps": True,
+                                **({"files": True} if cli else {})}
+    assignment, balls = cluster(data)
+    counts = row["counts"]["change"]
+    assert row["counts"]["base"] == counts
+    assert set(counts) == set(ab.COUNTS)
+    assert (counts["balls"], counts["clusters"], counts["noise_points"]) == (
+        len(balls), assignment.cluster_count, assignment.noise_count)
+    assert counts["pairs_overlapping"] == balls.overlap_counts.sum() // 2 > 0
+    assert counts["tile_entries"] > counts["pairs_overlapping"] + counts["pairs_kept"]
+
+    cli_stages = {"load_csv", "save_results", "cli"} if cli else set()
+    assert set(row["stages"]) == CLUSTER_STAGES | cli_stages
+    for stage in row["stages"].values():
+        assert set(stage) == {"base_min_s", "change_min_s", "ratio_median", "ratio_iqr", "won"}
+        assert stage["base_min_s"] > 0 and stage["change_min_s"] > 0
+        assert stage["ratio_iqr"][0] <= stage["ratio_median"] <= stage["ratio_iqr"][1]
+        assert 0 <= stage["won"] <= 2
+    assert set(row["peak_mib"]) == {"division", "sweep", "geometry"}
+    for peak in row["peak_mib"].values():
+        assert set(peak) == {"base", "change"} and min(peak.values()) > 0

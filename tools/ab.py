@@ -1,38 +1,47 @@
-"""Paired, in-process timing of division, the geometry stages, cluster() and the CLI at two commits.
+"""Paired, in-process timing of every stage of cluster() and of the CLI at two commits.
 
-    python3 tools/ab.py [--base REV] [--pairs N] [--sets NAME,...] [--peak]
+    python3 tools/ab.py [--base REV] [--pairs N] [--sets NAME,...] [--out BENCH_<label>.json]
 
 The base is ``src/gbcluster`` at REV (default HEAD), taken with
 ``git archive`` into a temporary directory and imported as the package
 ``gbcluster_base``; ``src/`` uses only relative imports, so both copies load
 side by side.  The change is this checkout's ``src/gbcluster`` as it is on
-disk.  The point sets are ``tools/stage_times.py``'s, and the ball set is
-divided once by each copy (the two must agree).
+disk.
 
-Each pair calls one stage on the same inputs in both copies, the base first
-in even pairs and the change first in odd ones.  The stages are division
-(``generate_balls``), the sweep (``_pairwise_center_distances``), merge
-(``merge_adjacent``), noise (``assign_noise``, handed what ``cluster()``
-hands it), the sweep, overlaps (``count_overlaps``) and merge in a row
-(``geometry``), and the whole ``cluster()``.  Overlaps has no stage of its
-own: it reads the counts the sweep kept, below what a pair of calls
-resolves.  For each stage, the tool prints the median of the paired ratios
-change / base, their interquartile range, and the pairs the change won
-(ratio below 1).  It checks that both copies give the same labels and
-overlap counts from ``cluster()``, and prints each copy's distance
-evaluations, which a change may mean to alter.  With ``--peak`` it also
-prints the ``tracemalloc`` peaks of one division and one geometry run per
-copy.
+The sets are perfbench's ``blob_points`` at 2-d 100k, 300k and 1M, 8-d 20k
+and 100k and 32-d 100k; five sigma-0.5 blobs on a line at 1-d 100k
+(``blob_points`` gives 2-d points for ``dim`` 1); and ``bundled-cli``, the
+five bundled sets.  Each is shuffled with seed 1, as the benchmark's seed 1
+does.  The stages run over every point set of a set, on the ball set and
+sweep of one ``cluster()`` of the same copy: division (``generate_balls``),
+the sweep (``_pairwise_center_distances``), merge (``merge_adjacent``),
+noise (``assign_noise``, handed the sweep as ``cluster()`` hands it), the
+sweep, overlaps (``count_overlaps``, an attribute read) and merge in a row
+(``geometry``), and the whole ``cluster()``.  ``bundled-cli`` adds the stages
+of ``gbcluster run`` as the benchmark's ``bundled-cli`` workload runs it,
+each set written once as a CSV file: ``load_csv``, ``save_results`` and the
+whole ``cli.main(["run", "--algo", "gbc", ...])``.
 
-The set ``bundled-cli`` times division and ``cluster()`` over the five
-bundled sets, and ``cli.main(["run", "--algo", "gbc", ...])`` over them as
-the benchmark's ``bundled-cli`` workload runs it: each set shuffled with
-seed 1 and written once to a temporary directory.  Its check is that both
-copies write the same points and balls files.
+Each pair calls one stage in both copies, the base first in even pairs and
+the change first in odd ones.  For each stage the tool prints the median of
+the ratios change / base, their interquartile range and the pairs the
+change won (ratio below 1).  It checks that both copies give the same ball
+sets, the same labels and overlap counts from ``cluster()`` and, on
+``bundled-cli``, the same points and balls files.  It also takes each copy's
+counts (balls m, live balls, clusters K, noise points, tile entries of the
+one sweep of ``cluster()``, overlapping pairs and the non-overlapping pairs
+the sweep keeps) and the ``tracemalloc`` peaks of one division, sweep and
+geometry call.  ``--out`` writes all of it to a JSON file, with both sides'
+least times, both commits' SHAs, the ``git status`` of ``src/`` and the
+numpy, Python and machine details.
 
-Run it on an idle host: a paired ratio cancels slow drift of the host, not
-a second load that arrives within one pair.  Against the commit itself
-(``--base HEAD`` on a clean checkout) it measures its own noise.
+A paired ratio cancels slow drift of the host, not a second load that
+arrives within one pair, so run it on an idle host.  Against the commit
+itself (``--base HEAD`` on a clean checkout) it measures its own noise.
+Both copies run in one warm process, so the ratios miss the first-touch
+page faults that perfbench's fresh processes take (0 against 3,588 minor
+faults a ``generate_balls`` call at 2-d 100k, in two variants of one
+change), and they do not predict perfbench's ``wall_s``.
 """
 
 from __future__ import annotations
@@ -42,7 +51,9 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import json
 import os
+import platform
 import subprocess
 import sys
 import tarfile
@@ -54,6 +65,14 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+SETS = {"blobs-1d-100k": (100_000, 1), "blobs-2d-100k": (100_000, 2), "blobs-2d-300k": (300_000, 2),
+        "blobs-2d-1m": (1_000_000, 2), "blobs-8d-20k": (20_000, 8), "blobs-8d-100k": (100_000, 8),
+        "blobs-32d-100k": (100_000, 32), "bundled-cli": None}
+LINE_CENTERS = ((0.0,), (6.0,), (12.0,), (18.0,), (24.0,))
+SHUFFLE_SEED = 1
+COUNTS = ("balls", "live_balls", "clusters", "noise_points", "tile_entries", "pairs_overlapping",
+          "pairs_kept")
+PEAKS = ("division", "sweep", "geometry")
 
 
 def load_base(rev: str, tmp: str, name: str = "gbcluster_base"):
@@ -71,27 +90,19 @@ def load_base(rev: str, tmp: str, name: str = "gbcluster_base"):
     return module
 
 
-def stage_calls(pkg, data, ballset) -> dict:
-    """One call of each stage of package pkg, on ballset's own sweep where a
-    stage reads one."""
-    from stage_times import noise_handoff
+def points(name: str) -> list:
+    """The point sets of the named set, in the benchmark's seed-1 order."""
+    from workloads import blob_points, shuffled
+    from gbcluster.data import BUNDLED_DATASETS, GeneratorSpec, generate
 
-    D = pkg.differentiation
-    sweep = D._pairwise_center_distances(ballset)
-    ballset.overlap_counts = D.count_overlaps(ballset, sweep)
-    ids, extra = D.merge_adjacent(ballset, sweep), noise_handoff(D, sweep)
-
-    def geometry():
-        s = D._pairwise_center_distances(ballset)
-        D.count_overlaps(ballset, s)
-        return D.merge_adjacent(ballset, s)
-
-    return {"division": lambda: pkg.division.generate_balls(data),
-            "sweep": lambda: D._pairwise_center_distances(ballset),
-            "merge": lambda: D.merge_adjacent(ballset, sweep),
-            "noise": lambda: D.assign_noise(data, ballset, ids, *extra),
-            "geometry": geometry,
-            "cluster": lambda: D.cluster(data)}
+    if SETS[name] is None:
+        data = [generate(BUNDLED_DATASETS[key]) for key in sorted(BUNDLED_DATASETS)]
+    elif SETS[name][1] == 1:
+        data = [generate(GeneratorSpec(family="blobs", n=SETS[name][0], seed=1, scales=0.5,
+                                       centers=LINE_CENTERS))]
+    else:
+        data = [blob_points(*SETS[name])]
+    return [shuffled(ds, SHUFFLE_SEED)[0] for ds in data]
 
 
 def _seconds(call) -> float:
@@ -100,7 +111,7 @@ def _seconds(call) -> float:
     return time.perf_counter() - start
 
 
-def _peak(call) -> float:
+def _peak_mib(call) -> float:
     tracemalloc.start()
     try:
         call()
@@ -109,115 +120,143 @@ def _peak(call) -> float:
         tracemalloc.stop()
 
 
-def blob_sides(packages, n: int, dim: int) -> tuple[list[dict], str]:
-    """Each copy's stage calls on the point set, and what the two give."""
-    from stage_times import points
-
-    data = points(n, dim)
-    sides = []
-    for pkg in packages:
-        D = pkg.differentiation
-        ds = pkg.core.Dataset(points=data.points)
-        ballset = pkg.division.generate_balls(ds)
+def side(pkg, data: list, files: list | None, tag: str) -> tuple[dict, dict, dict]:
+    """Package pkg's stage calls over the point sets, its counts, and what
+    the two sides must agree on.  With the sets' CSV files, the CLI stages
+    too, writing under the prefixes ``<file>-<tag>``."""
+    D = pkg.differentiation
+    runs, counts, same = [], dict.fromkeys(COUNTS, 0), {"balls": [], "labels_and_overlaps": []}
+    for ds in (pkg.core.Dataset(points=d.points) for d in data):
         D.reset_distance_counter()
         assignment, balls = D.cluster(ds)
-        evals = D.distance_evaluations()  # of this one cluster()
-        sides.append((stage_calls(pkg, ds, ballset), ballset, assignment, balls, evals))
-    (base, base_balls, *base_out), (change, change_balls, *change_out) = sides
-    same_balls = all(np.array_equal(getattr(base_balls, k), getattr(change_balls, k))
-                     for k in ("order", "sizes", "centers", "radii"))
-    same = (np.array_equal(base_out[0].labels, change_out[0].labels)
-            and np.array_equal(base_out[1].overlap_counts, change_out[1].overlap_counts))
-    return [base, change], (f"m={len(change_balls):,}  balls identical: {same_balls}  "
-                            f"labels and overlap counts identical: {same}  distance evaluations "
-                            f"{base_out[2]:,} base, {change_out[2]:,} change")
+        entries = D.distance_evaluations()
+        sweep = D._pairwise_center_distances(balls)
+        runs.append((ds, balls, sweep, D.merge_adjacent(balls, sweep), assignment))
+        for key, value in zip(COUNTS, (len(balls), (~balls.noise_ball_flags).sum(),
+                                       assignment.cluster_count, assignment.noise_count, entries,
+                                       balls.overlap_counts.sum() // 2,
+                                       sum(len(gaps) for _, gaps in sweep.kept))):
+            counts[key] += int(value)
+        same["balls"] += [balls.order, balls.sizes, balls.centers, balls.radii, balls.sum_radius]
+        same["labels_and_overlaps"] += [assignment.labels, balls.overlap_counts]
 
+    def each(call):
+        def over_sets():
+            for run in runs:
+                call(*run)
+        return over_sets
 
-def cli_sides(packages, tmp: str) -> tuple[list[dict], str]:
-    """Each copy's ``cluster()`` and ``gbcluster run`` over the five bundled
-    sets, and whether the two write the same files."""
-    from workloads import shuffled
-    from gbcluster.data import BUNDLED_DATASETS, generate, save_dataset
-    from stage_times import SHUFFLE_SEED
+    def geometry(ds, balls, *_):
+        sweep = D._pairwise_center_distances(balls)
+        D.count_overlaps(balls, sweep)
+        D.merge_adjacent(balls, sweep)
 
-    names = sorted(BUNDLED_DATASETS)
-    data = [shuffled(generate(BUNDLED_DATASETS[name]), SHUFFLE_SEED)[0] for name in names]
-    for name, ds in zip(names, data):
-        save_dataset(os.path.join(tmp, f"{name}.csv"), ds)
-    sides = []
-    for k, pkg in enumerate(packages):
+    stages = {"division": each(lambda ds, *_: pkg.division.generate_balls(ds)),
+              "sweep": each(lambda ds, balls, *_: D._pairwise_center_distances(balls)),
+              "merge": each(lambda ds, balls, sweep, *_: D.merge_adjacent(balls, sweep)),
+              "noise": each(lambda ds, balls, sweep, ids, _: D.assign_noise(ds, balls, ids, sweep)),
+              "geometry": each(geometry),
+              "cluster": each(lambda ds, *_: D.cluster(ds))}
+    if files:
         cli = importlib.import_module(f"{pkg.__name__}.cli")
-        sets = [pkg.core.Dataset(points=ds.points) for ds in data]
 
-        def run(cli=cli, k=k):
+        def run_cli():
             with contextlib.redirect_stdout(io.StringIO()):
-                return [cli.main(["run", "--algo", "gbc", "--in", os.path.join(tmp, f"{name}.csv"),
-                                  "--out", os.path.join(tmp, f"{k}-{name}")]) for name in names]
+                for path in files:
+                    cli.main(["run", "--algo", "gbc", "--in", path, "--out", f"{path}-{tag}"])
 
-        def division(divide=pkg.division.generate_balls, sets=sets):
-            for ds in sets:
-                divide(ds)
+        def load_csv():
+            for path, ds in zip(files, data):
+                pkg.data.load_csv(path, has_header=True, label_column=ds.dim)
 
-        def cluster(D=pkg.differentiation, sets=sets):
-            for ds in sets:
-                D.cluster(ds)
+        def save_results():
+            for path, (ds, balls, *_, assignment) in zip(files, runs):
+                pkg.data.save_results(f"{path}-{tag}-save", ds, assignment, balls)
 
-        sides.append({"division": division, "cluster": cluster, "cli": run})
-    codes = [side["cli"]() for side in sides]
-    same = all(Path(tmp, f"0-{name}_{part}.csv").read_bytes() == Path(tmp, f"1-{name}_{part}.csv").read_bytes()
-               for name in names for part in ("points", "balls"))
-    return sides, (f"{sum(len(ds) for ds in data):,} rows  exit codes {codes[0]} base, {codes[1]} change  "
-                   f"points and balls files identical: {same}")
+        stages.update(load_csv=load_csv, save_results=save_results, cli=run_cli)
+        run_cli()
+        same["files"] = [np.frombuffer(Path(f"{path}-{tag}_{part}.csv").read_bytes(), np.uint8)
+                         for path in files for part in ("points", "balls")]
+    return stages, counts, same
 
 
-def compare(name: str, sides: list[dict], note: str, pairs: int, peak: bool) -> None:
-    print(f"{name}: {note}", flush=True)
-    base, change = sides
+def measure(name: str, packages, data: list, pairs: int, tmp: str | None = None) -> dict:
+    """The row of one set: per stage, both sides' least times and the paired
+    ratios; per side, the peaks and counts; and whether the sides agree.
+    With tmp, the sets are written there as CSV files for the CLI stages."""
+    files = None
+    if tmp is not None:
+        files = [os.path.join(tmp, f"{name}-{k}.csv") for k in range(len(data))]
+        for path, ds in zip(files, data):
+            packages[1].data.save_dataset(path, ds)
+    (base, base_counts, base_same), (change, change_counts, change_same) = (
+        side(pkg, data, files, tag) for pkg, tag in zip(packages, ("base", "change")))
+    identical = {key: all(map(np.array_equal, base_same[key], change_same[key]))
+                 for key in change_same}
+    print(f"{name}: m={change_counts['balls']:,}  identical: {identical}  tile entries "
+          f"{base_counts['tile_entries']:,} base, {change_counts['tile_entries']:,} change",
+          flush=True)
+    stages = {}
     for stage in change:
-        ratios = []
+        times = np.empty((pairs, 2))
         for k in range(pairs):
-            if k % 2:
-                t_change, t_base = _seconds(change[stage]), _seconds(base[stage])
-            else:
-                t_base, t_change = _seconds(base[stage]), _seconds(change[stage])
-            ratios.append(t_change / t_base)
-        q25, q50, q75 = np.percentile(ratios, [25, 50, 75])
-        won = sum(r < 1 for r in ratios)
-        print(f"  {stage:9s} ratio {q50:.3f} [IQR {q25:.3f}-{q75:.3f}]  won {won} of {pairs}", flush=True)
-    for stage in ("division", "geometry") if peak else ():
-        if stage in change:
-            print(f"  {stage} tracemalloc peak: base {_peak(base[stage]):.1f} MiB, "
-                  f"change {_peak(change[stage]):.1f} MiB", flush=True)
+            for j in ((0, 1) if k % 2 == 0 else (1, 0)):
+                times[k, j] = _seconds((base, change)[j][stage])
+        least, ratios = times.min(axis=0).tolist(), times[:, 1] / times[:, 0]
+        q25, q50, q75 = np.percentile(ratios, [25, 50, 75]).tolist()
+        won = int((ratios < 1).sum())
+        stages[stage] = {"base_min_s": least[0], "change_min_s": least[1], "ratio_median": q50,
+                         "ratio_iqr": [q25, q75], "won": won}
+        print(f"  {stage:12s} ratio {q50:.3f} [IQR {q25:.3f}-{q75:.3f}]  won {won} of {pairs}  "
+              f"least {least[0] * 1e3:.2f} base, {least[1] * 1e3:.2f} change ms", flush=True)
+    peaks = {stage: {"base": _peak_mib(base[stage]), "change": _peak_mib(change[stage])}
+             for stage in PEAKS}
+    print("  peaks MiB: " + "  ".join(f"{stage} {p['base']:.2f} base, {p['change']:.2f} change"
+                                      for stage, p in peaks.items()), flush=True)
+    return {"name": name, "rows": sum(len(ds) for ds in data), "d": data[0].dim,
+            "identical": identical, "counts": {"base": base_counts, "change": change_counts},
+            "peak_mib": peaks, "stages": stages}
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True,
+                          check=True).stdout
 
 
 def main(argv=None) -> int:
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tools")]
-    from stage_times import SETS
-
-    sets = {name: (n, dim) for name, n, dim in SETS}
-    sets["blobs-2d-1m"] = (1_000_000, 2)
-    sets["bundled-cli"] = None
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", default="HEAD", help="commit whose src/gbcluster is the base")
     parser.add_argument("--pairs", type=int, default=30, help="pairs of calls per stage")
-    parser.add_argument("--sets", default="blobs-2d-100k,blobs-8d-20k,bundled-cli",
-                        help=f"comma-separated, from: {', '.join(sets)}")
-    parser.add_argument("--peak", action="store_true",
-                        help="print the division's and geometry's tracemalloc peaks")
+    parser.add_argument("--sets", default=",".join(SETS),
+                        help=f"comma-separated set names (default: all): {', '.join(SETS)}")
+    parser.add_argument("--out", help="JSON file to write, BENCH_<label>.json by convention")
     args = parser.parse_args(argv)
     names = args.sets.split(",")
-    unknown = [s for s in names if s not in sets]
+    unknown = [s for s in names if s not in SETS]
     if unknown or args.pairs < 1:
         parser.error(f"unknown sets: {unknown}" if unknown else "--pairs must be at least 1")
     import gbcluster
     if Path(gbcluster.__file__).resolve().parent != ROOT / "src" / "gbcluster":
         parser.error(f"gbcluster was not imported from {ROOT / 'src'}")
+    result = {"base": {"rev": args.base,
+                       "sha": _git("rev-parse", "--verify", f"{args.base}^{{commit}}").strip()},
+              "change": {"sha": _git("rev-parse", "HEAD").strip(),
+                         "src_status": _git("status", "--porcelain", "--", "src").splitlines()},
+              "numpy": np.__version__, "python": platform.python_version(),
+              "machine": {"platform": platform.platform(), "cpus": os.cpu_count(),
+                          "processor": platform.processor() or platform.machine()},
+              "pairs": args.pairs, "shuffle_seed": SHUFFLE_SEED, "sets": []}
     with tempfile.TemporaryDirectory() as tmp:
         packages = (load_base(args.base, tmp), gbcluster)
-        print(f"base {args.base} against this checkout's src, {args.pairs} pairs a stage", flush=True)
+        print(f"base {args.base} against this checkout's src, {args.pairs} pairs a stage",
+              flush=True)
         for name in names:
-            sides = cli_sides(packages, tmp) if sets[name] is None else blob_sides(packages, *sets[name])
-            compare(name, *sides, args.pairs, args.peak)
+            result["sets"].append(measure(name, packages, points(name), args.pairs,
+                                          tmp if SETS[name] is None else None))
+    if args.out:
+        Path(args.out).write_text(json.dumps(result, indent=1, allow_nan=False) + "\n")
+        print(f"wrote {args.out}")
     return 0
 
 
