@@ -4,7 +4,7 @@ metrics, synthetic data generators, and a benchmarking CLI."""
 
 from .core import NOISE, BallSet, ClusterAssignment, Dataset, fit_ball
 from .differentiation import cluster
-from .division import DivisionConfig, DivisionTrace, generate_balls
+from .division import DivisionTrace, generate_balls
 from .data import GeneratorSpec, generate, load_csv, save_results
 
 __version__ = "0.1.0"
@@ -14,7 +14,6 @@ __all__ = [
     "BallSet",
     "ClusterAssignment",
     "Dataset",
-    "DivisionConfig",
     "DivisionTrace",
     "GeneratorSpec",
     "cluster",

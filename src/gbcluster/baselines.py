@@ -29,6 +29,8 @@ class KMeansConfig:
             raise ValueError("max_iters must be >= 1")
         if self.tol < 0:
             raise ValueError("tol must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

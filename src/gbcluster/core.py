@@ -143,6 +143,11 @@ def distances(pts: np.ndarray, to: np.ndarray, sizes: np.ndarray | None = None) 
     return np.sqrt(acc, out=acc)
 
 
+def _runs(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Positions of the runs [starts[i], starts[i] + sizes[i]), one after another."""
+    return np.repeat(starts - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
+
+
 def fit_segments(pts: np.ndarray, sizes: np.ndarray):
     """Fit one ball to every segment, a run ``sizes`` of the columns of pts
     (d, n), members ascending.

@@ -54,6 +54,8 @@ class GeneratorSpec:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
         if self.family == "blobs":

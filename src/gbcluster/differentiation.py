@@ -25,26 +25,22 @@ that budget is checkable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NOISE, BallSet, ClusterAssignment, Dataset, squared_distances
-from .division import DivisionConfig, DivisionTrace, generate_balls
+from .core import NOISE, BallSet, ClusterAssignment, Dataset, _runs, squared_distances
+from .division import DivisionTrace, generate_balls
 
 _DIST_EVALS = 0
 
 
-def reset_distance_counter() -> None:
-    global _DIST_EVALS
-    _DIST_EVALS = 0
-
-
 def distance_evaluations() -> int:
-    """Distance evaluations performed by this module since the last reset.
+    """Distance evaluations performed by this module so far.
 
     One per squared centre distance a tile computes, each pair counted at
-    most once.
+    most once.  The count only grows: callers take the difference around
+    the calls they measure.
     """
     return _DIST_EVALS
 
@@ -263,7 +259,7 @@ def _pairwise_center_distances(ballset: BallSet) -> _Sweep:
         # every leaf A against the leaves B from A up to the end of the next strip
         count = end[l0:l1] - np.arange(l0, l1)
         a = np.repeat(np.arange(l0, l1), count)
-        b = a + np.arange(a.size) - np.repeat(np.cumsum(count) - count, count)
+        b = _runs(np.arange(l0, l1), count)
         gap = None
         for lo_k, hi_k in zip(lo, hi):
             g = np.maximum(lo_k[b] - hi_k[a], lo_k[a] - hi_k[b])
@@ -279,7 +275,7 @@ def _pairwise_center_distances(ballset: BallSet) -> _Sweep:
         # each run of met leaves is a tile, its columns cut to reach on the second coordinate
         leaf, col0, col1 = a[first], bounds[b[first]], bounds[b[last] + 1]
         width = col1 - col0
-        col = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width - col0, width)
+        col = _runs(col0, width)
         ax, ys = strips.axes[-1], y[col]
         inside = (ys >= np.repeat(lo[ax][leaf] - w, width)) & (ys <= np.repeat(hi[ax][leaf] + w, width))
         tile_start = np.cumsum(width) - width
@@ -292,7 +288,7 @@ def _pairwise_center_distances(ballset: BallSet) -> _Sweep:
         # a tile of more than _TILE entries goes in pieces of _TILE // rows columns
         step = np.maximum(1, _TILE // rows)
         pieces = -(-(col1 - col0) // step)
-        k = np.arange(pieces.sum()) - np.repeat(np.cumsum(pieces) - pieces, pieces)  # piece of its tile
+        k = _runs(np.zeros_like(pieces), pieces)  # piece of its tile
         row0, row1, col0, col1, step = (np.repeat(v, pieces) for v in (row0, row1, col0, col1, step))
         col0 += k * step
         col1 = np.minimum(col1, col0 + step)
@@ -365,12 +361,13 @@ def _pairwise_center_distances(ballset: BallSet) -> _Sweep:
     return _Sweep(counts, root, kept, tuple(np.concatenate(part) for part in zip(*near_noise)))
 
 
-def count_overlaps(ballset: BallSet, _sweep: _Sweep | None = None) -> np.ndarray:
-    """Number of other non-noise balls strictly overlapping each ball.
+def count_overlaps(ballset: BallSet, sweep: _Sweep) -> np.ndarray:
+    """Number of other non-noise balls strictly overlapping each ball, from
+    the sweep of ballset.
 
     Noise balls neither overlap nor are overlapped; their count is 0.
     """
-    return (_pairwise_center_distances(ballset) if _sweep is None else _sweep).counts
+    return sweep.counts
 
 
 def tau(r_i, r_j, o_i, o_j):
@@ -394,7 +391,7 @@ class AdjacencyGraph:
     edges: np.ndarray
 
 
-def adjacency_graph(ballset: BallSet, _sweep: _Sweep | None = None) -> AdjacencyGraph:
+def adjacency_graph(ballset: BallSet, sweep: _Sweep) -> AdjacencyGraph:
     """The adjacent pairs of non-noise balls that do not overlap: the pairs
     the sweep kept whose gap is below tau.
 
@@ -403,7 +400,6 @@ def adjacency_graph(ballset: BallSet, _sweep: _Sweep | None = None) -> Adjacency
     ballset.overlap_counts to be filled in (two-pass scheme: counts first,
     adjacency second).
     """
-    sweep = _pairwise_center_distances(ballset) if _sweep is None else _sweep
     radii, overlaps = ballset.radii, ballset.overlap_counts
     edges = [np.empty((0, 2), dtype=np.int64)]
     for pairs, gaps in sweep.kept:  # a batch at a time bounds the temporaries
@@ -412,14 +408,13 @@ def adjacency_graph(ballset: BallSet, _sweep: _Sweep | None = None) -> Adjacency
     return AdjacencyGraph(nodes=np.flatnonzero(~ballset.noise_ball_flags), edges=np.concatenate(edges))
 
 
-def merge_adjacent(ballset: BallSet, _sweep: _Sweep | None = None) -> np.ndarray:
+def merge_adjacent(ballset: BallSet, sweep: _Sweep) -> np.ndarray:
     """Cluster id per ball: connected components of the adjacency graph.
 
     The edges tau accepts are hooked into the components that the sweep's
     overlapping pairs joined.  Components are numbered 0..K-1 in order of
     the smallest ball index they contain; noise balls get -1.
     """
-    sweep = _pairwise_center_distances(ballset) if _sweep is None else _sweep
     graph = adjacency_graph(ballset, sweep)
     root = sweep.root.copy()
     _hook(root, graph.edges[:, 0], graph.edges[:, 1])
@@ -429,21 +424,17 @@ def merge_adjacent(ballset: BallSet, _sweep: _Sweep | None = None) -> np.ndarray
 
 
 def assign_noise(dataset: Dataset, ballset: BallSet, ball_cluster_ids: np.ndarray,
-                 _sweep: _Sweep | None = None) -> ClusterAssignment:
+                 sweep: _Sweep) -> ClusterAssignment:
     """Turn ball cluster ids into per-point labels.
 
     Noise balls, each of one point, join the cluster of the nearest non-noise
     ball (nearest by gap: centre distance minus radius, ties to the lowest
     ball index) when that gap is within the mean non-noise radius; otherwise
-    their points are labelled -1.  The sweep finds the candidates; without
-    one, a copy of ballset whose noise balls sit at their points is swept.
+    their points are labelled -1.  The sweep of ballset finds the candidates,
+    measured from the noise balls' centres, which are their points.
     """
     flags = ballset.noise_ball_flags
-    if _sweep is None:
-        centers = ballset.centers.copy()
-        centers[flags] = dataset.points[ballset.order[ballset.starts[flags]]]
-        _sweep = _pairwise_center_distances(replace(ballset, centers=centers))
-    noise, gaps, ball = _sweep.noise
+    noise, gaps, ball = sweep.noise
     order = np.lexsort((ball, gaps, noise))
     first = order[np.diff(noise[order], prepend=-1) != 0]  # the nearest to every noise ball
     ids = np.where(flags, NOISE, ball_cluster_ids)
@@ -453,12 +444,10 @@ def assign_noise(dataset: Dataset, ballset: BallSet, ball_cluster_ids: np.ndarra
     return ClusterAssignment(labels=labels)
 
 
-def cluster(dataset: Dataset, config: DivisionConfig | None = None,
-            trace: DivisionTrace | None = None) -> tuple[ClusterAssignment, BallSet]:
+def cluster(dataset: Dataset, trace: DivisionTrace | None = None) -> tuple[ClusterAssignment, BallSet]:
     """Full granular-ball clustering: divide, count overlaps, merge, label.
 
-    Takes no algorithmic parameters; ``config`` only carries the structural
-    constants of the division loop.
+    Takes no algorithmic parameters.
     """
     # Squared distances overflow past coordinates of about 2**511 and vanish
     # below 2**-511: points beyond [2**-256, 2**256] are clustered scaled by
@@ -469,7 +458,7 @@ def cluster(dataset: Dataset, config: DivisionConfig | None = None,
         dataset = Dataset(points=np.ldexp(dataset.points, -exp))
     # a reused trace holds earlier runs' splits, already at their own scale
     earlier = len(trace.accepted_splits) if trace is not None else 0
-    ballset = generate_balls(dataset, config, trace)
+    ballset = generate_balls(dataset, trace)
     # one sweep serves the overlap counts, the merge and the noise balls,
     # whose centres are their points
     sweep = _pairwise_center_distances(ballset)

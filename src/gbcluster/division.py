@@ -17,29 +17,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (BallSet, Dataset, distances, farthest_pairs, first_argmax, fit_ball,
+from .core import (BallSet, Dataset, _runs, distances, farthest_pairs, first_argmax, fit_ball,
                    fit_segments, squared_distances)
 
 
-@dataclass(frozen=True)
-class DivisionConfig:
-    """Structural constants of the division loop; not per-dataset knobs.
-
-    ``min_split_size`` is the smallest ball the quality loop will try to
-    split.  It needs a floor well above 2: the improvement test alone never
-    stops on smooth data (any two distinct points split into two singletons
-    of quality 0), so without a floor every ball fragments to single points.
-    ``max_refinement_rounds`` caps the oversized-ball cleanup.
-    """
-
-    max_refinement_rounds: int = 100
-    min_split_size: int = 20
-
-    def __post_init__(self):
-        if self.max_refinement_rounds < 1:
-            raise ValueError("max_refinement_rounds must be >= 1")
-        if self.min_split_size < 2:
-            raise ValueError("min_split_size must be >= 2")
+# The smallest ball the quality loop tries to split.  It needs a floor well
+# above 2: the improvement test alone never stops on smooth data (any two
+# distinct points split into two singletons of quality 0), so without a
+# floor every ball fragments to single points.
+MIN_SPLIT_SIZE = 20
+# The cap on the rounds of the oversized-ball cleanup.
+MAX_REFINEMENT_ROUNDS = 100
 
 
 @dataclass(frozen=True)
@@ -83,11 +71,6 @@ class DivisionTrace:
         if self.capture_partitions:
             bounds = np.cumsum(np.concatenate(sizes))[:-1]
             self.partitions.append(np.split(np.concatenate(members), bounds))
-
-
-def _runs(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Positions of the runs [starts[i], starts[i] + sizes[i]), one after another."""
-    return np.repeat(starts - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
 
 
 def _partition(to_a: np.ndarray, sizes: np.ndarray, starts: np.ndarray):
@@ -169,8 +152,7 @@ def detect_oversized(radii) -> np.ndarray:
     return np.flatnonzero(radii > threshold)
 
 
-def generate_balls(dataset: Dataset, config: DivisionConfig | None = None,
-                   trace: DivisionTrace | None = None) -> BallSet:
+def generate_balls(dataset: Dataset, trace: DivisionTrace | None = None) -> BallSet:
     """Divide a dataset into granular balls.
 
     Returns a BallSet whose member sets partition the dataset.  Singleton
@@ -185,8 +167,6 @@ def generate_balls(dataset: Dataset, config: DivisionConfig | None = None,
     centre.  In phase 1 these hold the pending balls only, in phase 2 every
     ball.  Each round's copies are dropped before the next round's split.
     """
-    if config is None:
-        config = DivisionConfig()
     if trace is None:
         trace = DivisionTrace()
     root = fit_ball(dataset, np.arange(len(dataset)))
@@ -204,7 +184,7 @@ def generate_balls(dataset: Dataset, config: DivisionConfig | None = None,
     final = []  # per round: sizes, centres, radii, sums, farthest offsets, columns and ids
     while sizes.size:
         starts = np.cumsum(sizes) - sizes
-        tried = np.flatnonzero(sizes >= config.min_split_size)
+        tried = np.flatnonzero(sizes >= MIN_SPLIT_SIZE)
         rows = None if tried.size == sizes.size else _runs(starts[tried], sizes[tried])
         ok, part, c_sizes, c_pts, (c_centers, c_far, c_radii, c_sums) = _split(
             pts, far[tried], sizes[tried], centers.take(tried, axis=1), rows)
@@ -241,7 +221,7 @@ def generate_balls(dataset: Dataset, config: DivisionConfig | None = None,
         over = detect_oversized(radii[seq])
         if not over.size:
             break
-        if rounds >= config.max_refinement_rounds:
+        if rounds >= MAX_REFINEMENT_ROUNDS:
             trace.stop_reason = "round_cap"
             warnings.warn("ball refinement hit the round cap with oversized balls remaining",
                           RuntimeWarning, stacklevel=2)

@@ -18,8 +18,8 @@ from gbcluster.baselines import dbscan, dpeak
 from gbcluster.cli import BENCH_BASELINES, EXIT_OK, EXIT_USAGE, main
 from gbcluster.core import BallSet, Dataset, fit_ball
 from gbcluster.data import BUNDLED_DATASETS, generate
-from gbcluster.differentiation import (cluster, count_overlaps, distance_evaluations,
-                                       merge_adjacent, reset_distance_counter, tau)
+from gbcluster.differentiation import (_pairwise_center_distances, cluster, count_overlaps,
+                                       distance_evaluations, merge_adjacent, tau)
 from gbcluster.division import DivisionTrace, detect_oversized, generate_balls
 from gbcluster.metrics import benchmark, rand_index
 
@@ -39,11 +39,11 @@ def _pipeline(name):
     """One clustering run per bundled dataset, shared across criteria."""
     ds = generate(BUNDLED_DATASETS[name])
     trace = DivisionTrace()
-    reset_distance_counter()
+    before = distance_evaluations()
     t0 = time.perf_counter()
     assignment, ballset = cluster(ds, trace=trace)
     wall = time.perf_counter() - t0
-    return ds, assignment, ballset, trace, wall, distance_evaluations()
+    return ds, assignment, ballset, trace, wall, distance_evaluations() - before
 
 
 def test_criterion_1_parameter_free_adaptivity(tmp_path):
@@ -172,7 +172,7 @@ def _pair_adjacent(bi, bj, oi, oj):
     """Whether merge_adjacent joins two balls whose overlap counts are set to (oi, oj)."""
     bs = _ballset([bi, bj], [5, 5], [False, False])
     bs.overlap_counts = np.array([oi, oj])
-    return merge_adjacent(bs).tolist() == [0, 0]
+    return merge_adjacent(bs, _pairwise_center_distances(bs)).tolist() == [0, 0]
 
 
 def test_criterion_6d_adjacency_symmetry_and_overlap():
@@ -208,8 +208,9 @@ def test_criterion_6f_merge_matches_transitive_closure():
                                  for _ in range(m)])
             flags = rng.uniform(size=m) < 0.25
             bs = _ballset(balls, sizes, flags)
-            bs.overlap_counts = count_overlaps(bs)
-            got = merge_adjacent(bs)
+            sweep = _pairwise_center_distances(bs)
+            bs.overlap_counts = count_overlaps(bs, sweep)
+            got = merge_adjacent(bs, sweep)
 
             live = np.flatnonzero(~flags)
             adj = np.eye(live.size, dtype=bool)

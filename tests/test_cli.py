@@ -54,6 +54,21 @@ def test_baselines_require_their_flags(tmp_path, capsys):
                  "--seed", "1", "--out", str(out)]) == EXIT_OK
 
 
+def test_gen_rejects_a_negative_seed(tmp_path, capsys):
+    code = main(["gen", "--family", "moons", "--n", "50", "--seed", "-1",
+                 "--out", str(tmp_path / "m.csv")])
+    assert code == EXIT_INVALID
+    assert "seed" in capsys.readouterr().err
+
+
+def test_kmeans_rejects_a_negative_seed(tmp_path, capsys):
+    data = _gen(tmp_path)
+    code = main(["run", "--algo", "kmeans", "--in", str(data), "--k", "2", "--seed", "-1",
+                 "--out", str(tmp_path / "km")])
+    assert code == EXIT_INVALID
+    assert "seed" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("algo, given, unused", [
     ("kmeans", ["--k", "2", "--eps", "0.3"], "--eps"),
     ("dbscan", ["--eps", "0.1", "--min-pts", "5", "--dc", "0.2"], "--dc"),

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,8 +17,7 @@ from gbcluster.core import NOISE, BallSet, Dataset, fit_segments, squared_distan
 from gbcluster.data import BUNDLED_DATASETS, GeneratorSpec, generate
 from gbcluster.differentiation import (_pairwise_center_distances, adjacency_graph,
                                        assign_noise, cluster, count_overlaps,
-                                       distance_evaluations, merge_adjacent,
-                                       reset_distance_counter, tau)
+                                       distance_evaluations, merge_adjacent, tau)
 from gbcluster.division import DivisionTrace, generate_balls
 
 
@@ -79,26 +79,26 @@ def _pair_adjacent(ball_i, ball_j, o_i, o_j):
     """Whether merge_adjacent joins two balls whose overlap counts are set to (o_i, o_j)."""
     bs = _ballset([ball_i, ball_j])
     bs.overlap_counts = np.array([o_i, o_j])
-    ids = merge_adjacent(bs).tolist()
+    ids = merge_adjacent(bs, _pairwise_center_distances(bs)).tolist()
     assert ids in ([0, 0], [0, 1])
     return ids == [0, 0]
 
 
 def test_count_overlaps_examples():
     disjoint = _ballset([_ball([0, 0], 1), _ball([3, 0], 1)])
-    assert count_overlaps(disjoint).tolist() == [0, 0]
+    assert count_overlaps(disjoint, _pairwise_center_distances(disjoint)).tolist() == [0, 0]
     touching = _ballset([_ball([0, 0], 1), _ball([1.5, 0], 1)])
-    assert count_overlaps(touching).tolist() == [1, 1]
+    assert count_overlaps(touching, _pairwise_center_distances(touching)).tolist() == [1, 1]
     triple = _ballset([_ball([0, 0], 1), _ball([1, 0], 1), _ball([0.5, 0.5], 1)])
-    assert count_overlaps(triple).tolist() == [2, 2, 2]
+    assert count_overlaps(triple, _pairwise_center_distances(triple)).tolist() == [2, 2, 2]
 
 
 def test_count_overlaps_is_strict_and_skips_noise():
     # exact tangency (distance == r_i + r_j) does not count as overlap
     tangent = _ballset([_ball([0, 0], 1), _ball([2, 0], 1)])
-    assert count_overlaps(tangent).tolist() == [0, 0]
+    assert count_overlaps(tangent, _pairwise_center_distances(tangent)).tolist() == [0, 0]
     with_noise = _ballset([_ball([0, 0], 1), _ball([0.5, 0], 1, size=1)], [False, True])
-    assert count_overlaps(with_noise).tolist() == [0, 0]
+    assert count_overlaps(with_noise, _pairwise_center_distances(with_noise)).tolist() == [0, 0]
 
 
 def test_tau_worked_values():
@@ -128,8 +128,8 @@ def test_overlapping_pair_is_joined_however_small_tau_is():
     assert _kept(sweep)[0].tolist() == []
     bs.overlap_counts = np.array([10 ** 15, 10 ** 15])
     assert tau(1.0, 1.0, 10 ** 15, 10 ** 15) < 2.0 ** -40
-    assert adjacency_graph(bs).edges.tolist() == []
-    assert merge_adjacent(bs).tolist() == [0, 0]
+    assert adjacency_graph(bs, sweep).edges.tolist() == []
+    assert merge_adjacent(bs, sweep).tolist() == [0, 0]
 
 
 def test_tangent_pair_is_left_to_tau():
@@ -145,9 +145,10 @@ def test_tangent_pair_is_left_to_tau():
     assert adjacency_graph(unit, sweep).edges.tolist() == [[0, 1]]
     assert merge_adjacent(unit, sweep).tolist() == [0, 0]
     point = _ballset([_ball([0.0, 0.0], 1.0), _ball([1.0, 0.0], 0.0)])
-    point.overlap_counts = count_overlaps(point)
+    sweep = _pairwise_center_distances(point)
+    point.overlap_counts = count_overlaps(point, sweep)
     assert point.overlap_counts.tolist() == [0, 0]
-    assert merge_adjacent(point).tolist() == [0, 1]
+    assert merge_adjacent(point, sweep).tolist() == [0, 1]
 
 
 def test_adjacency_symmetry_and_overlap_implication():
@@ -190,12 +191,13 @@ def _adjacency_inputs():
 def test_adjacency_graph_matches_pairwise_predicate():
     for balls, expected in _adjacency_inputs():
         bs = _ballset(balls, [size == 1 for _, _, size in balls])
-        bs.overlap_counts = count_overlaps(bs)
-        graph = adjacency_graph(bs)
+        sweep = _pairwise_center_distances(bs)
+        bs.overlap_counts = count_overlaps(bs, sweep)
+        graph = adjacency_graph(bs, sweep)
         assert set(graph.nodes) == set(np.flatnonzero(bs.sizes > 1))
         assert all(i < j for i, j in graph.edges)  # no self-loops, one edge per pair
         edge_set = set(map(tuple, graph.edges.tolist()))
-        root = _pairwise_center_distances(bs).root
+        root = sweep.root
         live = list(graph.nodes)
         for a in range(len(live)):
             for b in range(a + 1, len(live)):
@@ -212,8 +214,9 @@ def test_adjacency_graph_matches_pairwise_predicate():
 
 def _merged(balls, flags=None):
     bs = _ballset(balls, flags)
-    bs.overlap_counts = count_overlaps(bs)
-    return merge_adjacent(bs)
+    sweep = _pairwise_center_distances(bs)
+    bs.overlap_counts = count_overlaps(bs, sweep)
+    return merge_adjacent(bs, sweep)
 
 
 def test_merge_chain_gives_one_cluster():
@@ -258,8 +261,9 @@ def test_merge_matches_transitive_closure_oracle():
         balls = [_ball(rng.uniform(0, 6, 2), rng.uniform(0.05, 1.2)) for _ in range(m)]
         flags = rng.uniform(size=m) < 0.2
         bs = _ballset(balls, flags)
-        bs.overlap_counts = count_overlaps(bs)
-        assert merge_adjacent(bs).tolist() == _closure_oracle(bs)
+        sweep = _pairwise_center_distances(bs)
+        bs.overlap_counts = count_overlaps(bs, sweep)
+        assert merge_adjacent(bs, sweep).tolist() == _closure_oracle(bs)
 
 
 def test_assign_noise_examples():
@@ -269,9 +273,10 @@ def test_assign_noise_examples():
     ds = Dataset(points=pts)
     bs = _fitted(ds, [[0, 1], [2, 3], [4], [5]])
     assert bs.noise_ball_flags.tolist() == [False, False, True, True]
-    bs.overlap_counts = count_overlaps(bs)
-    ids = merge_adjacent(bs)
-    a = assign_noise(ds, bs, ids)
+    sweep = _pairwise_center_distances(bs)
+    bs.overlap_counts = count_overlaps(bs, sweep)
+    ids = merge_adjacent(bs, sweep)
+    a = assign_noise(ds, bs, ids, sweep)
     assert a.labels[4] == a.labels[0]     # gap <= 0: absorbed
     assert a.labels[5] == -1              # far beyond the mean radius: noise
 
@@ -279,10 +284,11 @@ def test_assign_noise_examples():
     # joins the ball with the lower index
     ds = Dataset(points=np.array([[2.0, 0.0], [4.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [1.5, 0.0]]))
     bs = _fitted(ds, [[0, 1], [2, 3], [4]])
-    bs.overlap_counts = count_overlaps(bs)
-    ids = merge_adjacent(bs)
+    sweep = _pairwise_center_distances(bs)
+    bs.overlap_counts = count_overlaps(bs, sweep)
+    ids = merge_adjacent(bs, sweep)
     assert ids.tolist() == [0, 1, -1]
-    assert assign_noise(ds, bs, ids).labels.tolist() == [0, 0, 1, 1, 0]
+    assert assign_noise(ds, bs, ids, sweep).labels.tolist() == [0, 0, 1, 1, 0]
 
 
 def test_assign_noise_identity_without_singletons():
@@ -296,18 +302,20 @@ def test_assign_noise_identity_without_singletons():
 
 
 def test_assign_noise_memory_at_32_dimensions():
-    # three noise points among 20,000 at d = 32: the noise points' rows are
-    # gathered, never a (d, n) copy of all points (4.9 MiB here); the peak
-    # is the label arrays, three int64 values per point at the most
+    # three noise points among 20,000 at d = 32: the sweep and the labels
+    # touch no (d, n) copy of all points (4.9 MiB here); the peak is the
+    # label arrays, three int64 values per point at the most.  Each one-point
+    # ball's centre is its point, as in cluster()
     n, d = 20_000, 32
     rng = np.random.default_rng(3)
     ds = Dataset(points=rng.normal(size=(n, d)))
     bs = BallSet(order=np.arange(n), sizes=np.array([n // 2 - 2, n // 2 - 1, 1, 1, 1]),
-                 centers=rng.normal(size=(5, d)), radii=np.array([5.0, 5.0, 0.0, 0.0, 0.0]),
-                 sum_radius=np.zeros(5))
+                 centers=np.vstack([rng.normal(size=(2, d)), ds.points[-3:]]),
+                 radii=np.array([5.0, 5.0, 0.0, 0.0, 0.0]), sum_radius=np.zeros(5))
     tracemalloc.start()
     try:
-        labels = assign_noise(ds, bs, np.array([0, 1, NOISE, NOISE, NOISE])).labels
+        sweep = _pairwise_center_distances(bs)
+        labels = assign_noise(ds, bs, np.array([0, 1, NOISE, NOISE, NOISE]), sweep).labels
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -356,9 +364,9 @@ def test_cluster_fills_overlap_counts():
 
 def test_distance_budget_scales_with_balls_not_points():
     ds = generate(BUNDLED_DATASETS["moons1k"])
-    reset_distance_counter()
+    before = distance_evaluations()
     _, ballset = cluster(ds)
-    evals = distance_evaluations()
+    evals = distance_evaluations() - before
     m = len(ballset)
     assert 0 < evals <= m * m
     assert evals < len(ds) ** 2 / 10
@@ -368,6 +376,34 @@ def test_distance_budget_scales_with_balls_not_points():
     # to 64 centres, or more where a strip and the next hold fewer than 512):
     # the leaves meet, and nothing is cut, so all 81 * 80 / 2 pairs count
     assert evals == 3240
+
+
+def test_cluster_sweeps_once_and_runs_each_stage_once(monkeypatch):
+    # one division with one root fit, one geometry sweep that serves the
+    # overlap counts, the merge and the noise balls, and detect_oversized
+    # once per refinement round plus the check that ends refinement
+    calls = Counter()
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("generate_balls", "_pairwise_center_distances", "count_overlaps",
+                 "merge_adjacent", "adjacency_graph", "assign_noise"):
+        counted(gbcluster.differentiation, name)
+    for name in ("fit_ball", "detect_oversized"):
+        counted(gbcluster.division, name)
+    trace = DivisionTrace()
+    cluster(generate(BUNDLED_DATASETS["blobs5"]), trace=trace)
+    refine = sum(r.phase == "refine" for r in trace.rounds)
+    assert trace.stop_reason == "converged" and refine > 0
+    assert calls == {"generate_balls": 1, "fit_ball": 1, "detect_oversized": refine + 1,
+                     "_pairwise_center_distances": 1, "count_overlaps": 1,
+                     "merge_adjacent": 1, "adjacency_graph": 1, "assign_noise": 1}
 
 
 def _sha(values):
@@ -415,9 +451,10 @@ def test_overlaps_and_merge_match_all_pairs_oracle():
             for j in live:
                 dist = np.sqrt(((bs.centers[i] - bs.centers[j]) ** 2).sum())
                 expected[i] += i != j and dist < bs.radii[i] + bs.radii[j]
-        bs.overlap_counts = count_overlaps(bs)
+        sweep = _pairwise_center_distances(bs)
+        bs.overlap_counts = count_overlaps(bs, sweep)
         assert bs.overlap_counts.tolist() == expected.tolist()
-        assert merge_adjacent(bs).tolist() == _closure_oracle(bs)
+        assert merge_adjacent(bs, sweep).tolist() == _closure_oracle(bs)
 
 
 # within reach, yet their squared distance rounds one ulp above fl(lim**2)
@@ -590,10 +627,7 @@ def test_assign_noise_matches_all_balls_oracle(d):
                      centers=np.vstack([centers, singles]), radii=np.r_[radii, np.zeros(len(singles))],
                      sum_radius=np.zeros(m + len(singles)))
         ids = np.r_[np.arange(m) % max(1, m // 3), np.full(len(singles), -1)]
-        labels = assign_noise(Dataset(points=pts), bs, ids).labels
-        # the sweep of bs, whose noise balls sit at their points, gives the same labels
-        sweep = _pairwise_center_distances(bs)
-        assert np.array_equal(assign_noise(Dataset(points=pts), bs, ids, sweep).labels, labels)
+        labels = assign_noise(Dataset(points=pts), bs, ids, _pairwise_center_distances(bs)).labels
         gaps = np.sqrt(((singles[:, None, :] - centers[None]) ** 2).sum(axis=-1)) - radii
         least = gaps.min(axis=1)
         expected = np.where(least <= radii.mean(), ids[np.argmax(gaps == least[:, None], axis=1)], -1)
@@ -637,8 +671,9 @@ def test_geometry_pass_memory_stays_linear_in_balls():
     bs = _array_ballset(xy, np.full(len(xy), 0.5), np.zeros(len(xy), bool))
     tracemalloc.start()
     try:
-        bs.overlap_counts = count_overlaps(bs)
-        ids = merge_adjacent(bs)
+        sweep = _pairwise_center_distances(bs)
+        bs.overlap_counts = count_overlaps(bs, sweep)
+        ids = merge_adjacent(bs, sweep)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -664,11 +699,11 @@ def test_geometry_pass_memory_at_d8():
     c, r_max = bs.centers[live], bs.radii[live].max()
     within = np.count_nonzero(((c[i] - c[j]) ** 2).sum(axis=1) < (3 * r_max) ** 2)
     assert within == 138_092
-    reset_distance_counter()
+    before = distance_evaluations()
     tracemalloc.start()
     try:
         sweep = _pairwise_center_distances(bs)
-        evals = distance_evaluations()
+        evals = distance_evaluations() - before
         bs.overlap_counts = count_overlaps(bs, sweep)
         ids = merge_adjacent(bs, sweep)
         peak = tracemalloc.get_traced_memory()[1]

@@ -7,10 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gbcluster import division
 from gbcluster.core import Dataset, fit_ball, fit_segments
 from gbcluster.data import BUNDLED_DATASETS, GeneratorSpec, generate
-from gbcluster.division import (DivisionConfig, DivisionTrace, _partition, detect_oversized,
-                                generate_balls, should_split, split_once)
+from gbcluster.division import (DivisionTrace, _partition, detect_oversized, generate_balls,
+                                should_split, split_once)
 
 
 def _members(bs):
@@ -161,11 +162,11 @@ def test_partition_holds_after_every_round():
             assert np.array_equal(np.sort(seen), np.arange(n))
 
 
-def _reference_division(ds, config):
+def _reference_division(ds):
     """Division one ball at a time, as the method states it; the member
     arrays of every ball after each round.
 
-    Phase 1 is a queue: a ball of at least ``min_split_size`` members is
+    Phase 1 is a queue: a ball of at least ``MIN_SPLIT_SIZE`` members is
     split, and its children join the back of the queue when both improve on
     its average distance; every other ball is final.  A round is one pass
     over the queue as it stood.  Phase 2 is a list: each ball that
@@ -176,7 +177,7 @@ def _reference_division(ds, config):
     while queue:
         pending = []
         for ball in queue:
-            kids = split_once(ds, ball) if ball.sizes[0] >= config.min_split_size else None
+            kids = split_once(ds, ball) if ball.sizes[0] >= division.MIN_SPLIT_SIZE else None
             if kids is not None and should_split(ball.sum_radius[0] / ball.sizes[0],
                                                  *(kids.sum_radius / kids.sizes)):
                 pending += [fit_ball(ds, m) for m in _members(kids)]
@@ -185,7 +186,7 @@ def _reference_division(ds, config):
         queue = pending
         snapshots.append([b.order for b in final + queue])
     balls, rounds = final, 0
-    while rounds < config.max_refinement_rounds:
+    while rounds < division.MAX_REFINEMENT_ROUNDS:
         over = detect_oversized([b.radii[0] for b in balls]).tolist()
         if not over:
             break
@@ -200,7 +201,7 @@ def _reference_division(ds, config):
     return snapshots
 
 
-def test_division_matches_the_per_ball_reference():
+def test_division_matches_the_per_ball_reference(monkeypatch):
     # The rounds' balls, in order, after every round: phase 2's mean radius
     # sums in this order, and splitting one ball at a time fixes it.
     rng = np.random.default_rng(19)
@@ -213,10 +214,10 @@ def test_division_matches_the_per_ball_reference():
         if trial % 3 == 0:  # ties and duplicate points
             pts = np.round(pts, 1)
         ds = Dataset(points=pts)
-        config = DivisionConfig(min_split_size=int(rng.integers(2, 41)))
+        monkeypatch.setattr(division, "MIN_SPLIT_SIZE", int(rng.integers(2, 41)))
         trace = DivisionTrace(capture_partitions=True)
-        generate_balls(ds, config, trace=trace)
-        expected = _reference_division(ds, config)
+        generate_balls(ds, trace=trace)
+        expected = _reference_division(ds)
         assert len(trace.partitions) == len(expected), trial
         for got, want in zip(trace.partitions, expected):
             assert [m.tolist() for m in got] == [m.tolist() for m in want], trial
@@ -233,25 +234,28 @@ def test_generate_balls_deterministic():
         assert np.array_equal(getattr(b1, field), getattr(b2, field))
 
 
-def test_round_cap_warns():
+def test_round_cap_warns(monkeypatch):
     ds = generate(BUNDLED_DATASETS["moons1k"])
     # premise: this dataset needs at least two refinement rounds
     full = DivisionTrace()
     generate_balls(ds, trace=full)
     assert sum(r.phase == "refine" for r in full.rounds) >= 2
     trace = DivisionTrace()
+    monkeypatch.setattr(division, "MAX_REFINEMENT_ROUNDS", 1)
     with pytest.warns(RuntimeWarning):
-        generate_balls(ds, DivisionConfig(max_refinement_rounds=1), trace=trace)
+        generate_balls(ds, trace=trace)
     assert trace.round_cap_hit
     assert trace.stop_reason == "round_cap"
 
 
-def test_reused_trace_describes_the_last_run():
+def test_reused_trace_describes_the_last_run(monkeypatch):
     # a run that hits the round cap, then one that converges, on one trace
     ds = generate(BUNDLED_DATASETS["moons1k"])
     trace = DivisionTrace()
-    with pytest.warns(RuntimeWarning):
-        generate_balls(ds, DivisionConfig(max_refinement_rounds=1), trace=trace)
+    with monkeypatch.context() as patch:
+        patch.setattr(division, "MAX_REFINEMENT_ROUNDS", 1)
+        with pytest.warns(RuntimeWarning):
+            generate_balls(ds, trace=trace)
     assert (trace.round_cap_hit, trace.stop_reason) == (True, "round_cap")
     generate_balls(ds, trace=trace)
     assert (trace.round_cap_hit, trace.stop_reason) == (False, "converged")
@@ -270,13 +274,6 @@ def test_failed_split_stops_refinement():
     assert detect_oversized(bs.radii).tolist() == [2]
     assert _members(bs)[2].tolist() == [30, 31]
     assert trace.rounds[-1].phase == "refine" and trace.rounds[-1].split_count == 0
-
-
-def test_division_config_validation():
-    with pytest.raises(ValueError):
-        DivisionConfig(max_refinement_rounds=0)
-    with pytest.raises(ValueError):
-        DivisionConfig(min_split_size=1)
 
 
 def _sha(*arrays):

@@ -9,7 +9,7 @@ import pytest
 
 import gbcluster
 from gbcluster.data import BUNDLED_DATASETS, GeneratorSpec, generate
-from gbcluster.differentiation import cluster
+from gbcluster.differentiation import cluster, distance_evaluations
 
 _spec = importlib.util.spec_from_file_location(
     "ab", Path(__file__).resolve().parent.parent / "tools" / "ab.py")
@@ -33,14 +33,16 @@ def test_one_set_row_has_every_field_and_the_sides_agree(tmp_path, name, data, c
 
     assert row["identical"] == {"balls": True, "labels_and_overlaps": True,
                                 **({"files": True} if cli else {})}
+    before = distance_evaluations()
     assignment, balls = cluster(data)
+    entries = distance_evaluations() - before
     counts = row["counts"]["change"]
     assert row["counts"]["base"] == counts
     assert set(counts) == set(ab.COUNTS)
     assert (counts["balls"], counts["clusters"], counts["noise_points"]) == (
         len(balls), assignment.cluster_count, assignment.noise_count)
     assert counts["pairs_overlapping"] == balls.overlap_counts.sum() // 2 > 0
-    assert counts["tile_entries"] > counts["pairs_overlapping"] + counts["pairs_kept"]
+    assert counts["tile_entries"] == entries > counts["pairs_overlapping"] + counts["pairs_kept"]
 
     cli_stages = {"load_csv", "save_results", "cli"} if cli else set()
     assert set(row["stages"]) == CLUSTER_STAGES | cli_stages

@@ -127,9 +127,9 @@ def side(pkg, data: list, files: list | None, tag: str) -> tuple[dict, dict, dic
     D = pkg.differentiation
     runs, counts, same = [], dict.fromkeys(COUNTS, 0), {"balls": [], "labels_and_overlaps": []}
     for ds in (pkg.core.Dataset(points=d.points) for d in data):
-        D.reset_distance_counter()
+        before = D.distance_evaluations()
         assignment, balls = D.cluster(ds)
-        entries = D.distance_evaluations()
+        entries = D.distance_evaluations() - before
         sweep = D._pairwise_center_distances(balls)
         runs.append((ds, balls, sweep, D.merge_adjacent(balls, sweep), assignment))
         for key, value in zip(COUNTS, (len(balls), (~balls.noise_ball_flags).sum(),
