@@ -29,7 +29,8 @@ from .metrics import BenchReport, benchmark, rand_index
 
 # Each baseline's function, config class and run flags, with an example
 # value of each for the usage message.  A flag's dest is also the config
-# field it sets; ``--seed`` goes to the configs that have a seed.
+# field it sets; ``--seed``, optional, goes to the configs that have a seed
+# and is a usage error for the others.
 BASELINES = {
     "kmeans": (kmeans, KMeansConfig, {"--k": "2"}),
     "dbscan": (dbscan, DbscanConfig, {"--eps": "0.2", "--min-pts": "5"}),
@@ -90,7 +91,8 @@ def _build_parser() -> _Parser:
     run.add_argument("--label-column", type=int, default=None,
                      help="0-based ground-truth column to strip (default: a column "
                           "literally named 'label', when the file has a header)")
-    run.add_argument("--seed", type=int, default=0, help="seed for seeded algorithms (kmeans)")
+    run.add_argument("--seed", type=int, default=None,
+                     help="seed for seeded algorithms (kmeans; default 0)")
     run.add_argument("--k", type=int, default=None, help="cluster count (kmeans, dpeak)")
     run.add_argument("--eps", type=float, default=None, help="neighborhood radius (dbscan)")
     run.add_argument("--min-pts", type=int, default=None, help="core threshold (dbscan)")
@@ -119,6 +121,8 @@ def _build_parser() -> _Parser:
 
 def _cmd_gen(args) -> int:
     if args.dataset is not None:
+        if args.seed < 0:  # the bundled spec overrides the seed, not its check
+            raise ValueError(f"seed must be >= 0, got {args.seed}")
         spec = BUNDLED_DATASETS[args.dataset]
     else:
         spec = GeneratorSpec(family=args.family, n=args.n, noise_sigma=args.noise, seed=args.seed)
@@ -156,14 +160,17 @@ def _run_baseline(args, dataset: Dataset):
     if None in values.values():
         raise UsageError(f"{args.algo} needs {' and '.join(flags)}; "
                          f"try {' '.join(f'{flag} {value}' for flag, value in flags.items())}")
-    if "seed" in {f.name for f in fields(config)}:
+    if args.seed is not None:
         values["seed"] = args.seed
     return run(dataset, config(**values))
 
 
 def _cmd_run(args) -> int:
-    takes = BASELINES[args.algo][2] if args.algo in BASELINES else {}
-    every = dict.fromkeys(flag for _, _, flags in BASELINES.values() for flag in flags)
+    takes = []
+    if args.algo in BASELINES:
+        _, config, flags = BASELINES[args.algo]
+        takes = [*flags, *(["--seed"] if "seed" in {f.name for f in fields(config)} else [])]
+    every = [*dict.fromkeys(flag for _, _, flags in BASELINES.values() for flag in flags), "--seed"]
     extra = [flag for flag in every if getattr(args, _dest(flag)) is not None and flag not in takes]
     if extra:
         what = f"takes only {' and '.join(takes)}" if takes else "takes no algorithm parameters"
@@ -206,7 +213,7 @@ def _cmd_run(args) -> int:
         "round_cap_hit": trace.round_cap_hit if trace is not None else None,
         "rand_index": ri,
         "wall_time_s": wall,
-        "seed": args.seed,
+        "seed": 0 if args.seed is None else args.seed,
     }
     with open(args.out + "_summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

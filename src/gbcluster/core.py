@@ -16,6 +16,8 @@ import numpy as np
 
 # Label given to points not assigned to any cluster.
 NOISE = -1
+# Rows per block of the transposing copy in ``_columns``.
+_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,6 +150,15 @@ def _runs(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return np.repeat(starts - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
 
 
+def _columns(points: np.ndarray) -> np.ndarray:
+    """A copy of points (n, d) as columns (d, n), made 4,096 rows at a time,
+    so that each block is read and written while it is in cache."""
+    out = np.empty(points.shape[::-1])
+    for s in range(0, len(points), _BLOCK_ROWS):
+        out[:, s:s + _BLOCK_ROWS] = points[s:s + _BLOCK_ROWS].T
+    return out
+
+
 def fit_segments(pts: np.ndarray, sizes: np.ndarray):
     """Fit one ball to every segment, a run ``sizes`` of the columns of pts
     (d, n), members ascending.
@@ -187,7 +198,8 @@ def fit_ball(dataset: Dataset, members: Iterable[int]) -> BallSet:
 
     Members are deduplicated and summed in ascending index order, so fitting
     the same member set twice is bit-for-bit reproducible.  An int array
-    that is already strictly ascending is used as it is.
+    that is already strictly ascending is used as it is, and a contiguous
+    range of indices is sliced, not gathered.
     """
     idx = (np.array(members, dtype=np.int64) if isinstance(members, np.ndarray)
            else np.fromiter(members, dtype=np.int64))
@@ -197,7 +209,9 @@ def fit_ball(dataset: Dataset, members: Iterable[int]) -> BallSet:
         raise ValueError("cannot fit a ball to an empty member set")
     if idx[0] < 0 or idx[-1] >= len(dataset):
         raise ValueError(f"member index out of range for dataset of size {len(dataset)}")
-    pts = dataset.points.take(idx, axis=0).T.copy()
+    contiguous = idx[-1] - idx[0] == idx.size - 1
+    pts = _columns(dataset.points[idx[0]:idx[-1] + 1] if contiguous
+                   else dataset.points.take(idx, axis=0))
     sizes = np.array([idx.size])
     centers, _, radii, sums = fit_segments(pts, sizes)
     return BallSet(order=idx, sizes=sizes, centers=centers.T, radii=radii, sum_radius=sums)

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (BallSet, Dataset, _runs, distances, farthest_pairs, first_argmax, fit_ball,
-                   fit_segments, squared_distances)
+from .core import (BallSet, Dataset, _columns, _runs, distances, farthest_pairs, first_argmax,
+                   fit_ball, fit_segments, squared_distances)
 
 
 # The smallest ball the quality loop tries to split.  It needs a floor well
@@ -43,12 +43,13 @@ class DivisionTrace:
     """Optional instrumentation collector for generate_balls.
 
     ``accepted_splits`` records (parent AD, child ADs) for every quality-
-    accepted split.  With ``capture_partitions`` set, the member arrays of
-    every ball are snapshotted after each round (costly; tests only).
-    ``stop_reason`` says why the oversized-ball cleanup ended: "converged"
-    (no oversized ball left), "round_cap" or "split_failed" (a split of an
-    oversized ball put every member on one side); ``round_cap_hit`` is read
-    from it.
+    accepted split; it is filled only in a trace that the caller passes, so a
+    run without one keeps no such list.  With ``capture_partitions`` set, the
+    member arrays of every ball are snapshotted after each round (costly;
+    tests only).  ``stop_reason`` says why the oversized-ball cleanup ended:
+    "converged" (no oversized ball left), "round_cap" or "split_failed" (a
+    split of an oversized ball put every member on one side);
+    ``round_cap_hit`` is read from it.
 
     A trace passed to several runs accumulates: each run appends to
     ``rounds``, ``accepted_splits`` and ``partitions``, while
@@ -65,12 +66,12 @@ class DivisionTrace:
     def round_cap_hit(self) -> bool:
         return self.stop_reason == "round_cap"
 
-    def _snapshot(self, members: list[np.ndarray], sizes: list[np.ndarray]):
-        """Record the balls whose members are the runs ``sizes`` of the
-        pieces ``members`` joined."""
-        if self.capture_partitions:
-            bounds = np.cumsum(np.concatenate(sizes))[:-1]
-            self.partitions.append(np.split(np.concatenate(members), bounds))
+    def _snapshot(self, pieces):
+        """Record the balls of ``pieces``, each (sizes, ranks, ids) with ball i
+        the next sizes[i] ids, in the order of their ranks."""
+        sizes, ranks, ids = (np.concatenate(a) for a in zip(*pieces))
+        balls = np.split(ids, np.cumsum(sizes)[:-1])
+        self.partitions.append([balls[i] for i in np.argsort(ranks)])
 
 
 def _partition(to_a: np.ndarray, sizes: np.ndarray, starts: np.ndarray):
@@ -86,37 +87,60 @@ def _partition(to_a: np.ndarray, sizes: np.ndarray, starts: np.ndarray):
     side_starts = np.column_stack((a_before, a_rows.size + starts[ok] - a_before)).ravel()
     side_sizes = np.column_stack((n_a[ok], sizes[ok] - n_a[ok])).ravel()
     by_side = np.concatenate((a_rows, np.flatnonzero(~to_a)))
+    del a_rows
     return ok, side_sizes, by_side.take(_runs(side_starts, side_sizes))
+
+
+def _sides(pts: np.ndarray, far: np.ndarray, sizes: np.ndarray, centers: np.ndarray):
+    """Assign the members of every ball, a run ``sizes`` of the columns of pts
+    (d, n), to its two children; ``far`` holds each ball's offset of its
+    member farthest from its centre (``centers``, d by k).
+
+    The child centres start at the midpoints between the ball centre and
+    each seed; every member joins the nearer by squared distance (ties go
+    to the first child).  Returns ``ok`` (k,), False where a side ends up
+    empty (coincident members); the child sizes; and the positions of the
+    columns of the ok balls, children in the order a0, b0, a1, ..., members
+    ascending.
+    """
+    starts = np.cumsum(sizes) - sizes
+    p1, p2 = farthest_pairs(pts, starts, sizes, far)
+    c1 = (centers + pts.take(p1, axis=1)) / 2.0
+    c2 = (centers + pts.take(p2, axis=1)) / 2.0
+    return _partition(
+        squared_distances(pts, c1, sizes) <= squared_distances(pts, c2, sizes), sizes, starts)
+
+
+def _fit_children(child_pts: np.ndarray, child_sizes: np.ndarray):
+    """The children's centres (d, k), radii, distance sums and farthest offsets."""
+    centers, dists, radii, sums = fit_segments(child_pts, child_sizes)
+    starts = np.cumsum(child_sizes) - child_sizes
+    return centers, radii, sums, first_argmax(dists, starts, child_sizes, radii) - starts
 
 
 def _split(pts: np.ndarray, far: np.ndarray, sizes: np.ndarray, centers: np.ndarray,
            rows: np.ndarray | None = None):
     """Split every ball, a run ``sizes`` of the columns ``rows`` (default all)
-    of pts (d, n), in one assignment pass; ``far`` holds each ball's offset
-    of its member farthest from its centre (``centers``, d by k).
-
-    The child centres start at the midpoints between the ball centre and
-    each seed; every member joins the nearer by squared distance (ties go
-    to the first child).  Returns ``ok`` (k,), False where a side ends up
-    empty (coincident members); the positions of the columns of the ok
-    balls, children in the order a0, b0, a1, ..., members ascending; and the
-    child sizes, columns (d, by child members) and fit, with farthest offsets.
-    """
+    of pts, in one assignment pass (see ``_sides``).  Returns ok, the
+    positions in pts of the ok balls' columns in child order, and the child
+    sizes, columns and fit (``_fit_children``)."""
     if rows is not None:
         pts = pts.take(rows, axis=1)
-    starts = np.cumsum(sizes) - sizes
-    p1, p2 = farthest_pairs(pts, starts, sizes, far)
-    c1 = (centers + pts.take(p1, axis=1)) / 2.0
-    c2 = (centers + pts.take(p2, axis=1)) / 2.0
-    ok, child_sizes, part = _partition(
-        squared_distances(pts, c1, sizes) <= squared_distances(pts, c2, sizes), sizes, starts)
+    ok, child_sizes, part = _sides(pts, far, sizes, centers)
     child_pts = pts.take(part, axis=1)
     del pts  # the gathered copy, when rows are given
-    c_centers, c_dists, c_radii, c_sums = fit_segments(child_pts, child_sizes)
-    c_starts = np.cumsum(child_sizes) - child_sizes
-    c_far = first_argmax(c_dists, c_starts, child_sizes, c_radii) - c_starts
     return (ok, part if rows is None else rows[part], child_sizes, child_pts,
-            (c_centers, c_far, c_radii, c_sums))
+            _fit_children(child_pts, child_sizes))
+
+
+def _pick(tables: tuple, pts: np.ndarray, ids: np.ndarray, which: np.ndarray) -> tuple:
+    """The balls ``which`` (a mask) of ``tables``, whose last axis runs over
+    the balls, sizes first, with their runs of the columns pts and ids; the
+    arrays themselves when every ball is picked."""
+    if which.all():
+        return (*tables, pts, ids)
+    cols = np.repeat(which, tables[0])
+    return (*[table[..., which] for table in tables], pts.compress(cols, axis=1), ids[cols])
 
 
 def split_once(dataset: Dataset, ball: BallSet):
@@ -129,7 +153,7 @@ def split_once(dataset: Dataset, ball: BallSet):
         raise ValueError("split_once needs a BallSet of one ball with at least 2 members")
     pts = dataset.points.take(ball.order, axis=0).T.copy()
     center = ball.centers.T
-    ok, part, sizes, _, (centers, _, radii, sums) = _split(
+    ok, part, sizes, _, (centers, radii, sums, _) = _split(
         pts, first_argmax(distances(pts, center), np.array([0]), ball.sizes), ball.sizes, center)
     if not ok[0]:
         return None
@@ -158,65 +182,90 @@ def generate_balls(dataset: Dataset, trace: DivisionTrace | None = None) -> Ball
     Returns a BallSet whose member sets partition the dataset.  Singleton
     balls are flagged as noise; overlap counts are left zeroed for the
     differentiation stage.  Pass a DivisionTrace to observe per-round
-    progress, the round-cap warning flag and why refinement stopped.
+    progress, the accepted splits, the round-cap warning flag and why
+    refinement stopped.
 
     Each round splits all of its balls at once, on arrays.  A ball is a run
     of columns, members ascending, of the points (d, n) and their ids, so
     each ball is fitted once; tables hold the sizes, centres (d, k), radii,
     distance sums and the offset in its run of the member farthest from the
-    centre.  In phase 1 these hold the pending balls only, in phase 2 every
-    ball.  Each round's copies are dropped before the next round's split.
+    centre.  In phase 1 these hold the balls that the round tries, in phase 2
+    every ball.  About one copy of the columns is live at a time: a round
+    drops its parent columns once it has gathered the children's.
     """
+    keep_splits = trace is not None
     if trace is None:
         trace = DivisionTrace()
-    root = fit_ball(dataset, np.arange(len(dataset)))
-    sizes, centers, radii, sums = root.sizes, root.centers.T, root.radii, root.sum_radius
-    del root  # its order is a second arange(n)
-    pts, ids = dataset.points.T.copy(), np.arange(len(dataset))
-    far = first_argmax(distances(pts, centers), np.array([0]), sizes)
+    n = len(dataset)
+    root = fit_ball(dataset, np.arange(n))
+    pts, ids = _columns(dataset.points), root.order
+    far = first_argmax(distances(pts, root.centers.T), np.array([0]), root.sizes)
+    kids = (root.sizes, root.centers.T, root.radii, root.sum_radius, far)
+    del root
 
     # Phase 1: quality-driven splitting.  Each ball is examined once; a ball
     # whose split fails or is rejected is final, its children otherwise
-    # re-enter the queue.  A round's final balls leave for ``final``, and the
-    # accepted children, as _split gathered them, are the next round's
-    # arrays.  So the final balls keep the order of the per-ball loop that
-    # defines the method, in which phase 2's mean radius sums.
-    final = []  # per round: sizes, centres, radii, sums, farthest offsets, columns and ids
-    while sizes.size:
+    # re-enter the queue.  The order of that per-ball loop, in which phase 2's
+    # mean radius sums, is kept as a rank, round * n plus the place in the
+    # round's queue; the columns of the final balls lie in the order that
+    # they became final.  The accepted children (``kids``, columns pts and
+    # ids, with those of the rejected splits' children) under MIN_SPLIT_SIZE
+    # are final at once, the others are the next round's arrays, and a
+    # rejected ball's ascending columns are taken back from its children.
+    final = []  # pieces: sizes, centres, radii, sums, farthest offsets, ranks, columns and ids
+    accepted, rnd, done = np.array([True]), 0, 0
+    while accepted.any():
+        kids += (rnd * n + np.cumsum(accepted) - 1,)
+        small = accepted & (kids[0] < MIN_SPLIT_SIZE)
+        if small.any():
+            final.append(_pick(kids, pts, ids, small))
+        sizes, centers, radii, sums, far, rank, pts, ids = _pick(kids, pts, ids, accepted ^ small)
+        tried = (sizes, centers, radii, sums, far, rank)
         starts = np.cumsum(sizes) - sizes
-        tried = np.flatnonzero(sizes >= MIN_SPLIT_SIZE)
-        rows = None if tried.size == sizes.size else _runs(starts[tried], sizes[tried])
-        ok, part, c_sizes, c_pts, (c_centers, c_far, c_radii, c_sums) = _split(
-            pts, far[tried], sizes[tried], centers.take(tried, axis=1), rows)
-        del rows
-        parent_ad = sums[tried[ok]] / sizes[tried[ok]]
-        child_ad = (c_sums / c_sizes).reshape(-1, 2)
+        ok, c_sizes, part = _sides(pts, far, sizes, centers)
+        if not ok.all():
+            final.append(_pick(tried, pts, ids, ~ok))
+        ids = ids[part]  # the parent ids and then columns go here, one at a time
+        pts = pts.take(part, axis=1)
+        kids = (c_sizes, *_fit_children(pts, c_sizes))
+        parent_ad = sums[ok] / sizes[ok]
+        child_ad = (kids[3] / c_sizes).reshape(-1, 2)
         better = should_split(parent_ad, child_ad[:, 0], child_ad[:, 1])
-        trace.accepted_splits.extend(zip(parent_ad[better].tolist(), *child_ad[better].T.tolist()))
-        split = np.zeros(sizes.size, dtype=bool)
-        split[tried[ok][better]] = True
-        stay = _runs(starts[~split], sizes[~split])
-        final.append((sizes[~split], centers.compress(~split, axis=1), radii[~split], sums[~split],
-                      far[~split], pts.take(stay, axis=1), ids[stay]))
-        moved, kids = np.repeat(better, c_sizes[::2] + c_sizes[1::2]), np.repeat(better, 2)
-        pts, ids = c_pts.compress(moved, axis=1), ids[part[moved]]
-        del stay, c_pts, part, moved
-        sizes, centers, far = c_sizes[kids], c_centers.compress(kids, axis=1), c_far[kids]
-        radii, sums = c_radii[kids], c_sums[kids]
-        trace.rounds.append(RoundStats("divide", sum(f[0].size for f in final) + sizes.size,
-                                       int(better.sum()), 0))
-        trace._snapshot([f[6] for f in final] + [ids], [f[0] for f in final] + [sizes])
-    sizes, centers, radii, sums, far, pts, ids = (np.concatenate(a, axis=-1) for a in zip(*final))
-    del final  # the pieces, a second copy of the columns
+        if keep_splits:
+            trace.accepted_splits.extend(
+                zip(parent_ad[better].tolist(), *child_ad[better].T.tolist()))
+        rejected = ok.copy()
+        rejected[ok] = ~better
+        if rejected.any():
+            back = np.empty(sizes.sum(), dtype=np.int64)  # part's inverse
+            back[part] = np.arange(part.size)
+            cols = back[_runs(starts[rejected], sizes[rejected])]
+            final.append((*(table[..., rejected] for table in tried),
+                          pts.take(cols, axis=1), ids[cols]))
+            del back, cols
+        del part, tried
+        splits = int(better.sum())
+        accepted, rnd, done = np.repeat(better, 2), rnd + 1, done + int(small.sum()) + sizes.size - splits
+        trace.rounds.append(RoundStats("divide", done + 2 * splits, splits, 0))
+        if trace.capture_partitions:
+            trace._snapshot([(f[0], f[5], f[7]) for f in final] + [(
+                c_sizes[accepted], rnd * n + np.arange(accepted.sum()),
+                ids[np.repeat(accepted, c_sizes)])])
+    *tables, pts, ids = zip(*final)
+    del final, kids
+    pts = np.concatenate(pts, axis=1)  # the pieces of columns go once joined
+    ids = np.concatenate(ids)
+    sizes, centers, radii, sums, far, rank = (np.concatenate(t, axis=-1) for t in tables)
+    starts = np.cumsum(sizes) - sizes
 
     # Phase 2: force-split oversized balls, recomputing the radius statistics
     # each round because splits shift the mean and median.  Children take
     # their parent's place in the columns.  In the tables, child a takes its
     # parent's row and child b's row is appended; ``seq`` lists the rows in
-    # column order, the order of the per-ball loop, in which the mean radius
-    # sums.
+    # the order of the per-ball loop, in which the mean radius sums.
     trace.stop_reason = "converged"
-    rounds, seq = 0, np.arange(sizes.size)
+    rounds, seq = 0, np.argsort(rank)
+    del rank
     while True:
         over = detect_oversized(radii[seq])
         if not over.size:
@@ -227,33 +276,34 @@ def generate_balls(dataset: Dataset, trace: DivisionTrace | None = None) -> Ball
                           RuntimeWarning, stacklevel=2)
             break
         rounds += 1
-        in_seq, oversized = sizes[seq], seq[over]
-        pos = _runs((np.cumsum(in_seq) - in_seq)[over], in_seq[over])
-        ok, part, c_sizes, c_pts, (c_centers, c_far, c_radii, c_sums) = _split(
-            pts, far[oversized], in_seq[over], centers.take(oversized, axis=1), pos)
-        split_pos = pos[np.repeat(ok, in_seq[over])]
+        oversized = seq[over]
+        pos = _runs(starts[oversized], sizes[oversized])
+        ok, part, c_sizes, c_pts, fit = _split(
+            pts, far[oversized], sizes[oversized], centers.take(oversized, axis=1), pos)
+        split_pos = pos[np.repeat(ok, sizes[oversized])]
         ids[split_pos] = ids[part]
-        for row, kids in zip(pts, c_pts):
-            row[split_pos] = kids
+        pts[:, split_pos] = c_pts
         del pos, part, c_pts, split_pos
         seq = np.insert(seq, over[ok] + 1, np.arange(seq.size, seq.size + ok.sum()))
-        tables = (sizes, centers, radii, sums, far)
-        children = (c_sizes, c_centers, c_radii, c_sums, c_far)
+        c_starts = np.repeat(starts[oversized[ok]], 2)
+        c_starts[1::2] += c_sizes[::2]
+        tables = (sizes, centers, radii, sums, far, starts)
+        children = (c_sizes, *fit, c_starts)
         for table, kids in zip(tables, children):
             table[..., oversized[ok]] = kids[..., ::2]
-        sizes, centers, radii, sums, far = (np.concatenate((table, kids[..., 1::2]), axis=-1)
-                                            for table, kids in zip(tables, children))
+        sizes, centers, radii, sums, far, starts = (
+            np.concatenate((table, kids[..., 1::2]), axis=-1)
+            for table, kids in zip(tables, children))
         trace.rounds.append(RoundStats("refine", seq.size, int(ok.sum()), over.size))
-        trace._snapshot([ids], [sizes[seq]])
+        if trace.capture_partitions:
+            trace._snapshot([(sizes[seq], np.arange(seq.size),
+                              ids[_runs(starts[seq], sizes[seq])])])
         if not ok.all():
             trace.stop_reason = "split_failed"  # degenerate ball; kept as-is
             break
 
     # Balls are numbered by their smallest member, members still ascending.
     del pts
-    in_seq = sizes[seq]
-    starts = np.cumsum(in_seq) - in_seq
-    by = np.argsort(ids[starts])
-    rows = seq[by]
-    return BallSet(order=ids[_runs(starts[by], in_seq[by])], sizes=sizes[rows],
+    rows = np.argsort(ids[starts])
+    return BallSet(order=ids[_runs(starts[rows], sizes[rows])], sizes=sizes[rows],
                    centers=centers.T.take(rows, axis=0), radii=radii[rows], sum_radius=sums[rows])

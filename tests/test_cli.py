@@ -69,6 +69,39 @@ def test_kmeans_rejects_a_negative_seed(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("algo, given", [
+    ("gbc", []),
+    ("dbscan", ["--eps", "0.1", "--min-pts", "5"]),
+    ("dpeak", ["--dc", "0.15", "--k", "2"]),
+])
+def test_algorithms_without_a_seed_reject_the_flag(tmp_path, capsys, algo, given):
+    data = _gen(tmp_path)
+    code = main(["run", "--algo", algo, "--in", str(data), "--out", str(tmp_path / algo), *given,
+                 "--seed", "-7"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: --seed: {algo} ")
+    assert not (tmp_path / f"{algo}_points.csv").exists()
+
+
+def test_gen_checks_the_seed_that_a_bundled_dataset_overrides(tmp_path, capsys):
+    code = main(["gen", "--dataset", "moons1k", "--seed", "-3", "--out", str(tmp_path / "m.csv")])
+    assert code == EXIT_INVALID
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "m.csv").exists()
+
+
+@pytest.mark.parametrize("algo, given, seed", [
+    ("gbc", [], 0),
+    ("kmeans", ["--k", "2"], 0),
+    ("kmeans", ["--k", "2", "--seed", "4"], 4),
+])
+def test_summary_seed_is_the_flag_or_zero(tmp_path, algo, given, seed):
+    data = _gen(tmp_path)
+    out = tmp_path / algo
+    assert main(["run", "--algo", algo, "--in", str(data), "--out", str(out), *given]) == EXIT_OK
+    assert json.loads((tmp_path / f"{algo}_summary.json").read_text())["seed"] == seed
+
+
 @pytest.mark.parametrize("algo, given, unused", [
     ("kmeans", ["--k", "2", "--eps", "0.3"], "--eps"),
     ("dbscan", ["--eps", "0.1", "--min-pts", "5", "--dc", "0.2"], "--dc"),

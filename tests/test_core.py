@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gbcluster.core import (ClusterAssignment, Dataset, distances, farthest_pairs,
-                            first_argmax, fit_ball, squared_distances)
+                            first_argmax, fit_ball, fit_segments, squared_distances)
 from gbcluster.division import split_once
 
 
@@ -86,13 +86,19 @@ def test_fit_ball_refit_is_bitwise_stable():
     for _ in range(50):
         n = int(rng.integers(1, 40))
         ds = Dataset(points=rng.normal(0, 1, size=(n, int(rng.integers(1, 4)))))
-        members = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
-        b1 = fit_ball(ds, members)
-        b2 = fit_ball(ds, b1.order)
-        assert np.array_equal(b1.centers, b2.centers)
-        assert b1.radii[0] == b2.radii[0]
-        assert b1.sum_radius[0] == b2.sum_radius[0]
-        assert _avg_distance(b1) == _avg_distance(b2)
+        lo = int(rng.integers(0, n))
+        for members in (rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False),
+                        np.arange(lo, int(rng.integers(lo + 1, n + 1)))):  # sliced, not gathered
+            b1 = fit_ball(ds, members)
+            b2 = fit_ball(ds, b1.order)
+            assert np.array_equal(b1.centers, b2.centers)
+            assert b1.radii[0] == b2.radii[0]
+            assert b1.sum_radius[0] == b2.sum_radius[0]
+            assert _avg_distance(b1) == _avg_distance(b2)
+            centers, _, radii, sums = fit_segments(ds.points.take(b1.order, axis=0).T.copy(),
+                                                   b1.sizes)
+            assert np.array_equal(b1.centers, centers.T)
+            assert (b1.radii[0], b1.sum_radius[0]) == (radii[0], sums[0])
 
 
 def test_ball_geometry_invariants():

@@ -150,6 +150,27 @@ def test_accepted_splits_strictly_improve():
         assert child_b_ad < parent_ad
 
 
+def test_accepted_splits_are_kept_only_in_a_trace_the_caller_passes(monkeypatch):
+    made = []
+
+    class Kept(DivisionTrace):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(division, "DivisionTrace", Kept)
+    ds = generate(BUNDLED_DATASETS["blobs10k"])
+    plain = generate_balls(ds)
+    assert len(made) == 1 and made[0].accepted_splits == []  # the run's own trace keeps none
+    trace = DivisionTrace()
+    traced = generate_balls(ds, trace)
+    assert len(made) == 1
+    divided = sum(r.split_count for r in trace.rounds if r.phase == "divide")
+    assert len(trace.accepted_splits) == divided > 0
+    for field in ("order", "sizes", "centers", "radii", "sum_radius"):
+        assert np.array_equal(getattr(plain, field), getattr(traced, field))
+
+
 def test_partition_holds_after_every_round():
     rng = np.random.default_rng(11)
     for _ in range(10):
@@ -475,10 +496,13 @@ def test_division_memory_at_8_dimensions():
 @pytest.mark.parametrize("n, dim, times", [
     # 12.40 MiB (8.1 times the input) while division carried a distance per
     # member through every round and kept each round's copies alive; 7.73 MiB
-    # (5.1 times) with a farthest-member offset per ball and the copies freed
-    (100_000, 2, 6.5),
-    # 6.60 MiB (5.4 times) then, 4.33 MiB (3.5 times) now
-    (20_000, 8, 4.5),
+    # (5.1 times) with a farthest-member offset per ball and the copies
+    # freed; 4.70 MiB (3.08 times) since a round drops its parent columns
+    # once it has gathered the children's, carries only the balls it tries
+    # and keeps no accepted splits without a caller's trace
+    (100_000, 2, 3.5),
+    # 6.60 MiB (5.4 times), then 4.33 MiB (3.5 times), now 2.82 MiB (2.31 times)
+    (20_000, 8, 2.75),
 ], ids=["2d-100k", "8d-20k"])
 def test_division_working_set_in_input_bytes(n, dim, times):
     if dim == 2:  # the input of test_division_memory_stays_linear_in_points
@@ -486,6 +510,7 @@ def test_division_working_set_in_input_bytes(n, dim, times):
         ds = generate(GeneratorSpec(family="blobs", n=n, seed=1, centers=centers, scales=0.5))
     else:
         ds = _blob_points(n, dim)
+    np.median(np.zeros(1))  # numpy imports numpy.ma (0.7 MiB) at its first median
     tracemalloc.start()
     try:
         generate_balls(ds)

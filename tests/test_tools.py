@@ -51,6 +51,21 @@ def test_one_set_row_has_every_field_and_the_sides_agree(tmp_path, name, data, c
         assert stage["base_min_s"] > 0 and stage["change_min_s"] > 0
         assert stage["ratio_iqr"][0] <= stage["ratio_median"] <= stage["ratio_iqr"][1]
         assert 0 <= stage["won"] <= 2
-    assert set(row["peak_mib"]) == {"division", "sweep", "geometry"}
+    assert set(row["peak_mib"]) == {"division", "sweep", "geometry", "cluster"}
     for peak in row["peak_mib"].values():
         assert set(peak) == {"base", "change"} and min(peak.values()) > 0
+
+
+def test_fresh_row_runs_each_side_in_a_process_of_its_own():
+    package = Path(gbcluster.__file__).resolve().parent
+    row = ab.measure_fresh("bundled-cli", (package, package), pairs=1)
+    json.dumps(row, allow_nan=False)
+    assert set(row) == {"name", "cluster", "maxrss_mib", "minflt"} and row["name"] == "bundled-cli"
+    cluster_row = row["cluster"]
+    assert set(cluster_row) == {"base_median_s", "change_median_s", "ratio_median", "ratio_iqr",
+                                "won"}
+    assert cluster_row["base_median_s"] > 0 and cluster_row["change_median_s"] > 0
+    assert cluster_row["ratio_iqr"][0] <= cluster_row["ratio_median"] <= cluster_row["ratio_iqr"][1]
+    for key in ("maxrss_mib", "minflt"):
+        assert set(row[key]) == {"base", "change", "lower"}
+        assert min(row[key]["base"], row[key]["change"]) > 0 and row[key]["lower"] in (0, 1)

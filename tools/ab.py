@@ -1,6 +1,7 @@
 """Paired, in-process timing of every stage of cluster() and of the CLI at two commits.
 
-    python3 tools/ab.py [--base REV] [--pairs N] [--sets NAME,...] [--out BENCH_<label>.json]
+    python3 tools/ab.py [--base REV] [--pairs N] [--sets NAME,...] [--fresh]
+                        [--out BENCH_<label>.json]
 
 The base is ``src/gbcluster`` at REV (default HEAD), taken with
 ``git archive`` into a temporary directory and imported as the package
@@ -30,8 +31,9 @@ sets, the same labels and overlap counts from ``cluster()`` and, on
 ``bundled-cli``, the same points and balls files.  It also takes each copy's
 counts (balls m, live balls, clusters K, noise points, tile entries of the
 one sweep of ``cluster()``, overlapping pairs and the non-overlapping pairs
-the sweep keeps) and the ``tracemalloc`` peaks of one division, sweep and
-geometry call.  ``--out`` writes all of it to a JSON file, with both sides'
+the sweep keeps) and the ``tracemalloc`` peaks of one division, sweep,
+geometry and ``cluster()`` call, the last the peak that perfbench's
+``peak_rss_mb`` follows.  ``--out`` writes all of it to a JSON file, with both sides'
 least times, both commits' SHAs, the ``git status`` of ``src/`` and the
 numpy, Python and machine details.
 
@@ -42,6 +44,16 @@ Both copies run in one warm process, so the ratios miss the first-touch
 page faults that perfbench's fresh processes take (0 against 3,588 minor
 faults a ``generate_balls`` call at 2-d 100k, in two variants of one
 change), and they do not predict perfbench's ``wall_s``.
+
+``--fresh`` measures what the warm heap hides.  Each side of a pair runs in
+a new process of its own, started once the last one has exited, so one runs
+at a time.  The process makes the set's points, imports its side's package
+and times one ``cluster()`` over every point set, taking that call's minor
+page faults and the process's ``ru_maxrss`` at its end.  For each set the
+tool prints the median ratio of the times, with its interquartile range and
+the pairs won, and each side's median ``ru_maxrss`` and faults, with the
+pairs in which the change's was lower; ``--out`` writes these rows in place
+of the stage rows.
 """
 
 from __future__ import annotations
@@ -54,6 +66,7 @@ import io
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
 import tarfile
@@ -72,16 +85,20 @@ LINE_CENTERS = ((0.0,), (6.0,), (12.0,), (18.0,), (24.0,))
 SHUFFLE_SEED = 1
 COUNTS = ("balls", "live_balls", "clusters", "noise_points", "tile_entries", "pairs_overlapping",
           "pairs_kept")
-PEAKS = ("division", "sweep", "geometry")
+PEAKS = ("division", "sweep", "geometry", "cluster")
 
 
-def load_base(rev: str, tmp: str, name: str = "gbcluster_base"):
-    """The package ``src/gbcluster`` of commit rev, imported as ``name``."""
+def extract_base(rev: str, tmp: str) -> Path:
+    """The directory of the package ``src/gbcluster`` of commit rev, extracted under tmp."""
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src/gbcluster"],
                              capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(tmp, filter="data")
-    package = Path(tmp) / "src" / "gbcluster"
+    return Path(tmp) / "src" / "gbcluster"
+
+
+def load_package(package: Path, name: str = "gbcluster_base"):
+    """The package in the directory ``package``, imported as ``name``."""
     spec = importlib.util.spec_from_file_location(name, package / "__init__.py",
                                                   submodule_search_locations=[str(package)])
     module = importlib.util.module_from_spec(spec)
@@ -198,16 +215,10 @@ def measure(name: str, packages, data: list, pairs: int, tmp: str | None = None)
           flush=True)
     stages = {}
     for stage in change:
-        times = np.empty((pairs, 2))
-        for k in range(pairs):
-            for j in ((0, 1) if k % 2 == 0 else (1, 0)):
-                times[k, j] = _seconds((base, change)[j][stage])
-        least, ratios = times.min(axis=0).tolist(), times[:, 1] / times[:, 0]
-        q25, q50, q75 = np.percentile(ratios, [25, 50, 75]).tolist()
-        won = int((ratios < 1).sum())
-        stages[stage] = {"base_min_s": least[0], "change_min_s": least[1], "ratio_median": q50,
-                         "ratio_iqr": [q25, q75], "won": won}
-        print(f"  {stage:12s} ratio {q50:.3f} [IQR {q25:.3f}-{q75:.3f}]  won {won} of {pairs}  "
+        times = _pairs(pairs, lambda j: _seconds((base, change)[j][stage]))
+        least = times.min(axis=0).tolist()
+        stages[stage] = {"base_min_s": least[0], "change_min_s": least[1], **_ratios(times)}
+        print(f"  {stage:12s} {_shown(stages[stage], pairs)}  "
               f"least {least[0] * 1e3:.2f} base, {least[1] * 1e3:.2f} change ms", flush=True)
     peaks = {stage: {"base": _peak_mib(base[stage]), "change": _peak_mib(change[stage])}
              for stage in PEAKS}
@@ -216,6 +227,68 @@ def measure(name: str, packages, data: list, pairs: int, tmp: str | None = None)
     return {"name": name, "rows": sum(len(ds) for ds in data), "d": data[0].dim,
             "identical": identical, "counts": {"base": base_counts, "change": change_counts},
             "peak_mib": peaks, "stages": stages}
+
+
+def _pairs(pairs: int, call) -> np.ndarray:
+    """call(j) for side j of each pair, base first in even pairs; (pairs, 2, ...)."""
+    out = [[None, None] for _ in range(pairs)]
+    for k in range(pairs):
+        for j in ((0, 1) if k % 2 == 0 else (1, 0)):
+            out[k][j] = call(j)
+    return np.array(out, dtype=np.float64)
+
+
+def _ratios(times: np.ndarray) -> dict:
+    """The median of the paired ratios change / base, their IQR and the pairs won."""
+    ratios = times[:, 1] / times[:, 0]
+    q25, q50, q75 = np.percentile(ratios, [25, 50, 75]).tolist()
+    return {"ratio_median": q50, "ratio_iqr": [q25, q75], "won": int((ratios < 1).sum())}
+
+
+def _shown(row: dict, pairs: int) -> str:
+    q25, q75 = row["ratio_iqr"]
+    return f"ratio {row['ratio_median']:.3f} [IQR {q25:.3f}-{q75:.3f}]  won {row['won']} of {pairs}"
+
+
+def fresh_run(package: Path, name: str) -> dict:
+    """One ``cluster()`` of each point set of the named set by the package in
+    the directory ``package``, in this process: its seconds and minor page
+    faults, and the process's ``ru_maxrss`` afterwards in MiB."""
+    data = points(name)
+    pkg = load_package(package, "gbcluster_side")
+    sets = [pkg.core.Dataset(points=ds.points) for ds in data]
+    before, start = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
+    for ds in sets:
+        pkg.differentiation.cluster(ds)
+    seconds, after = time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF)
+    return {"seconds": seconds, "minflt": after.ru_minflt - before.ru_minflt,
+            "maxrss_mib": after.ru_maxrss / 1024}  # KiB on Linux
+
+
+def measure_fresh(name: str, packages: tuple[Path, Path], pairs: int) -> dict:
+    """The row of one set with each side in a fresh process (``fresh_run``):
+    the paired ratios of the times, and each side's median ru_maxrss and
+    faults, with the pairs in which the change's were lower."""
+    def child(j):
+        out = subprocess.run([sys.executable, __file__, "--child", str(packages[j]),
+                              "--sets", name], capture_output=True, text=True, check=True).stdout
+        run = json.loads(out)
+        return run["seconds"], run["maxrss_mib"], run["minflt"]
+
+    runs = _pairs(pairs, child)
+    row = {"name": name, "cluster": {
+        "base_median_s": float(np.median(runs[:, 0, 0])),
+        "change_median_s": float(np.median(runs[:, 1, 0])), **_ratios(runs[..., 0])}}
+    for k, key in ((1, "maxrss_mib"), (2, "minflt")):
+        row[key] = {"base": float(np.median(runs[:, 0, k])),
+                    "change": float(np.median(runs[:, 1, k])),
+                    "lower": int((runs[:, 1, k] < runs[:, 0, k]).sum())}
+    rss, faults = row["maxrss_mib"], row["minflt"]
+    print(f"{name}: cluster {_shown(row['cluster'], pairs)}  ru_maxrss {rss['base']:.2f} base, "
+          f"{rss['change']:.2f} change MiB, lower in {rss['lower']}  minor faults "
+          f"{faults['base']:,.0f} base, {faults['change']:,.0f} change, lower in {faults['lower']}",
+          flush=True)
+    return row
 
 
 def _git(*args: str) -> str:
@@ -230,6 +303,9 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=30, help="pairs of calls per stage")
     parser.add_argument("--sets", default=",".join(SETS),
                         help=f"comma-separated set names (default: all): {', '.join(SETS)}")
+    parser.add_argument("--fresh", action="store_true",
+                        help="time one cluster() a side in fresh processes, one at a time")
+    parser.add_argument("--child", help=argparse.SUPPRESS)  # a --fresh side: its package dir
     parser.add_argument("--out", help="JSON file to write, BENCH_<label>.json by convention")
     args = parser.parse_args(argv)
     names = args.sets.split(",")
@@ -239,6 +315,9 @@ def main(argv=None) -> int:
     import gbcluster
     if Path(gbcluster.__file__).resolve().parent != ROOT / "src" / "gbcluster":
         parser.error(f"gbcluster was not imported from {ROOT / 'src'}")
+    if args.child:
+        print(json.dumps(fresh_run(Path(args.child), names[0])))
+        return 0
     result = {"base": {"rev": args.base,
                        "sha": _git("rev-parse", "--verify", f"{args.base}^{{commit}}").strip()},
               "change": {"sha": _git("rev-parse", "HEAD").strip(),
@@ -246,14 +325,20 @@ def main(argv=None) -> int:
               "numpy": np.__version__, "python": platform.python_version(),
               "machine": {"platform": platform.platform(), "cpus": os.cpu_count(),
                           "processor": platform.processor() or platform.machine()},
-              "pairs": args.pairs, "shuffle_seed": SHUFFLE_SEED, "sets": []}
+              "pairs": args.pairs, "shuffle_seed": SHUFFLE_SEED, "fresh": args.fresh,
+              "sets": []}
     with tempfile.TemporaryDirectory() as tmp:
-        packages = (load_base(args.base, tmp), gbcluster)
-        print(f"base {args.base} against this checkout's src, {args.pairs} pairs a stage",
-              flush=True)
-        for name in names:
-            result["sets"].append(measure(name, packages, points(name), args.pairs,
-                                          tmp if SETS[name] is None else None))
+        base = extract_base(args.base, tmp)
+        print(f"base {args.base} against this checkout's src, {args.pairs} pairs "
+              f"{'of fresh processes' if args.fresh else 'a stage'}", flush=True)
+        if args.fresh:
+            result["sets"] = [measure_fresh(name, (base, ROOT / "src" / "gbcluster"), args.pairs)
+                              for name in names]
+        else:
+            packages = (load_package(base), gbcluster)
+            for name in names:
+                result["sets"].append(measure(name, packages, points(name), args.pairs,
+                                              tmp if SETS[name] is None else None))
     if args.out:
         Path(args.out).write_text(json.dumps(result, indent=1, allow_nan=False) + "\n")
         print(f"wrote {args.out}")
