@@ -47,8 +47,10 @@ change), and they do not predict perfbench's ``wall_s``.
 
 ``--fresh`` measures what the warm heap hides.  Each side of a pair runs in
 a new process of its own, started once the last one has exited, so one runs
-at a time.  The process makes the set's points, imports its side's package
-and times one ``cluster()`` over every point set, taking that call's minor
+at a time.  Both sides' packages are files in the temporary directory, the
+change's copied there without its ``__pycache__``, so that the two differ
+in nothing but their code.  The process makes the set's points, imports its
+side's package and times one ``cluster()`` over every point set, taking that call's minor
 page faults and the process's ``ru_maxrss`` at its end.  For each set the
 tool prints the median ratio of the times, with its interquartile range and
 the pairs won, and each side's median ``ru_maxrss`` and faults, with the
@@ -67,6 +69,7 @@ import json
 import os
 import platform
 import resource
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -332,8 +335,10 @@ def main(argv=None) -> int:
         print(f"base {args.base} against this checkout's src, {args.pairs} pairs "
               f"{'of fresh processes' if args.fresh else 'a stage'}", flush=True)
         if args.fresh:
-            result["sets"] = [measure_fresh(name, (base, ROOT / "src" / "gbcluster"), args.pairs)
-                              for name in names]
+            change = Path(tmp) / "change" / "gbcluster"
+            shutil.copytree(ROOT / "src" / "gbcluster", change,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+            result["sets"] = [measure_fresh(name, (base, change), args.pairs) for name in names]
         else:
             packages = (load_package(base), gbcluster)
             for name in names:
