@@ -64,8 +64,8 @@ class BallSet:
     ``sizes``.  Row i of ``centers``, ``radii`` and ``sum_radius`` is ball i's
     geometry.  ``overlap_counts[i]`` is the number of other non-noise balls
     whose region intersects ball i (zero until the differentiation stage
-    fills it in).  ``noise_ball_flags[i]`` marks single-point balls, which sit
-    out of the merging stage.
+    fills it in).  ``noise_ball_flags[i]``, derived from ``sizes``, marks
+    single-point balls, which sit out of the merging stage.
     """
 
     order: np.ndarray
@@ -74,13 +74,14 @@ class BallSet:
     radii: np.ndarray
     sum_radius: np.ndarray
     overlap_counts: np.ndarray | None = None
-    noise_ball_flags: np.ndarray | None = None
 
     def __post_init__(self):
         if self.overlap_counts is None:
             self.overlap_counts = np.zeros(len(self), dtype=np.int64)
-        if self.noise_ball_flags is None:
-            self.noise_ball_flags = self.sizes == 1
+
+    @property
+    def noise_ball_flags(self) -> np.ndarray:
+        return self.sizes == 1
 
     @property
     def starts(self) -> np.ndarray:

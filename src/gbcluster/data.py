@@ -56,25 +56,29 @@ class GeneratorSpec:
             raise ValueError("n must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        # each test is written so that NaN, which fails every comparison, fails it
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.family == "blobs":
             centers = self.centers if self.centers is not None else ((0.0, 0.0),)
             if len({len(c) for c in centers}) != 1:
                 raise ValueError("all blob centers must share one dimension")
-            if (self.scales is not None and not isinstance(self.scales, (int, float))
-                    and len(self.scales) != len(centers)):
-                raise ValueError("scales must match the number of blob centers")
+            if self.scales is not None:
+                scales = (self.scales,) if isinstance(self.scales, (int, float)) else self.scales
+                if scales is self.scales and len(scales) != len(centers):
+                    raise ValueError("scales must match the number of blob centers")
+                if not all(0 <= s < math.inf for s in scales):
+                    raise ValueError(f"scales must be finite and >= 0, got {self.scales}")
             if self.proportions is not None:
                 if len(self.proportions) != len(centers):
                     raise ValueError("proportions must match the number of blob centers")
-                if any(p <= 0 for p in self.proportions):
-                    raise ValueError("proportions must be positive")
+                if not all(0 < p < math.inf for p in self.proportions):
+                    raise ValueError(f"proportions must be finite and positive, got {self.proportions}")
         if self.family == "circles" and self.radii is not None:
-            if any(r <= 0 for r in self.radii):
-                raise ValueError("circle radii must be positive")
-        if self.family == "spirals" and self.turns <= 0:
-            raise ValueError("spiral turns must be positive")
+            if not all(0 < r < math.inf for r in self.radii):
+                raise ValueError(f"circle radii must be finite and positive, got {self.radii}")
+        if self.family == "spirals" and not 0 < self.turns < math.inf:
+            raise ValueError(f"spiral turns must be finite and positive, got {self.turns}")
 
 
 def _split_counts(n: int, k: int, proportions: Sequence[float] | None = None) -> list[int]:

@@ -45,11 +45,11 @@ class DivisionTrace:
     ``accepted_splits`` records (parent AD, child ADs) for every quality-
     accepted split; it is filled only in a trace that the caller passes, so a
     run without one keeps no such list.  With ``capture_partitions`` set, the
-    member arrays of every ball are snapshotted after each round (costly;
-    tests only).  ``stop_reason`` says why the oversized-ball cleanup ended:
-    "converged" (no oversized ball left), "round_cap" or "split_failed" (a
-    split of an oversized ball put every member on one side);
-    ``round_cap_hit`` is read from it.
+    member arrays of every ball are snapshotted after each round, listed by
+    least member (costly; tests only).  ``stop_reason`` says why the
+    oversized-ball cleanup ended: "converged" (no oversized ball left),
+    "round_cap" or "split_failed" (a split of an oversized ball put every
+    member on one side); ``round_cap_hit`` is read from it.
 
     A trace passed to several runs accumulates: each run appends to
     ``rounds``, ``accepted_splits`` and ``partitions``, while
@@ -67,11 +67,11 @@ class DivisionTrace:
         return self.stop_reason == "round_cap"
 
     def _snapshot(self, pieces):
-        """Record the balls of ``pieces``, each (sizes, ranks, ids) with ball i
-        the next sizes[i] ids, in the order of their ranks."""
-        sizes, ranks, ids = (np.concatenate(a) for a in zip(*pieces))
+        """Record the balls of ``pieces``, each (sizes, ids) with ball i the
+        next sizes[i] ids, members ascending, in the order of their least members."""
+        sizes, ids = (np.concatenate(a) for a in zip(*pieces))
         balls = np.split(ids, np.cumsum(sizes)[:-1])
-        self.partitions.append([balls[i] for i in np.argsort(ranks)])
+        self.partitions.append(sorted(balls, key=lambda ball: ball[0]))
 
 
 def _partition(to_a: np.ndarray, sizes: np.ndarray, starts: np.ndarray):
@@ -118,21 +118,6 @@ def _fit_children(child_pts: np.ndarray, child_sizes: np.ndarray):
     return centers, radii, sums, first_argmax(dists, starts, child_sizes, radii) - starts
 
 
-def _split(pts: np.ndarray, far: np.ndarray, sizes: np.ndarray, centers: np.ndarray,
-           rows: np.ndarray | None = None):
-    """Split every ball, a run ``sizes`` of the columns ``rows`` (default all)
-    of pts, in one assignment pass (see ``_sides``).  Returns ok, the
-    positions in pts of the ok balls' columns in child order, and the child
-    sizes, columns and fit (``_fit_children``)."""
-    if rows is not None:
-        pts = pts.take(rows, axis=1)
-    ok, child_sizes, part = _sides(pts, far, sizes, centers)
-    child_pts = pts.take(part, axis=1)
-    del pts  # the gathered copy, when rows are given
-    return (ok, part if rows is None else rows[part], child_sizes, child_pts,
-            _fit_children(child_pts, child_sizes))
-
-
 def _pick(tables: tuple, pts: np.ndarray, ids: np.ndarray, which: np.ndarray) -> tuple:
     """The balls ``which`` (a mask) of ``tables``, whose last axis runs over
     the balls, sizes first, with their runs of the columns pts and ids; the
@@ -144,7 +129,7 @@ def _pick(tables: tuple, pts: np.ndarray, ids: np.ndarray, which: np.ndarray) ->
 
 
 def split_once(dataset: Dataset, ball: BallSet):
-    """Split the one ball of ``ball`` in a single assignment pass (see ``_split``).
+    """Split the one ball of ``ball`` in a single assignment pass (see ``_sides``).
 
     Returns the fitted children as a two-ball BallSet, child a first, or
     None when one side ends up empty (coincident members).
@@ -153,10 +138,11 @@ def split_once(dataset: Dataset, ball: BallSet):
         raise ValueError("split_once needs a BallSet of one ball with at least 2 members")
     pts = dataset.points.take(ball.order, axis=0).T.copy()
     center = ball.centers.T
-    ok, part, sizes, _, (centers, radii, sums, _) = _split(
+    ok, sizes, part = _sides(
         pts, first_argmax(distances(pts, center), np.array([0]), ball.sizes), ball.sizes, center)
     if not ok[0]:
         return None
+    centers, radii, sums, _ = _fit_children(pts.take(part, axis=1), sizes)
     return BallSet(order=ball.order[part], sizes=sizes, centers=centers.T, radii=radii,
                    sum_radius=sums)
 
@@ -168,12 +154,20 @@ def should_split(parent_ad, child_a_ad, child_b_ad):
 
 
 def detect_oversized(radii) -> np.ndarray:
-    """Ascending indices of balls with radius > 2 * max(mean radius, median radius)."""
+    """Ascending indices of balls with radius > 2 * max(mean radius, median radius).
+
+    Both statistics come from the sorted radii, so the threshold depends on
+    the set of radii alone: the mean sums them in ascending order, and the
+    median, the middle one or the mean of the middle two, has the bits of
+    ``np.median``.
+    """
     radii = np.asarray(radii, dtype=np.float64)
     if radii.size == 0:
         raise ValueError("detect_oversized needs at least one ball")
-    threshold = 2.0 * max(float(radii.mean()), float(np.median(radii)))
-    return np.flatnonzero(radii > threshold)
+    s = np.sort(radii)
+    k = s.size // 2
+    median = s[k] if s.size % 2 else (s[k - 1] + s[k]) / 2.0
+    return np.flatnonzero(radii > 2.0 * max(float(s.mean()), float(median)))
 
 
 def generate_balls(dataset: Dataset, trace: DivisionTrace | None = None) -> BallSet:
@@ -196,8 +190,7 @@ def generate_balls(dataset: Dataset, trace: DivisionTrace | None = None) -> Ball
     keep_splits = trace is not None
     if trace is None:
         trace = DivisionTrace()
-    n = len(dataset)
-    root = fit_ball(dataset, np.arange(n))
+    root = fit_ball(dataset, np.arange(len(dataset)))
     pts, ids = _columns(dataset.points), root.order
     far = first_argmax(distances(pts, root.centers.T), np.array([0]), root.sizes)
     kids = (root.sizes, root.centers.T, root.radii, root.sum_radius, far)
@@ -205,22 +198,20 @@ def generate_balls(dataset: Dataset, trace: DivisionTrace | None = None) -> Ball
 
     # Phase 1: quality-driven splitting.  Each ball is examined once; a ball
     # whose split fails or is rejected is final, its children otherwise
-    # re-enter the queue.  The order of that per-ball loop, in which phase 2's
-    # mean radius sums, is kept as a rank, round * n plus the place in the
-    # round's queue; the columns of the final balls lie in the order that
-    # they became final.  The accepted children (``kids``, columns pts and
-    # ids, with those of the rejected splits' children) under MIN_SPLIT_SIZE
-    # are final at once, the others are the next round's arrays, and a
-    # rejected ball's ascending columns are taken back from its children.
-    final = []  # pieces: sizes, centres, radii, sums, farthest offsets, ranks, columns and ids
-    accepted, rnd, done = np.array([True]), 0, 0
+    # re-enter the queue.  The columns of the final balls lie in the order
+    # that they became final.  The accepted children (``kids``, columns pts
+    # and ids, with those of the rejected splits' children) under
+    # MIN_SPLIT_SIZE are final at once, the others are the next round's
+    # arrays, and a rejected ball's ascending columns are taken back from its
+    # children.
+    final = []  # pieces: sizes, centres, radii, sums, farthest offsets, columns and ids
+    accepted, done = np.array([True]), 0
     while accepted.any():
-        kids += (rnd * n + np.cumsum(accepted) - 1,)
         small = accepted & (kids[0] < MIN_SPLIT_SIZE)
         if small.any():
             final.append(_pick(kids, pts, ids, small))
-        sizes, centers, radii, sums, far, rank, pts, ids = _pick(kids, pts, ids, accepted ^ small)
-        tried = (sizes, centers, radii, sums, far, rank)
+        sizes, centers, radii, sums, far, pts, ids = _pick(kids, pts, ids, accepted ^ small)
+        tried = (sizes, centers, radii, sums, far)
         starts = np.cumsum(sizes) - sizes
         ok, c_sizes, part = _sides(pts, far, sizes, centers)
         if not ok.all():
@@ -245,29 +236,26 @@ def generate_balls(dataset: Dataset, trace: DivisionTrace | None = None) -> Ball
             del back, cols
         del part, tried
         splits = int(better.sum())
-        accepted, rnd, done = np.repeat(better, 2), rnd + 1, done + int(small.sum()) + sizes.size - splits
+        accepted, done = np.repeat(better, 2), done + int(small.sum()) + sizes.size - splits
         trace.rounds.append(RoundStats("divide", done + 2 * splits, splits, 0))
         if trace.capture_partitions:
-            trace._snapshot([(f[0], f[5], f[7]) for f in final] + [(
-                c_sizes[accepted], rnd * n + np.arange(accepted.sum()),
-                ids[np.repeat(accepted, c_sizes)])])
+            trace._snapshot([(f[0], f[6]) for f in final] + [
+                (c_sizes[accepted], ids[np.repeat(accepted, c_sizes)])])
     *tables, pts, ids = zip(*final)
     del final, kids
     pts = np.concatenate(pts, axis=1)  # the pieces of columns go once joined
     ids = np.concatenate(ids)
-    sizes, centers, radii, sums, far, rank = (np.concatenate(t, axis=-1) for t in tables)
+    sizes, centers, radii, sums, far = (np.concatenate(t, axis=-1) for t in tables)
     starts = np.cumsum(sizes) - sizes
 
     # Phase 2: force-split oversized balls, recomputing the radius statistics
     # each round because splits shift the mean and median.  Children take
     # their parent's place in the columns.  In the tables, child a takes its
-    # parent's row and child b's row is appended; ``seq`` lists the rows in
-    # the order of the per-ball loop, in which the mean radius sums.
+    # parent's row and child b's row is appended.
     trace.stop_reason = "converged"
-    rounds, seq = 0, np.argsort(rank)
-    del rank
+    rounds = 0
     while True:
-        over = detect_oversized(radii[seq])
+        over = detect_oversized(radii)
         if not over.size:
             break
         if rounds >= MAX_REFINEMENT_ROUNDS:
@@ -276,28 +264,27 @@ def generate_balls(dataset: Dataset, trace: DivisionTrace | None = None) -> Ball
                           RuntimeWarning, stacklevel=2)
             break
         rounds += 1
-        oversized = seq[over]
-        pos = _runs(starts[oversized], sizes[oversized])
-        ok, part, c_sizes, c_pts, fit = _split(
-            pts, far[oversized], sizes[oversized], centers.take(oversized, axis=1), pos)
-        split_pos = pos[np.repeat(ok, sizes[oversized])]
-        ids[split_pos] = ids[part]
+        pos = _runs(starts[over], sizes[over])
+        c_pts = pts.take(pos, axis=1)
+        ok, c_sizes, part = _sides(c_pts, far[over], sizes[over], centers.take(over, axis=1))
+        c_pts = c_pts.take(part, axis=1)  # the gathered copy goes before the fit
+        fit = _fit_children(c_pts, c_sizes)
+        split_pos = pos[np.repeat(ok, sizes[over])]
+        ids[split_pos] = ids[pos[part]]
         pts[:, split_pos] = c_pts
         del pos, part, c_pts, split_pos
-        seq = np.insert(seq, over[ok] + 1, np.arange(seq.size, seq.size + ok.sum()))
-        c_starts = np.repeat(starts[oversized[ok]], 2)
+        c_starts = np.repeat(starts[over[ok]], 2)
         c_starts[1::2] += c_sizes[::2]
         tables = (sizes, centers, radii, sums, far, starts)
         children = (c_sizes, *fit, c_starts)
         for table, kids in zip(tables, children):
-            table[..., oversized[ok]] = kids[..., ::2]
+            table[..., over[ok]] = kids[..., ::2]
         sizes, centers, radii, sums, far, starts = (
             np.concatenate((table, kids[..., 1::2]), axis=-1)
             for table, kids in zip(tables, children))
-        trace.rounds.append(RoundStats("refine", seq.size, int(ok.sum()), over.size))
+        trace.rounds.append(RoundStats("refine", sizes.size, int(ok.sum()), over.size))
         if trace.capture_partitions:
-            trace._snapshot([(sizes[seq], np.arange(seq.size),
-                              ids[_runs(starts[seq], sizes[seq])])])
+            trace._snapshot([(sizes, ids[_runs(starts, sizes)])])
         if not ok.all():
             trace.stop_reason = "split_failed"  # degenerate ball; kept as-is
             break

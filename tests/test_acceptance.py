@@ -150,11 +150,12 @@ def _random_ball(rng):
 
 
 def _ballset(balls, sizes, flags):
-    """Balls of (unused) points, ``sizes`` each, straight from arrays."""
+    """Balls of (unused) points, straight from arrays: a noise ball (``flags``)
+    has one member, the others ``sizes`` each, all above one."""
     centers, radii = zip(*balls)
-    return BallSet(order=np.arange(sum(sizes)), sizes=np.array(sizes), centers=np.array(centers),
-                   radii=np.array(radii), sum_radius=np.zeros(len(balls)),
-                   noise_ball_flags=np.asarray(flags, dtype=bool))
+    sizes = np.where(flags, 1, sizes)
+    return BallSet(order=np.arange(sizes.sum()), sizes=sizes, centers=np.array(centers),
+                   radii=np.array(radii), sum_radius=np.zeros(len(balls)))
 
 
 def _adjacent(bs, i, j):

@@ -1,9 +1,13 @@
 """CLI behavior: subcommands, flag guards, exit codes, file outputs."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import gbcluster
 from gbcluster.cli import EXIT_INVALID, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
 
@@ -59,6 +63,30 @@ def test_gen_rejects_a_negative_seed(tmp_path, capsys):
                  "--out", str(tmp_path / "m.csv")])
     assert code == EXIT_INVALID
     assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("noise", ["nan", "-0.5", "inf"])
+def test_gen_rejects_noise_that_is_not_a_finite_non_negative_number(tmp_path, capsys, noise):
+    out = tmp_path / "b.csv"
+    code = main(["gen", "--family", "blobs", "--n", "20", "--noise", noise, "--out", str(out)])
+    assert code == EXIT_INVALID
+    assert "noise_sigma" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_does_not_import_numpy_ma(tmp_path):
+    # numpy imports numpy.ma lazily, at a process's first np.median: about
+    # 13 ms and 2 MiB that every `gbcluster run` would pay.  A fresh
+    # interpreter, so that no other test's imports count.
+    data = _gen(tmp_path, "blobs5.csv", "blobs5")
+    src = os.path.dirname(os.path.dirname(gbcluster.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["run", "--algo", "gbc", "--in", str(data), "--out", str(tmp_path / "res")]
+    code = ("import sys\nfrom gbcluster import cli\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "False"
 
 
 def test_kmeans_rejects_a_negative_seed(tmp_path, capsys):

@@ -52,6 +52,25 @@ def test_generator_validation():
         GeneratorSpec(family="spirals", n=5, turns=0.0)
 
 
+_TWO = ((0.0, 0.0), (5.0, 0.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, -0.5, math.inf])
+@pytest.mark.parametrize("field, spec", [
+    ("noise_sigma", lambda v: GeneratorSpec(family="blobs", n=20, noise_sigma=v)),
+    ("scales", lambda v: GeneratorSpec(family="blobs", n=20, centers=_TWO, scales=v)),
+    ("scales", lambda v: GeneratorSpec(family="blobs", n=20, centers=_TWO, scales=(0.5, v))),
+    ("proportions", lambda v: GeneratorSpec(family="blobs", n=20, centers=_TWO,
+                                            proportions=(1.0, v))),
+    ("radii", lambda v: GeneratorSpec(family="circles", n=20, radii=(1.0, v))),
+    ("turns", lambda v: GeneratorSpec(family="spirals", n=20, turns=v)),
+])
+def test_generator_rejects_nan_negative_and_infinite_values(field, spec, bad):
+    # NaN fails every comparison, so a check written as ``x < 0`` lets it through
+    with pytest.raises(ValueError, match=field):
+        spec(bad)
+
+
 def test_bundled_specs_all_generate():
     for name, spec in BUNDLED_DATASETS.items():
         ds = generate(spec)

@@ -22,13 +22,14 @@ from gbcluster.division import DivisionTrace, generate_balls
 
 
 def _array_ballset(centers, radii, noise, sizes=5):
-    """Balls of (unused) points, five each unless ``sizes`` says, straight from arrays."""
+    """Balls of (unused) points, straight from arrays: a noise ball has one
+    member, the others five each unless ``sizes`` says."""
     m = len(radii)
-    sizes = np.broadcast_to(np.asarray(sizes, np.int64), m)
-    return BallSet(order=np.arange(sizes.sum()), sizes=sizes.copy(),
-                   centers=np.asarray(centers, float),
-                   radii=np.asarray(radii, float), sum_radius=np.zeros(m),
-                   noise_ball_flags=np.asarray(noise, bool))
+    noise = np.asarray(noise, bool)
+    sizes = np.where(noise, 1, np.broadcast_to(np.asarray(sizes, np.int64), m))
+    assert (noise == (sizes == 1)).all()  # a live ball of one member would be noise
+    return BallSet(order=np.arange(sizes.sum()), sizes=sizes, centers=np.asarray(centers, float),
+                   radii=np.asarray(radii, float), sum_radius=np.zeros(m))
 
 
 def _ball(center, radius, size=5):

@@ -65,13 +65,14 @@ def test_split_once_needs_two_members():
 
 def test_split_once_runs_the_division_kernels():
     # the root split of moons1k is accepted: its children are the first
-    # round's balls, and their average distances the first accepted split
+    # round's balls, listed by least member, and their average distances the
+    # first accepted split
     ds = generate(BUNDLED_DATASETS["moons1k"])
     trace = DivisionTrace(capture_partitions=True)
     generate_balls(ds, trace=trace)
     root = fit_ball(ds, range(len(ds)))
     kids = split_once(ds, root)
-    assert [m.tolist() for m in _members(kids)] == [m.tolist() for m in trace.partitions[0]]
+    assert sorted(m.tolist() for m in _members(kids)) == [m.tolist() for m in trace.partitions[0]]
     split = (root.sum_radius[0] / root.sizes[0], *(kids.sum_radius / kids.sizes))
     assert np.array(split).tobytes() == np.array(trace.accepted_splits[0]).tobytes()
 
@@ -98,6 +99,43 @@ def test_detect_oversized():
     assert detect_oversized([1, 2, 3, 10]).tolist() == [3]
     with pytest.raises(ValueError):
         detect_oversized([])
+    # Random radii, odd and even counts, with ties; one radius sits exactly
+    # at the threshold, where a mean summed in another order or a median one
+    # ulp off would move it across.  A permutation of the radii permutes the
+    # indices it flags.
+    rng = np.random.default_rng(24)
+    by_mean = by_median = 0
+    for trial in range(400):
+        n = int(rng.integers(20, 80))
+        if trial % 2:  # the mean decides: the extra radius is twice it
+            radii = _with_twice_the_mean(np.round(np.abs(rng.standard_cauchy(n)), trial % 3 + 1))
+            threshold = radii[-1]
+            if threshold <= 2 * np.median(radii):
+                continue
+            by_mean += 1
+        else:  # the median decides: two radii just at and just over twice np.median
+            radii = np.round(rng.uniform(1.0, 1.2, n), trial % 3 + 1)
+            radii[:n * 3 // 10] = 0.0  # they pull the mean below the median
+            threshold = 2 * np.median(np.append(radii, [np.inf, np.inf]))
+            radii = np.append(radii, [threshold, np.nextafter(threshold, np.inf)])
+            assert np.median(radii) * 2 == threshold > 2 * radii.mean()
+            by_median += 1
+        want = np.flatnonzero(radii > threshold)
+        assert detect_oversized(radii).tolist() == want.tolist()
+        order = rng.permutation(radii.size)
+        assert detect_oversized(radii[order]).tolist() == np.flatnonzero(np.isin(order, want)).tolist()
+    assert by_mean >= 150 and by_median == 200
+
+
+def _with_twice_the_mean(radii):
+    """``radii`` and one more, twice the mean of them all summed in ascending order."""
+    x = 2 * radii.sum() / (radii.size - 1)
+    for _ in range(60):
+        with_x = np.append(radii, x)
+        x, last = 2 * np.sort(with_x).mean(), x
+        if x == last:
+            return with_x
+    raise AssertionError("no radius is twice the mean")
 
 
 def test_generate_balls_identical_points():
@@ -183,16 +221,20 @@ def test_partition_holds_after_every_round():
             assert np.array_equal(np.sort(seen), np.arange(n))
 
 
+def _by_least_member(members):
+    return sorted(members, key=lambda m: m[0])
+
+
 def _reference_division(ds):
     """Division one ball at a time, as the method states it; the member
-    arrays of every ball after each round.
+    arrays of every ball after each round, listed by least member.
 
     Phase 1 is a queue: a ball of at least ``MIN_SPLIT_SIZE`` members is
     split, and its children join the back of the queue when both improve on
     its average distance; every other ball is final.  A round is one pass
     over the queue as it stood.  Phase 2 is a list: each ball that
-    ``detect_oversized`` flags, on the radii in list order, is replaced in
-    place by its two children.
+    ``detect_oversized`` flags, on the list's radii, is replaced in place by
+    its two children.
     """
     snapshots, final, queue = [], [], [fit_ball(ds, np.arange(len(ds)))]
     while queue:
@@ -205,7 +247,7 @@ def _reference_division(ds):
             else:
                 final.append(ball)
         queue = pending
-        snapshots.append([b.order for b in final + queue])
+        snapshots.append(_by_least_member(b.order for b in final + queue))
     balls, rounds = final, 0
     while rounds < division.MAX_REFINEMENT_ROUNDS:
         over = detect_oversized([b.radii[0] for b in balls]).tolist()
@@ -216,15 +258,15 @@ def _reference_division(ds):
         balls = [part for i, b in enumerate(balls)
                  for part in ([b] if kids.get(i) is None else
                               [fit_ball(ds, m) for m in _members(kids[i])])]
-        snapshots.append([b.order for b in balls])
+        snapshots.append(_by_least_member(b.order for b in balls))
         if any(k is None for k in kids.values()):
             break
     return snapshots
 
 
 def test_division_matches_the_per_ball_reference(monkeypatch):
-    # The rounds' balls, in order, after every round: phase 2's mean radius
-    # sums in this order, and splitting one ball at a time fixes it.
+    # The rounds' balls after every round, as splitting one ball at a time
+    # gives them.
     rng = np.random.default_rng(19)
     refined = 0
     for trial in range(40):
@@ -510,7 +552,6 @@ def test_division_working_set_in_input_bytes(n, dim, times):
         ds = generate(GeneratorSpec(family="blobs", n=n, seed=1, centers=centers, scales=0.5))
     else:
         ds = _blob_points(n, dim)
-    np.median(np.zeros(1))  # numpy imports numpy.ma (0.7 MiB) at its first median
     tracemalloc.start()
     try:
         generate_balls(ds)
