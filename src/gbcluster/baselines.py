@@ -15,20 +15,18 @@ import numpy as np
 from .core import NOISE, ClusterAssignment, Dataset
 
 
+KMEANS_MAX_ITERS = 300
+KMEANS_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class KMeansConfig:
     k: int
-    max_iters: int = 300
-    tol: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.tol < 0:
-            raise ValueError("tol must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -81,9 +79,9 @@ def _row_dists(points: np.ndarray, i: int) -> np.ndarray:
 def kmeans(dataset: Dataset, config: KMeansConfig) -> ClusterAssignment:
     """Lloyd iterations from k distinct seeded starting points.
 
-    Stops when every center moves less than tol, or after max_iters.  A
-    cluster that empties keeps its previous center; label ids are compacted
-    at the end so they stay contiguous.
+    Stops when every center moves less than KMEANS_TOL, or after
+    KMEANS_MAX_ITERS.  A cluster that empties keeps its previous center;
+    label ids are compacted at the end so they stay contiguous.
     """
     n = len(dataset)
     if config.k > n:
@@ -92,7 +90,7 @@ def kmeans(dataset: Dataset, config: KMeansConfig) -> ClusterAssignment:
     rng = np.random.default_rng(config.seed)
     centers = pts[rng.choice(n, size=config.k, replace=False)].copy()
     labels = np.zeros(n, dtype=np.int64)
-    for _ in range(config.max_iters):
+    for _ in range(KMEANS_MAX_ITERS):
         dists = np.sqrt(((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2))
         labels = np.argmin(dists, axis=1)
         shift = 0.0
@@ -102,7 +100,7 @@ def kmeans(dataset: Dataset, config: KMeansConfig) -> ClusterAssignment:
                 new_c = pts[mask].mean(axis=0)
                 shift = max(shift, float(np.sqrt(((new_c - centers[j]) ** 2).sum())))
                 centers[j] = new_c
-        if shift < config.tol:
+        if shift < KMEANS_TOL:
             break
     return ClusterAssignment(labels=np.unique(labels, return_inverse=True)[1])
 

@@ -61,8 +61,12 @@ class GeneratorSpec:
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.family == "blobs":
             centers = self.centers if self.centers is not None else ((0.0, 0.0),)
+            if not centers or not centers[0]:
+                raise ValueError(f"centers must hold a centre of one or more coordinates, got {centers}")
             if len({len(c) for c in centers}) != 1:
                 raise ValueError("all blob centers must share one dimension")
+            if not all(-math.inf < v < math.inf for c in centers for v in c):
+                raise ValueError(f"centers must be finite, got {centers}")
             if self.scales is not None:
                 scales = (self.scales,) if isinstance(self.scales, (int, float)) else self.scales
                 if scales is self.scales and len(scales) != len(centers):

@@ -98,7 +98,7 @@ class _Strips:
         self.y = y[self.order]
         strip = strip[self.order]
         starts = np.flatnonzero(np.diff(strip, prepend=strip[:1] - 1))  # of the runs of one strip
-        self.ids, self.bounds = strip[starts], np.append(starts, strip.size)
+        self.bounds = np.append(starts, strip.size)
 
 
 def _squared_bound(lim: np.ndarray) -> np.ndarray:
@@ -237,11 +237,10 @@ def _pairwise_center_distances(ballset: BallSet) -> _Sweep:
         return _Sweep(counts, root, [], (root[:0], np.empty(0), root[:0]))
     r_mean = float(live_radii.mean())
     strips = _Strips(ballset.centers, float(live_radii.max()))
-    # a strip's rows meet its own columns and the next strip's; a leaf holds
-    # a tile's worth of rows against those, or _FILL at the least
-    sizes = np.diff(strips.bounds)
-    has_next = np.append(strips.ids[1:] == strips.ids[:-1] + 1, False)
-    reach_end = strips.bounds[1:] + np.where(has_next, np.append(sizes[1:], 0), 0)
+    # a strip's rows meet its own columns and the next strip's (when that one
+    # is not adjacent, the leaf boxes are out of reach); a leaf holds a tile's
+    # worth of rows against those, or _FILL at the least
+    reach_end = np.append(strips.bounds[2:], strips.bounds[-1])
     order, bounds = _leaves(strips.centers, strips.bounds,
                             np.maximum(_FILL, _TILE // (reach_end - strips.bounds[:-1])))
     c, y, w = strips.centers.take(order, axis=1), strips.y[order], strips.reach
@@ -465,8 +464,6 @@ def cluster(dataset: Dataset, trace: DivisionTrace | None = None) -> tuple[Clust
     exp = math.frexp(top)[1] if top > 2.0 ** 256 or 0 < top < 2.0 ** -256 else 0
     if exp:
         dataset = Dataset(points=np.ldexp(dataset.points, -exp))
-    # a reused trace holds earlier runs' splits, already at their own scale
-    earlier = len(trace.accepted_splits) if trace is not None else 0
     ballset = generate_balls(dataset, trace)
     # one sweep serves the overlap counts, the merge and the noise balls,
     # whose centres are their points
@@ -475,9 +472,7 @@ def cluster(dataset: Dataset, trace: DivisionTrace | None = None) -> tuple[Clust
     ids = merge_adjacent(ballset, sweep)
     assignment = assign_noise(dataset, ballset, ids, sweep)
     if exp:
-        ballset.centers, ballset.radii, ballset.sum_radius = (
-            np.ldexp(a, exp) for a in (ballset.centers, ballset.radii, ballset.sum_radius))
-        if trace is not None:
-            trace.accepted_splits[earlier:] = [tuple(np.ldexp(split, exp).tolist())
-                                               for split in trace.accepted_splits[earlier:]]
+        with np.errstate(over="ignore"):  # a radius or distance sum past the float range is inf
+            ballset.centers, ballset.radii, ballset.sum_radius = (
+                np.ldexp(a, exp) for a in (ballset.centers, ballset.radii, ballset.sum_radius))
     return assignment, ballset

@@ -42,23 +42,20 @@ class RoundStats:
 class DivisionTrace:
     """Optional instrumentation collector for generate_balls.
 
-    ``accepted_splits`` records (parent AD, child ADs) for every quality-
-    accepted split; it is filled only in a trace that the caller passes, so a
-    run without one keeps no such list.  With ``capture_partitions`` set, the
-    member arrays of every ball are snapshotted after each round, listed by
-    least member (costly; tests only).  ``stop_reason`` says why the
-    oversized-ball cleanup ended: "converged" (no oversized ball left),
-    "round_cap" or "split_failed" (a split of an oversized ball put every
-    member on one side); ``round_cap_hit`` is read from it.
+    With ``capture_partitions`` set, the member arrays of every ball are
+    snapshotted after each round, listed by least member (costly; tests
+    only).  ``stop_reason`` says why the oversized-ball cleanup ended:
+    "converged" (no oversized ball left), "round_cap" or "split_failed" (a
+    split of an oversized ball put every member on one side);
+    ``round_cap_hit`` is read from it.
 
     A trace passed to several runs accumulates: each run appends to
-    ``rounds``, ``accepted_splits`` and ``partitions``, while
-    ``stop_reason`` and ``round_cap_hit`` describe the last run only.
+    ``rounds`` and ``partitions``, while ``stop_reason`` and
+    ``round_cap_hit`` describe the last run only.
     """
 
     capture_partitions: bool = False
     rounds: list[RoundStats] = field(default_factory=list)
-    accepted_splits: list[tuple[float, float, float]] = field(default_factory=list)
     partitions: list[list[np.ndarray]] = field(default_factory=list)
     stop_reason: str | None = None
 
@@ -176,8 +173,7 @@ def generate_balls(dataset: Dataset, trace: DivisionTrace | None = None) -> Ball
     Returns a BallSet whose member sets partition the dataset.  Singleton
     balls are flagged as noise; overlap counts are left zeroed for the
     differentiation stage.  Pass a DivisionTrace to observe per-round
-    progress, the accepted splits, the round-cap warning flag and why
-    refinement stopped.
+    progress, the round-cap warning flag and why refinement stopped.
 
     Each round splits all of its balls at once, on arrays.  A ball is a run
     of columns, members ascending, of the points (d, n) and their ids, so
@@ -187,7 +183,6 @@ def generate_balls(dataset: Dataset, trace: DivisionTrace | None = None) -> Ball
     every ball.  About one copy of the columns is live at a time: a round
     drops its parent columns once it has gathered the children's.
     """
-    keep_splits = trace is not None
     if trace is None:
         trace = DivisionTrace()
     root = fit_ball(dataset, np.arange(len(dataset)))
@@ -222,9 +217,6 @@ def generate_balls(dataset: Dataset, trace: DivisionTrace | None = None) -> Ball
         parent_ad = sums[ok] / sizes[ok]
         child_ad = (kids[3] / c_sizes).reshape(-1, 2)
         better = should_split(parent_ad, child_ad[:, 0], child_ad[:, 1])
-        if keep_splits:
-            trace.accepted_splits.extend(
-                zip(parent_ad[better].tolist(), *child_ad[better].T.tolist()))
         rejected = ok.copy()
         rejected[ok] = ~better
         if rejected.any():

@@ -16,12 +16,13 @@ import numpy as np
 
 from gbcluster.baselines import dbscan, dpeak
 from gbcluster.cli import BENCH_BASELINES, EXIT_OK, EXIT_USAGE, main
-from gbcluster.core import BallSet, Dataset, fit_ball
+from gbcluster.core import Dataset, fit_ball
 from gbcluster.data import BUNDLED_DATASETS, generate
 from gbcluster.differentiation import (_pairwise_center_distances, cluster, count_overlaps,
                                        distance_evaluations, merge_adjacent, tau)
 from gbcluster.division import DivisionTrace, detect_oversized, generate_balls
 from gbcluster.metrics import benchmark, rand_index
+from reference_gbc import accepted_splits, adjacent, array_ballset, pair_adjacent
 
 
 @contextmanager
@@ -113,19 +114,16 @@ def test_criterion_6a_partition_after_every_round():
 def test_criterion_6b_accepted_splits_strictly_decrease():
     with _criterion("6b", "average distance strictly decreases along accepted splits"):
         rng = np.random.default_rng(61)
-        traces = []
-        for _ in range(30):
-            n = int(rng.integers(40, 200))
-            pts = rng.normal(0, 1, size=(n, 2))
-            trace = DivisionTrace()
-            generate_balls(Dataset(points=pts), trace=trace)
-            traces.append(trace)
-        for name in ("moons1k", "blobs5"):
-            traces.append(_pipeline(name)[3])
-        assert any(t.accepted_splits for t in traces)
-        for trace in traces:
-            for parent_ad, child_a_ad, child_b_ad in trace.accepted_splits:
-                assert child_a_ad < parent_ad and child_b_ad < parent_ad
+        with accepted_splits() as splits:
+            for _ in range(30):
+                n = int(rng.integers(40, 200))
+                pts = rng.normal(0, 1, size=(n, 2))
+                generate_balls(Dataset(points=pts))
+            for name in ("moons1k", "blobs5"):
+                cluster(generate(BUNDLED_DATASETS[name]))
+        assert splits
+        for parent_ad, child_a_ad, child_b_ad in splits:
+            assert child_a_ad < parent_ad and child_b_ad < parent_ad
 
 
 def test_criterion_6c_fit_ball_fixpoint():
@@ -149,42 +147,15 @@ def _random_ball(rng):
     return center, float(rng.uniform(0, 2))
 
 
-def _ballset(balls, sizes, flags):
-    """Balls of (unused) points, straight from arrays: a noise ball (``flags``)
-    has one member, the others ``sizes`` each, all above one."""
-    centers, radii = zip(*balls)
-    sizes = np.where(flags, 1, sizes)
-    return BallSet(order=np.arange(sizes.sum()), sizes=sizes, centers=np.array(centers),
-                   radii=np.array(radii), sum_radius=np.zeros(len(balls)))
-
-
-def _adjacent(bs, i, j):
-    """The adjacency predicate on balls i and j, one scalar at a time: the
-    surface gap, its squares added in coordinate order, below tau."""
-    sq = 0.0
-    for a, b in zip(bs.centers[i].tolist(), bs.centers[j].tolist()):
-        sq += (a - b) * (a - b)
-    r_i, r_j = float(bs.radii[i]), float(bs.radii[j])
-    return math.sqrt(sq) - (r_i + r_j) < tau(r_i, r_j, int(bs.overlap_counts[i]),
-                                             int(bs.overlap_counts[j]))
-
-
-def _pair_adjacent(bi, bj, oi, oj):
-    """Whether merge_adjacent joins two balls whose overlap counts are set to (oi, oj)."""
-    bs = _ballset([bi, bj], [5, 5], [False, False])
-    bs.overlap_counts = np.array([oi, oj])
-    return merge_adjacent(bs, _pairwise_center_distances(bs)).tolist() == [0, 0]
-
-
 def test_criterion_6d_adjacency_symmetry_and_overlap():
     with _criterion("6d", "adjacency is symmetric and overlap implies adjacency (1000 pairs)"):
         rng = np.random.default_rng(63)
         for _ in range(1000):
             bi, bj = _random_ball(rng), _random_ball(rng)
             oi, oj = int(rng.integers(0, 12)), int(rng.integers(0, 12))
-            assert _pair_adjacent(bi, bj, oi, oj) == _pair_adjacent(bj, bi, oj, oi)
+            assert pair_adjacent(bi, bj, oi, oj) == pair_adjacent(bj, bi, oj, oi)
             if float(np.sqrt(((bi[0] - bj[0]) ** 2).sum())) < bi[1] + bj[1]:
-                assert _pair_adjacent(bi, bj, oi, oj)
+                assert pair_adjacent(bi, bj, oi, oj)
 
 
 def test_criterion_6e_tau_monotone_on_full_grid():
@@ -208,7 +179,7 @@ def test_criterion_6f_merge_matches_transitive_closure():
             sizes, balls = zip(*[(int(rng.integers(1, 4) * 2), _random_ball(rng))
                                  for _ in range(m)])
             flags = rng.uniform(size=m) < 0.25
-            bs = _ballset(balls, sizes, flags)
+            bs = array_ballset(*zip(*balls), flags, sizes)
             sweep = _pairwise_center_distances(bs)
             bs.overlap_counts = count_overlaps(bs, sweep)
             got = merge_adjacent(bs, sweep)
@@ -217,7 +188,7 @@ def test_criterion_6f_merge_matches_transitive_closure():
             adj = np.eye(live.size, dtype=bool)
             for a in range(live.size):
                 for b in range(a + 1, live.size):
-                    adj[a, b] = adj[b, a] = _adjacent(bs, live[a], live[b])
+                    adj[a, b] = adj[b, a] = adjacent(bs, live[a], live[b])
             for _ in range(max(live.size, 1)):
                 adj = adj | (adj @ adj)
             expected = np.full(m, -1, dtype=int)

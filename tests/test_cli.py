@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -197,6 +198,18 @@ def test_one_labelled_point_writes_every_file_with_null_score(tmp_path, capsys):
     summary = json.loads((tmp_path / "one_summary.json").read_text())
     assert summary["n_points"] == 1
     assert summary["rand_index"] is None
+
+
+def test_run_at_the_top_of_the_float_range_warns_nothing(tmp_path):
+    # the ball's distance sum, 2e308, is past the float range and reads inf
+    data = tmp_path / "top.csv"
+    data.write_text("label,x0\n0,1e308\n1,-1e308\n")
+    prefix = tmp_path / "top"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--algo", "gbc", "--in", str(data), "--out", str(prefix)]) == EXIT_OK
+    assert (tmp_path / "top_points.csv").read_text() == "x0,cluster\n1e+308,0\n-1e+308,0\n"
+    assert (tmp_path / "top_balls.csv").read_text().splitlines()[1] == "0,1e+308,0,0,2"
 
 
 def test_eval_one_point_prints_null_score(tmp_path, capsys):

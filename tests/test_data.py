@@ -64,6 +64,10 @@ _TWO = ((0.0, 0.0), (5.0, 0.0))
                                             proportions=(1.0, v))),
     ("radii", lambda v: GeneratorSpec(family="circles", n=20, radii=(1.0, v))),
     ("turns", lambda v: GeneratorSpec(family="spirals", n=20, turns=v)),
+    # a coordinate of v * inf: NaN, -inf or inf; then no centre, and a centre of no coordinate
+    ("centers", lambda v: GeneratorSpec(family="blobs", n=20, centers=(_TWO[0], (5.0, v * math.inf)))),
+    ("centers", lambda v: GeneratorSpec(family="blobs", n=20, centers=())),
+    ("centers", lambda v: GeneratorSpec(family="blobs", n=20, centers=((),))),
 ])
 def test_generator_rejects_nan_negative_and_infinite_values(field, spec, bad):
     # NaN fails every comparison, so a check written as ``x < 0`` lets it through

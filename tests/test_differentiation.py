@@ -19,17 +19,7 @@ from gbcluster.differentiation import (_pairwise_center_distances, adjacency_gra
                                        assign_noise, cluster, count_overlaps,
                                        distance_evaluations, merge_adjacent, tau)
 from gbcluster.division import DivisionTrace, generate_balls
-
-
-def _array_ballset(centers, radii, noise, sizes=5):
-    """Balls of (unused) points, straight from arrays: a noise ball has one
-    member, the others five each unless ``sizes`` says."""
-    m = len(radii)
-    noise = np.asarray(noise, bool)
-    sizes = np.where(noise, 1, np.broadcast_to(np.asarray(sizes, np.int64), m))
-    assert (noise == (sizes == 1)).all()  # a live ball of one member would be noise
-    return BallSet(order=np.arange(sizes.sum()), sizes=sizes, centers=np.asarray(centers, float),
-                   radii=np.asarray(radii, float), sum_radius=np.zeros(m))
+from reference_gbc import accepted_splits, adjacent, array_ballset, pair_adjacent
 
 
 def _ball(center, radius, size=5):
@@ -40,7 +30,7 @@ def _ball(center, radius, size=5):
 def _ballset(balls, noise_flags=None):
     centers, radii, sizes = zip(*balls)
     flags = np.zeros(len(balls), dtype=bool) if noise_flags is None else noise_flags
-    return _array_ballset(centers, radii, flags, sizes)
+    return array_ballset(centers, radii, flags, sizes)
 
 
 def _kept(sweep):
@@ -57,32 +47,12 @@ def _fitted(ds, groups):
     return BallSet(order=order, sizes=sizes, centers=centers.T, radii=radii, sum_radius=sums)
 
 
-def _adjacent(bs, i, j):
-    """The adjacency predicate on balls i and j of bs, one scalar at a time: the
-    surface gap, its squares added in coordinate order, below tau."""
-    sq = 0.0
-    for a, b in zip(bs.centers[i].tolist(), bs.centers[j].tolist()):
-        sq += (a - b) * (a - b)
-    r_i, r_j = float(bs.radii[i]), float(bs.radii[j])
-    return math.sqrt(sq) - (r_i + r_j) < tau(r_i, r_j, int(bs.overlap_counts[i]),
-                                             int(bs.overlap_counts[j]))
-
-
 def _overlapping(bs, i, j):
     """Whether balls i and j of bs overlap, one scalar at a time."""
     sq = 0.0
     for a, b in zip(bs.centers[i].tolist(), bs.centers[j].tolist()):
         sq += (a - b) * (a - b)
     return math.sqrt(sq) < float(bs.radii[i]) + float(bs.radii[j])
-
-
-def _pair_adjacent(ball_i, ball_j, o_i, o_j):
-    """Whether merge_adjacent joins two balls whose overlap counts are set to (o_i, o_j)."""
-    bs = _ballset([ball_i, ball_j])
-    bs.overlap_counts = np.array([o_i, o_j])
-    ids = merge_adjacent(bs, _pairwise_center_distances(bs)).tolist()
-    assert ids in ([0, 0], [0, 1])
-    return ids == [0, 0]
 
 
 def test_count_overlaps_examples():
@@ -112,11 +82,11 @@ def test_tau_worked_values():
 def test_are_adjacent_examples():
     # overlapping balls (negative gap) are adjacent for any overlap counts
     for o in ((0, 0), (3, 7), (10, 10)):
-        assert _pair_adjacent(_ball([0, 0], 1), _ball([1.5, 0], 1), *o)
+        assert pair_adjacent(_ball([0, 0], 1), _ball([1.5, 0], 1), *o)
     # gap 1 with tau = 1/(1+1) = 0.5 -> not adjacent
-    assert not _pair_adjacent(_ball([0, 0], 1), _ball([3, 0], 1), 1, 2)
+    assert not pair_adjacent(_ball([0, 0], 1), _ball([3, 0], 1), 1, 2)
     # gap 0.3 with tau = 1 -> adjacent
-    assert _pair_adjacent(_ball([0, 0], 1), _ball([2.3, 0], 1), 0, 0)
+    assert pair_adjacent(_ball([0, 0], 1), _ball([2.3, 0], 1), 0, 0)
 
 
 def test_overlapping_pair_is_joined_however_small_tau_is():
@@ -158,10 +128,10 @@ def test_adjacency_symmetry_and_overlap_implication():
         bi = _ball(rng.uniform(-2, 2, 2), rng.uniform(0, 1.5))
         bj = _ball(rng.uniform(-2, 2, 2), rng.uniform(0, 1.5))
         oi, oj = int(rng.integers(0, 8)), int(rng.integers(0, 8))
-        assert _pair_adjacent(bi, bj, oi, oj) == _pair_adjacent(bj, bi, oj, oi)
+        assert pair_adjacent(bi, bj, oi, oj) == pair_adjacent(bj, bi, oj, oi)
         dist = float(np.sqrt(((bi[0] - bj[0]) ** 2).sum()))
         if dist < bi[1] + bj[1]:
-            assert _pair_adjacent(bi, bj, oi, oj)
+            assert pair_adjacent(bi, bj, oi, oj)
 
 
 def test_tau_monotone_in_min_overlap():
@@ -205,7 +175,7 @@ def test_adjacency_graph_matches_pairwise_predicate():
                 i, j = live[a], live[b]
                 # overlapping pairs are joined by the sweep, the others by tau
                 overlapping = _overlapping(bs, i, j)
-                assert ((i, j) in edge_set) == (_adjacent(bs, i, j) and not overlapping)
+                assert ((i, j) in edge_set) == (adjacent(bs, i, j) and not overlapping)
                 if overlapping:
                     assert root[i] == root[j]
         if expected is not None:
@@ -237,13 +207,13 @@ def test_merge_all_noise():
 
 
 def _closure_oracle(bs):
-    """Cluster id per ball from the transitive closure of _adjacent over all live pairs."""
+    """Cluster id per ball from the transitive closure of adjacent over all live pairs."""
     live = np.flatnonzero(~bs.noise_ball_flags)
     adj = np.eye(live.size, dtype=bool)
     for a in range(live.size):
         for b in range(live.size):
             if a != b:
-                adj[a, b] |= _adjacent(bs, live[a], live[b])
+                adj[a, b] |= adjacent(bs, live[a], live[b])
     for _ in range(live.size):  # boolean transitive closure
         adj = adj | (adj @ adj)
     expected = np.full(len(bs), -1, dtype=int)
@@ -439,7 +409,7 @@ def _random_ballset(rng, d):
     if rng.uniform() < 0.3:  # coincident centres
         centers[rng.integers(0, m, m // 2)] = centers[0]
     radii = rng.choice([np.zeros(m), np.full(m, rng.uniform(0.2, 1.5)), rng.uniform(0, 1.5, m)])
-    return _array_ballset(centers, radii, rng.uniform(size=m) < 0.2)
+    return array_ballset(centers, radii, rng.uniform(size=m) < 0.2)
 
 
 def test_overlaps_and_merge_match_all_pairs_oracle():
@@ -504,15 +474,15 @@ def _sweep_inputs(rng, d):
              "tiny": (x * 1e-160, big * 1e-160), "huge": (x * 1e150, big * 1e150),
              "overflow": (x * 1e154, big * 1e154)}
     for name, (centers, radii) in cases.items():
-        yield name, _array_ballset(centers, radii, rng.uniform(size=m) < 0.1)
-    yield "clusters", _array_ballset(*_clusters(rng, d), np.zeros(m, bool))
+        yield name, array_ballset(centers, radii, rng.uniform(size=m) < 0.1)
+    yield "clusters", array_ballset(*_clusters(rng, d), np.zeros(m, bool))
     # noise balls just off small live balls, within the mean live radius
     # (0.11, raised by ten far balls) of their surfaces or beyond it: only the
     # mean radius that noise balls reach with brings them into the bounds
     radii = np.r_[np.full(290, 0.01), np.full(10, 3.0), np.zeros(300)]
     centers = np.vstack([x[:290], 1000 + x[:10] * 0.1, x[np.arange(300) % 290]])
     centers[300:, 0] += 0.01 + rng.uniform(0, 0.12, 300)
-    yield "noise off small balls", _array_ballset(centers, radii, np.arange(m) >= 300)
+    yield "noise off small balls", array_ballset(centers, radii, np.arange(m) >= 300)
 
 
 def _components_oracle(m, a, b):
@@ -594,7 +564,7 @@ def test_prefilter_keeps_a_pair_whose_squared_distance_rounds_past_the_bound(mon
     lim = (ri + rj) + min(ri, rj)
     acc = squared_distances(np.array(p)[:, None], np.array(q)[:, None])[0]
     assert acc > lim * lim and np.sqrt(acc) - (ri + rj) < min(ri, rj)
-    bs = _array_ballset([p, q], [ri, rj], [False, False])
+    bs = array_ballset([p, q], [ri, rj], [False, False])
     for leaf_size in (None, 1):
         if leaf_size:
             monkeypatch.setattr(gbcluster.differentiation, "_FILL", leaf_size)
@@ -669,7 +639,7 @@ def test_geometry_pass_memory_stays_linear_in_balls():
     # 5,000 balls of radius 0.5 on a 100 x 50 grid with spacing 1: a dense
     # (m, m, 2) float64 array alone would take 400 MB.
     xy = np.stack(np.meshgrid(np.arange(100.0), np.arange(50.0)), axis=-1).reshape(-1, 2)
-    bs = _array_ballset(xy, np.full(len(xy), 0.5), np.zeros(len(xy), bool))
+    bs = array_ballset(xy, np.full(len(xy), 0.5), np.zeros(len(xy), bool))
     tracemalloc.start()
     try:
         sweep = _pairwise_center_distances(bs)
@@ -727,7 +697,7 @@ def test_geometry_memory_on_a_dense_8d_set():
     # pairs took 24 B each; the sweep holds only the kept ones, 24 B each,
     # the centres and one batch (9.9 of 45.6 MiB on Python 3.11 with numpy 2.4)
     rng = np.random.default_rng(8)
-    bs = _array_ballset(rng.normal(size=(2_000, 8)), rng.uniform(2.0, 3.0, 2_000), np.zeros(2_000, bool))
+    bs = array_ballset(rng.normal(size=(2_000, 8)), rng.uniform(2.0, 3.0, 2_000), np.zeros(2_000, bool))
     tracemalloc.start()
     try:
         sweep = _pairwise_center_distances(bs)
@@ -760,17 +730,29 @@ def test_cluster_is_exact_under_power_of_two_scaling(exp):
     # far outside [2**-256, 2**256] the points are clustered scaled back by a
     # power of two, so the result is blobs5's, with its geometry scaled
     ds = generate(BUNDLED_DATASETS["blobs5"])
-    trace = DivisionTrace()
-    assignment, balls = cluster(ds, trace=trace)
-    splits = list(trace.accepted_splits)
-    scaled_assignment, scaled = cluster(Dataset(points=np.ldexp(ds.points, exp)), trace=trace)
+    with accepted_splits() as splits:
+        assignment, balls = cluster(ds)
+    with accepted_splits() as scaled_splits:
+        scaled_assignment, scaled = cluster(Dataset(points=np.ldexp(ds.points, exp)))
     assert np.array_equal(scaled_assignment.labels, assignment.labels)
     assert np.array_equal(scaled.order, balls.order) and np.array_equal(scaled.sizes, balls.sizes)
     for name in ("centers", "radii", "sum_radius"):
         assert np.array_equal(getattr(scaled, name), np.ldexp(getattr(balls, name), exp)), name
-    # the trace serves both runs: only the second run's splits are scaled back
-    assert trace.accepted_splits[:len(splits)] == splits
-    assert np.array_equal(trace.accepted_splits[len(splits):], np.ldexp(splits, exp))
+    # division saw the points scaled by one power of two, and so its splits
+    shift = math.frexp(scaled_splits[0][0])[1] - math.frexp(splits[0][0])[1]
+    assert len(scaled_splits) == len(splits) > 0
+    assert np.array_equal(scaled_splits, np.ldexp(splits, shift))
+
+
+def test_cluster_at_the_top_of_the_float_range_warns_nothing():
+    # the radius 1e308 and the centre are exact; the distance sum, 2e308, is
+    # past the float range and reads inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assignment, balls = cluster(Dataset(points=[[1e308], [-1e308]]))
+    assert assignment.labels.tolist() == [0, 0]
+    assert (balls.centers.tolist(), balls.radii.tolist(), balls.sum_radius.tolist()) == (
+        [[0.0]], [1e308], [math.inf])
 
 
 @pytest.mark.parametrize("factor", [1e300, 1e-300])

@@ -12,6 +12,7 @@ from gbcluster.core import Dataset, fit_ball, fit_segments
 from gbcluster.data import BUNDLED_DATASETS, GeneratorSpec, generate
 from gbcluster.division import (DivisionTrace, _partition, detect_oversized, generate_balls,
                                 should_split, split_once)
+from reference_gbc import accepted_splits
 
 
 def _members(bs):
@@ -69,12 +70,13 @@ def test_split_once_runs_the_division_kernels():
     # first accepted split
     ds = generate(BUNDLED_DATASETS["moons1k"])
     trace = DivisionTrace(capture_partitions=True)
-    generate_balls(ds, trace=trace)
+    with accepted_splits() as splits:
+        generate_balls(ds, trace=trace)
     root = fit_ball(ds, range(len(ds)))
     kids = split_once(ds, root)
     assert sorted(m.tolist() for m in _members(kids)) == [m.tolist() for m in trace.partitions[0]]
     split = (root.sum_radius[0] / root.sizes[0], *(kids.sum_radius / kids.sizes))
-    assert np.array(split).tobytes() == np.array(trace.accepted_splits[0]).tobytes()
+    assert np.array(split).tobytes() == np.array(splits[0]).tobytes()
 
 
 @pytest.mark.parametrize("parent, child_a, child_b, expected", [
@@ -180,10 +182,10 @@ def test_generate_balls_moons_granularity_and_radius_rule():
 
 def test_accepted_splits_strictly_improve():
     ds = generate(BUNDLED_DATASETS["moons1k"])
-    trace = DivisionTrace()
-    generate_balls(ds, trace=trace)
-    assert trace.accepted_splits
-    for parent_ad, child_a_ad, child_b_ad in trace.accepted_splits:
+    with accepted_splits() as splits:
+        generate_balls(ds)
+    assert splits
+    for parent_ad, child_a_ad, child_b_ad in splits:
         assert child_a_ad < parent_ad
         assert child_b_ad < parent_ad
 
@@ -198,13 +200,15 @@ def test_accepted_splits_are_kept_only_in_a_trace_the_caller_passes(monkeypatch)
 
     monkeypatch.setattr(division, "DivisionTrace", Kept)
     ds = generate(BUNDLED_DATASETS["blobs10k"])
-    plain = generate_balls(ds)
-    assert len(made) == 1 and made[0].accepted_splits == []  # the run's own trace keeps none
+    with accepted_splits() as plain_splits:
+        plain = generate_balls(ds)
+    assert len(made) == 1 and not hasattr(made[0], "accepted_splits")  # no trace keeps splits
     trace = DivisionTrace()
-    traced = generate_balls(ds, trace)
+    with accepted_splits() as splits:
+        traced = generate_balls(ds, trace)
     assert len(made) == 1
     divided = sum(r.split_count for r in trace.rounds if r.phase == "divide")
-    assert len(trace.accepted_splits) == divided > 0
+    assert len(splits) == divided > 0 and splits == plain_splits
     for field in ("order", "sizes", "centers", "radii", "sum_radius"):
         assert np.array_equal(getattr(plain, field), getattr(traced, field))
 
@@ -425,15 +429,17 @@ def test_generate_balls_matches_golden_digests(name):
 
 
 def test_division_trace_matches_golden_digests():
-    # sha256 of the accepted splits' average distances (float64) and of the
-    # rounds as (phase is divide, balls, splits, oversized) int64 rows, on
-    # blobs10k; the rounds recorded before division moved to coordinate-major
-    # arrays, the splits when segment sums became np.add.reduceat
+    # sha256 of the accepted splits' average distances (float64), in the
+    # order division decides them, and of the rounds as (phase is divide,
+    # balls, splits, oversized) int64 rows, on blobs10k; the rounds recorded
+    # before division moved to coordinate-major arrays, the splits when
+    # segment sums became np.add.reduceat
     trace = DivisionTrace()
-    generate_balls(generate(BUNDLED_DATASETS["blobs10k"]), trace=trace)
+    with accepted_splits() as splits:
+        generate_balls(generate(BUNDLED_DATASETS["blobs10k"]), trace=trace)
     rounds = [(r.phase == "divide", r.ball_count, r.split_count, r.oversized_count)
               for r in trace.rounds]
-    assert (_sha(np.array(trace.accepted_splits, dtype=np.float64)),
+    assert (_sha(np.array(splits, dtype=np.float64)),
             _sha(np.array(rounds, dtype=np.int64)), trace.stop_reason) == (
         "dae2c30f7fd05ea669b66ca3a61465e27a0c6e1402ea62e0a0cc12a95fd0766b",
         "3ef42192d643847245c0f308c74a45eadf9d1120dd2e9c57e79ba7b9f0834214", "converged")

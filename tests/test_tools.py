@@ -69,3 +69,19 @@ def test_fresh_row_runs_each_side_in_a_process_of_its_own():
     for key in ("maxrss_mib", "minflt"):
         assert set(row[key]) == {"base", "change", "lower"}
         assert min(row[key]["base"], row[key]["change"]) > 0 and row[key]["lower"] in (0, 1)
+
+
+def test_src_lines_counts_each_module_on_both_sides(tmp_path):
+    base, change = tmp_path / "base", tmp_path / "change"
+    for side, modules in ((base, {"a.py": "1\n2\n3\n", "b.py": "1\n"}),
+                          (change, {"a.py": "1\n", "c.py": "1\n2\n", "notes.txt": "1\n"})):
+        side.mkdir()
+        for module, text in modules.items():
+            (side / module).write_text(text)
+    lines = ab.src_lines(base, change)
+    json.dumps(lines, allow_nan=False)
+    assert lines == {"base": {"a.py": 3, "b.py": 1}, "change": {"a.py": 1, "c.py": 2}, "net": -1}
+    package = Path(gbcluster.__file__).resolve().parent
+    counts = ab.src_lines(package, package)
+    assert counts["net"] == 0 and counts["base"] == counts["change"]
+    assert counts["change"] == {path.name: path.read_bytes().count(b"\n") for path in package.glob("*.py")}

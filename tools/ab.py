@@ -35,7 +35,9 @@ the sweep keeps) and the ``tracemalloc`` peaks of one division, sweep,
 geometry and ``cluster()`` call, the last the peak that perfbench's
 ``peak_rss_mb`` follows.  ``--out`` writes all of it to a JSON file, with both sides'
 least times, both commits' SHAs, the ``git status`` of ``src/`` and the
-numpy, Python and machine details.
+numpy, Python and machine details.  Every run prints, and ``--out``
+records, the line count of each module of ``src/gbcluster`` on both sides
+and the net change.
 
 A paired ratio cancels slow drift of the host, not a second load that
 arrives within one pair, so run it on an idle host.  Against the commit
@@ -108,6 +110,14 @@ def load_package(package: Path, name: str = "gbcluster_base"):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def src_lines(base: Path, change: Path) -> dict:
+    """The line count of each module of the packages in the directories base
+    and change, and the net change of the total."""
+    sides = {side: {path.name: len(path.read_text().splitlines()) for path in sorted(pkg.glob("*.py"))}
+             for side, pkg in (("base", base), ("change", change))}
+    return {**sides, "net": sum(sides["change"].values()) - sum(sides["base"].values())}
 
 
 def points(name: str) -> list:
@@ -332,6 +342,10 @@ def main(argv=None) -> int:
               "sets": []}
     with tempfile.TemporaryDirectory() as tmp:
         base = extract_base(args.base, tmp)
+        lines = result["src_lines"] = src_lines(base, ROOT / "src" / "gbcluster")
+        print(f"src/gbcluster lines: net {lines['net']:+d}; " + ", ".join(
+            f"{m} {lines['change'].get(m, 0) - lines['base'].get(m, 0):+d}"
+            for m in sorted({*lines["base"], *lines["change"]})), flush=True)
         print(f"base {args.base} against this checkout's src, {args.pairs} pairs "
               f"{'of fresh processes' if args.fresh else 'a stage'}", flush=True)
         if args.fresh:
