@@ -191,6 +191,9 @@ def test_accepted_splits_strictly_improve():
 
 
 def test_accepted_splits_are_kept_only_in_a_trace_the_caller_passes(monkeypatch):
+    # no trace keeps splits now, the run's own or the caller's; the recorder
+    # sees the same splits, as many as the divide rounds count, and the same
+    # balls come out with and without a caller's trace
     made = []
 
     class Kept(DivisionTrace):
