@@ -182,18 +182,6 @@ def first_argmax(x: np.ndarray, starts: np.ndarray, sizes: np.ndarray, maxima=No
     return hit[np.searchsorted(hit, starts)]
 
 
-def farthest_pairs(pts: np.ndarray, starts: np.ndarray, sizes: np.ndarray, far: np.ndarray):
-    """Columns of the split seeds of every segment of pts (d, n).
-
-    p1 is the member at offset ``far`` (a ``first_argmax`` of the distances
-    to the centre), p2 the member farthest from p1, by squared distance.
-    Ties go to the first column, which is the lowest point index, so
-    splitting stays deterministic.
-    """
-    p1 = starts + far
-    return p1, first_argmax(squared_distances(pts, pts.take(p1, axis=1), sizes), starts, sizes)
-
-
 def fit_ball(dataset: Dataset, members: Iterable[int]) -> BallSet:
     """Fit a ball to the given member indices; a BallSet of that one ball.
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (BallSet, Dataset, _columns, _runs, distances, farthest_pairs, first_argmax,
-                   fit_ball, fit_segments, squared_distances)
+from .core import (BallSet, Dataset, _columns, _runs, distances, first_argmax, fit_ball,
+                   fit_segments, squared_distances)
 
 
 # The smallest ball the quality loop tries to split.  It needs a floor well
@@ -93,19 +93,24 @@ def _sides(pts: np.ndarray, far: np.ndarray, sizes: np.ndarray, centers: np.ndar
     (d, n), to its two children; ``far`` holds each ball's offset of its
     member farthest from its centre (``centers``, d by k).
 
-    The child centres start at the midpoints between the ball centre and
-    each seed; every member joins the nearer by squared distance (ties go
-    to the first child).  Returns ``ok`` (k,), False where a side ends up
-    empty (coincident members); the child sizes; and the positions of the
-    columns of the ok balls, children in the order a0, b0, a1, ..., members
-    ascending.
+    The seeds are that member, p1, and the member farthest from p1, p2 (ties
+    to the lowest point index).  Member x joins child a when |x - p1|² -
+    |x - p2|² <= (|c - p1|² - |c - p2|²) / 2, that is, by the parallelogram
+    law, when it is no farther from the midpoint of c and p1 than from that
+    of c and p2; the distances to p1 are those that found p2.  Returns
+    ``ok`` (k,), False where a side ends up empty (coincident members); the
+    child sizes; and the positions of the columns of the ok balls, children
+    in the order a0, b0, a1, ..., members ascending.
     """
     starts = np.cumsum(sizes) - sizes
-    p1, p2 = farthest_pairs(pts, starts, sizes, far)
-    c1 = (centers + pts.take(p1, axis=1)) / 2.0
-    c2 = (centers + pts.take(p2, axis=1)) / 2.0
-    return _partition(
-        squared_distances(pts, c1, sizes) <= squared_distances(pts, c2, sizes), sizes, starts)
+    p1 = pts.take(starts + far, axis=1)
+    diff = squared_distances(pts, p1, sizes)
+    p2 = pts.take(first_argmax(diff, starts, sizes), axis=1)
+    diff -= squared_distances(pts, p2, sizes)
+    cut = (squared_distances(centers, p1) - squared_distances(centers, p2)) / 2.0
+    to_a = diff <= np.repeat(cut, sizes)
+    del diff
+    return _partition(to_a, sizes, starts)
 
 
 def _fit_children(child_pts: np.ndarray, child_sizes: np.ndarray):

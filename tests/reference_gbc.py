@@ -1,15 +1,60 @@
 """Reference code that the tests share: oracles written one scalar at a
-time, ball sets built straight from arrays, and a recorder of the splits
-that division accepts."""
+time, a per-ball fit and split, ball sets built straight from arrays, and a
+recorder of the splits that division accepts."""
 
 import math
 from contextlib import contextmanager
+from typing import NamedTuple
 
 import numpy as np
 
 from gbcluster import division
 from gbcluster.core import BallSet
 from gbcluster.differentiation import _pairwise_center_distances, merge_adjacent, tau
+
+
+class Ball(NamedTuple):
+    """One ball of ``fit``: its members, ascending, centre (d,), member
+    distances, radius and distance sum."""
+    members: np.ndarray
+    center: np.ndarray
+    dists: np.ndarray
+    radius: float
+    total: float
+
+
+def _squares(x, to):
+    """Squared distances of the rows of x (n, d) to the point ``to``, added in
+    coordinate order."""
+    return sum((x[:, j] - to[j]) ** 2 for j in range(x.shape[1]))
+
+
+def fit(points, members):
+    """The ball of ``members`` (ascending) of points (n, d), with division's
+    reductions: a sum over x[s:e] is x[s] + x[s+1:e].sum(), one coordinate
+    at a time."""
+    x = points[members]
+    center = np.array([(col[0] + col[1:].sum()) / len(col) for col in x.T])
+    dists = np.sqrt(_squares(x, center))
+    return Ball(members, center, dists, dists.max(), dists[0] + dists[1:].sum())
+
+
+def split(points, ball):
+    """The two fitted children of ``ball``, or None when one side is empty.
+
+    Seed p1 is the first member farthest from the centre c, p2 the first
+    farthest from p1 by squared distance; member x joins child a when
+    |x - p1|² - |x - p2|² <= (|c - p1|² - |c - p2|²) / 2.
+    """
+    x = points[ball.members]
+    p1 = x[np.argmax(ball.dists)]
+    to_p1 = _squares(x, p1)
+    p2 = x[np.argmax(to_p1)]
+    cut = (_squares(ball.center[None], p1)[0] - _squares(ball.center[None], p2)[0]) / 2
+    to_a = to_p1 - _squares(x, p2) <= cut
+    if to_a.all():
+        return None
+    return fit(points, ball.members[to_a]), fit(points, ball.members[~to_a])
 
 
 def array_ballset(centers, radii, noise, sizes=5):

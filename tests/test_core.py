@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from gbcluster.core import (ClusterAssignment, Dataset, distances, farthest_pairs,
-                            first_argmax, fit_ball, fit_segments, squared_distances)
+from gbcluster import division
+from gbcluster.core import (ClusterAssignment, Dataset, distances, first_argmax, fit_ball,
+                            fit_segments, squared_distances)
 from gbcluster.division import split_once
 
 
@@ -123,11 +124,23 @@ def test_average_distance_examples():
 
 def _seeds(ds, ball):
     """The split seeds of a one-ball BallSet, as point indices, from
-    ``farthest_pairs`` on its one segment."""
+    ``division._sides`` on its one segment: p1 is the offset it is handed,
+    p2 the one ``first_argmax`` call it makes, recorded."""
     pts = ds.points[ball.order].T.copy()
     far = first_argmax(distances(pts, ball.centers.T), np.array([0]), ball.sizes)
-    p1, p2 = farthest_pairs(pts, np.array([0]), ball.sizes, far)
-    return int(ball.order[p1[0]]), int(ball.order[p2[0]])
+    found, kernel = [], division.first_argmax
+
+    def recorded(*args):
+        found.append(kernel(*args))
+        return found[-1]
+
+    division.first_argmax = recorded
+    try:
+        division._sides(pts, far, ball.sizes, ball.centers.T)
+    finally:
+        division.first_argmax = kernel
+    (p2,), = found
+    return int(ball.order[far[0]]), int(ball.order[p2])
 
 
 def test_farthest_pair_seed_collinear_tiebreak():

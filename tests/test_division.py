@@ -12,6 +12,7 @@ from gbcluster.core import Dataset, fit_ball, fit_segments
 from gbcluster.data import BUNDLED_DATASETS, GeneratorSpec, generate
 from gbcluster.division import (DivisionTrace, _partition, detect_oversized, generate_balls,
                                 should_split, split_once)
+import reference_gbc
 from reference_gbc import accepted_splits
 
 
@@ -233,8 +234,9 @@ def _by_least_member(members):
 
 
 def _reference_division(ds):
-    """Division one ball at a time, as the method states it; the member
-    arrays of every ball after each round, listed by least member.
+    """Division one ball at a time, as the method states it, with the fit and
+    split of ``reference_gbc``; the member arrays of every ball after each
+    round, listed by least member.
 
     Phase 1 is a queue: a ball of at least ``MIN_SPLIT_SIZE`` members is
     split, and its children join the back of the queue when both improve on
@@ -243,29 +245,30 @@ def _reference_division(ds):
     ``detect_oversized`` flags, on the list's radii, is replaced in place by
     its two children.
     """
-    snapshots, final, queue = [], [], [fit_ball(ds, np.arange(len(ds)))]
+    pts = ds.points
+    snapshots, final, queue = [], [], [reference_gbc.fit(pts, np.arange(len(ds)))]
     while queue:
         pending = []
         for ball in queue:
-            kids = split_once(ds, ball) if ball.sizes[0] >= division.MIN_SPLIT_SIZE else None
-            if kids is not None and should_split(ball.sum_radius[0] / ball.sizes[0],
-                                                 *(kids.sum_radius / kids.sizes)):
-                pending += [fit_ball(ds, m) for m in _members(kids)]
+            kids = (reference_gbc.split(pts, ball)
+                    if ball.members.size >= division.MIN_SPLIT_SIZE else None)
+            if kids is not None and should_split(ball.total / ball.members.size,
+                                                 *(k.total / k.members.size for k in kids)):
+                pending += kids
             else:
                 final.append(ball)
         queue = pending
-        snapshots.append(_by_least_member(b.order for b in final + queue))
+        snapshots.append(_by_least_member(b.members for b in final + queue))
     balls, rounds = final, 0
     while rounds < division.MAX_REFINEMENT_ROUNDS:
-        over = detect_oversized([b.radii[0] for b in balls]).tolist()
+        over = detect_oversized([b.radius for b in balls]).tolist()
         if not over:
             break
         rounds += 1
-        kids = {i: split_once(ds, balls[i]) for i in over}
+        kids = {i: reference_gbc.split(pts, balls[i]) for i in over}
         balls = [part for i, b in enumerate(balls)
-                 for part in ([b] if kids.get(i) is None else
-                              [fit_ball(ds, m) for m in _members(kids[i])])]
-        snapshots.append(_by_least_member(b.order for b in balls))
+                 for part in ([b] if kids.get(i) is None else kids[i])]
+        snapshots.append(_by_least_member(b.members for b in balls))
         if any(k is None for k in kids.values()):
             break
     return snapshots
@@ -276,13 +279,15 @@ def test_division_matches_the_per_ball_reference(monkeypatch):
     # gives them.
     rng = np.random.default_rng(19)
     refined = 0
-    for trial in range(40):
+    for trial in range(52):
         n, d = int(rng.integers(30, 601)), int(rng.choice([1, 2, 3, 8]))
         pts = rng.normal(size=(n, d))
         if trial % 2:  # wide tails, so that phase 2 has balls to split
             pts = rng.standard_cauchy(size=(n, d))
         if trial % 3 == 0:  # ties and duplicate points
             pts = np.round(pts, 1)
+        if trial >= 40:  # integer grids, where distinct points tie in distance
+            pts = rng.integers(0, 4, size=(n, d)).astype(float)
         ds = Dataset(points=pts)
         monkeypatch.setattr(division, "MIN_SPLIT_SIZE", int(rng.integers(2, 41)))
         trace = DivisionTrace(capture_partitions=True)
@@ -293,6 +298,16 @@ def test_division_matches_the_per_ball_reference(monkeypatch):
             assert [m.tolist() for m in got] == [m.tolist() for m in want], trial
         refined += trace.rounds[-1].phase == "refine"
     assert refined >= 10  # premise: phase 2 runs on a good share of the inputs
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e4, 1e8])
+def test_split_rule_is_stable_under_translation(shift):
+    # The side test compares differences of squared distances, which keep
+    # their digits under an offset.  The same rule as a linear form,
+    # x·(c2 - c1) <= (|c2|² - |c1|²) / 2, loses them: it gave 46 balls here
+    # at 1e8 and one at 1e12.
+    pts = np.random.default_rng(5).normal(size=(20000, 2)) + shift
+    assert len(generate_balls(Dataset(points=pts))) == 1858
 
 
 def test_generate_balls_deterministic():
@@ -334,16 +349,23 @@ def test_reused_trace_describes_the_last_run(monkeypatch):
 
 
 def test_failed_split_stops_refinement():
-    # The two far points are 2 apart, but at 1e16 both seeds' midpoints round
-    # to the same value, so the split puts every member on one side.
-    pts = np.concatenate([np.linspace(0, 1, 30), [1e16, 1e16 + 2]])[:, None]
+    # Twenty copies of 0.1 between two exact groups: their centre rounds one
+    # ulp off 0.1, so theirs is the one ball of radius above 0 and oversized,
+    # but coincident members all fall on one side of the split.
+    pts = np.repeat([0.0, 0.1, 5.0], 20)[:, None]
     trace = DivisionTrace()
     bs = generate_balls(Dataset(points=pts), trace=trace)
     assert trace.stop_reason == "split_failed"
     assert not trace.round_cap_hit
-    assert detect_oversized(bs.radii).tolist() == [2]
-    assert _members(bs)[2].tolist() == [30, 31]
+    assert detect_oversized(bs.radii).tolist() == [1] and bs.radii[1] > 0
+    assert [m.tolist() for m in _members(bs)] == [list(range(k, k + 20)) for k in (0, 20, 40)]
     assert trace.rounds[-1].phase == "refine" and trace.rounds[-1].split_count == 0
+    # Two far points 2 apart at 1e16, where both midpoints of the centre and a
+    # seed round to one value: the seeds' distances still part them.
+    pts = np.concatenate([np.linspace(0, 1, 30), [1e16, 1e16 + 2]])[:, None]
+    bs = generate_balls(Dataset(points=pts), trace=trace)
+    assert trace.stop_reason == "converged"
+    assert [m.tolist() for m in _members(bs)[-2:]] == [[30], [31]]
 
 
 def _sha(*arrays):

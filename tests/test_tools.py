@@ -56,6 +56,22 @@ def test_one_set_row_has_every_field_and_the_sides_agree(tmp_path, name, data, c
         assert set(peak) == {"base", "change"} and min(peak.values()) > 0
 
 
+def test_peaks_read_each_side_first_and_second(monkeypatch):
+    # The first reading of a pair reads 100 bytes high, as the order of the
+    # calls can make it: both sides are read in both places and keep their
+    # lower reading, so equal sides come out equal.
+    calls = []
+
+    def reading(call):
+        calls.append(call())
+        return 1.0 + len(calls) % 2 * 1e-4
+
+    monkeypatch.setattr(ab, "_peak_mib", reading)
+    sides = [dict.fromkeys(ab.PEAKS, lambda j=j: j) for j in (0, 1)]
+    assert ab._peaks(sides) == {stage: {"base": 1.0, "change": 1.0} for stage in ab.PEAKS}
+    assert calls == [0, 1, 1, 0] * len(ab.PEAKS)
+
+
 def test_fresh_row_runs_each_side_in_a_process_of_its_own():
     package = Path(gbcluster.__file__).resolve().parent
     row = ab.measure_fresh("bundled-cli", (package, package), pairs=1)

@@ -33,7 +33,9 @@ counts (balls m, live balls, clusters K, noise points, tile entries of the
 one sweep of ``cluster()``, overlapping pairs and the non-overlapping pairs
 the sweep keeps) and the ``tracemalloc`` peaks of one division, sweep,
 geometry and ``cluster()`` call, the last the peak that perfbench's
-``peak_rss_mb`` follows.  ``--out`` writes all of it to a JSON file, with both sides'
+``peak_rss_mb`` follows.  Each side's peak is the lower of two readings, one
+taken before the other side's and one after, since a few hundred bytes of a
+peak follow the order of the calls, not the code.  ``--out`` writes all of it to a JSON file, with both sides'
 least times, both commits' SHAs, the ``git status`` of ``src/`` and the
 numpy, Python and machine details.  Every run prints, and ``--out``
 records, the line count of each module of ``src/gbcluster`` on both sides
@@ -233,13 +235,19 @@ def measure(name: str, packages, data: list, pairs: int, tmp: str | None = None)
         stages[stage] = {"base_min_s": least[0], "change_min_s": least[1], **_ratios(times)}
         print(f"  {stage:12s} {_shown(stages[stage], pairs)}  "
               f"least {least[0] * 1e3:.2f} base, {least[1] * 1e3:.2f} change ms", flush=True)
-    peaks = {stage: {"base": _peak_mib(base[stage]), "change": _peak_mib(change[stage])}
-             for stage in PEAKS}
+    peaks = _peaks((base, change))
     print("  peaks MiB: " + "  ".join(f"{stage} {p['base']:.2f} base, {p['change']:.2f} change"
                                       for stage, p in peaks.items()), flush=True)
     return {"name": name, "rows": sum(len(ds) for ds in data), "d": data[0].dim,
             "identical": identical, "counts": {"base": base_counts, "change": change_counts},
             "peak_mib": peaks, "stages": stages}
+
+
+def _peaks(sides) -> dict:
+    """Each side's peak of every stage in PEAKS: the lower of its readings
+    in two pairs, base first in one and the change first in the other."""
+    return {stage: dict(zip(("base", "change"), _pairs(
+        2, lambda j: _peak_mib(sides[j][stage])).min(axis=0).tolist())) for stage in PEAKS}
 
 
 def _pairs(pairs: int, call) -> np.ndarray:
