@@ -35,9 +35,9 @@ the sweep keeps) and the ``tracemalloc`` peaks of one division, sweep,
 geometry and ``cluster()`` call, the last the peak that perfbench's
 ``peak_rss_mb`` follows.  Each side's peak is the lower of two readings, one
 taken before the other side's and one after, since a few hundred bytes of a
-peak follow the order of the calls, not the code.  ``--out`` writes all of it to a JSON file, with both sides'
-least times, both commits' SHAs, the ``git status`` of ``src/`` and the
-numpy, Python and machine details.  Every run prints, and ``--out``
+peak follow the order of the calls, not the code.  ``--out`` writes all of
+it to a JSON file, with both sides' least times, both commits' SHAs, the
+``git status`` of ``src/`` and the numpy, Python and machine details.  Every run prints, and ``--out``
 records, the line count of each module of ``src/gbcluster`` on both sides
 and the net change.
 
