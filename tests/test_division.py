@@ -22,7 +22,7 @@ def _members(bs):
 
 
 def test_split_once_collinear_hand_trace():
-    # center x=5; seeds are x=0 (tie-break) and x=10; initial centers 2.5/7.5
+    # center x=5; seeds are x=0 (tie-break) and x=10; midpoints 2.5 and 7.5
     ds = Dataset(points=[[0.0, 0.0], [1.0, 0.0], [9.0, 0.0], [10.0, 0.0]])
     kids = split_once(ds, fit_ball(ds, range(4)))
     assert len(kids) == 2
