@@ -52,7 +52,7 @@ def split(points, ball):
     p2 = x[np.argmax(to_p1)]
     cut = (_squares(ball.center[None], p1)[0] - _squares(ball.center[None], p2)[0]) / 2
     to_a = to_p1 - _squares(x, p2) <= cut
-    if to_a.all():
+    if to_a.all() or not to_a.any():
         return None
     return fit(points, ball.members[to_a]), fit(points, ball.members[~to_a])
 
