@@ -2,7 +2,9 @@
 
 import hashlib
 import math
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,10 @@ from gbcluster.division import (DivisionTrace, _partition, detect_oversized, gen
                                 should_split, split_once)
 import reference_gbc
 from reference_gbc import accepted_splits
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from workloads import blob_points  # noqa: E402
 
 
 def _members(bs):
@@ -375,21 +381,12 @@ def _sha(*arrays):
     return h.hexdigest()
 
 
-def _blob_points(n, dim):
-    """Five sigma-0.5 blobs around the blobs10k centres, with dim - 2 more
-    centre coordinates drawn uniformly from [-3, 9] (the benchmark's sets)."""
-    centers = np.asarray(BUNDLED_DATASETS["blobs10k"].centers, dtype=np.float64)
-    extra = np.random.default_rng(1).uniform(-3.0, 9.0, size=(len(centers), dim - 2))
-    centers = tuple(tuple(float(v) for v in c) for c in np.hstack([centers, extra]))
-    return generate(GeneratorSpec(family="blobs", n=n, seed=1, scales=0.5, centers=centers))
-
-
 _EDGE_INPUTS = {
     "n=1": np.zeros((1, 2)),
     "identical": np.ones((50, 2)),
     "1-d": np.linspace(0, 1, 300)[:, None],
     "d=32": np.random.default_rng(0).normal(size=(500, 32)),
-    "blobs-8d-5k": _blob_points(5_000, 8).points,
+    "blobs-8d-5k": blob_points(5_000, 8).points,
 }
 
 # sha256 of (sizes and members as int64, centers, radii, sum_radius as float64)
@@ -540,8 +537,7 @@ def test_segment_sums_stay_within_the_pairwise_error_bound():
 
 
 def test_division_memory_stays_linear_in_points():
-    centers = BUNDLED_DATASETS["blobs10k"].centers
-    ds = generate(GeneratorSpec(family="blobs", n=100_000, seed=1, centers=centers, scales=0.5))
+    ds = blob_points(100_000, 2)
     tracemalloc.start()
     try:
         generate_balls(ds)
@@ -556,7 +552,7 @@ def test_division_memory_at_8_dimensions():
     # moved to coordinate-major arrays, and 5.89 MiB after; the bound allows
     # the former plus one (d, n) float64 copy of the points.
     n, d = 20_000, 8
-    ds = _blob_points(n, d)
+    ds = blob_points(n, d)
     tracemalloc.start()
     try:
         generate_balls(ds)
@@ -578,11 +574,7 @@ def test_division_memory_at_8_dimensions():
     (20_000, 8, 2.75),
 ], ids=["2d-100k", "8d-20k"])
 def test_division_working_set_in_input_bytes(n, dim, times):
-    if dim == 2:  # the input of test_division_memory_stays_linear_in_points
-        centers = BUNDLED_DATASETS["blobs10k"].centers
-        ds = generate(GeneratorSpec(family="blobs", n=n, seed=1, centers=centers, scales=0.5))
-    else:
-        ds = _blob_points(n, dim)
+    ds = blob_points(n, dim)
     tracemalloc.start()
     try:
         generate_balls(ds)

@@ -3,6 +3,7 @@ gbcluster on both sides, so both sides must agree in every count."""
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -72,21 +73,6 @@ def test_peaks_read_each_side_first_and_second(monkeypatch):
     assert calls == [0, 1, 1, 0] * len(ab.PEAKS)
 
 
-def test_fresh_row_runs_each_side_in_a_process_of_its_own():
-    package = Path(gbcluster.__file__).resolve().parent
-    row = ab.measure_fresh("bundled-cli", (package, package), pairs=1)
-    json.dumps(row, allow_nan=False)
-    assert set(row) == {"name", "cluster", "maxrss_mib", "minflt"} and row["name"] == "bundled-cli"
-    cluster_row = row["cluster"]
-    assert set(cluster_row) == {"base_median_s", "change_median_s", "ratio_median", "ratio_iqr",
-                                "won"}
-    assert cluster_row["base_median_s"] > 0 and cluster_row["change_median_s"] > 0
-    assert cluster_row["ratio_iqr"][0] <= cluster_row["ratio_median"] <= cluster_row["ratio_iqr"][1]
-    for key in ("maxrss_mib", "minflt"):
-        assert set(row[key]) == {"base", "change", "lower"}
-        assert min(row[key]["base"], row[key]["change"]) > 0 and row[key]["lower"] in (0, 1)
-
-
 def test_src_lines_counts_each_module_on_both_sides(tmp_path):
     base, change = tmp_path / "base", tmp_path / "change"
     for side, modules in ((base, {"a.py": "1\n2\n3\n", "b.py": "1\n"}),
@@ -101,3 +87,18 @@ def test_src_lines_counts_each_module_on_both_sides(tmp_path):
     counts = ab.src_lines(package, package)
     assert counts["net"] == 0 and counts["base"] == counts["change"]
     assert counts["change"] == {path.name: path.read_bytes().count(b"\n") for path in package.glob("*.py")}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--sets", "nope"], "unknown sets: ['nope']"),
+    (["--pairs", "0"], "--pairs must be at least 1"),
+    (["--fresh"], "unrecognized arguments: --fresh"),
+], ids=["unknown-set", "no-pairs", "fresh"])
+def test_main_rejects_bad_options_with_a_usage_error(monkeypatch, capsys, argv, message):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main puts src and perfbench first
+    monkeypatch.setattr(ab, "measure", None)  # a measurement would fail on the call
+    with pytest.raises(SystemExit) as exit_info:
+        ab.main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and message in err

@@ -1,6 +1,6 @@
 """Paired, in-process timing of every stage of cluster() and of the CLI at two commits.
 
-    python3 tools/ab.py [--base REV] [--pairs N] [--sets NAME,...] [--fresh]
+    python3 tools/ab.py [--base REV] [--pairs N] [--sets NAME,...]
                         [--out BENCH_<label>.json]
 
 The base is ``src/gbcluster`` at REV (default HEAD), taken with
@@ -47,19 +47,8 @@ itself (``--base HEAD`` on a clean checkout) it measures its own noise.
 Both copies run in one warm process, so the ratios miss the first-touch
 page faults that perfbench's fresh processes take (0 against 3,588 minor
 faults a ``generate_balls`` call at 2-d 100k, in two variants of one
-change), and they do not predict perfbench's ``wall_s``.
-
-``--fresh`` measures what the warm heap hides.  Each side of a pair runs in
-a new process of its own, started once the last one has exited, so one runs
-at a time.  Both sides' packages are files in the temporary directory, the
-change's copied there without its ``__pycache__``, so that the two differ
-in nothing but their code.  The process makes the set's points, imports its
-side's package and times one ``cluster()`` over every point set, taking that call's minor
-page faults and the process's ``ru_maxrss`` at its end.  For each set the
-tool prints the median ratio of the times, with its interquartile range and
-the pairs won, and each side's median ``ru_maxrss`` and faults, with the
-pairs in which the change's was lower; ``--out`` writes these rows in place
-of the stage rows.
+change), and they do not predict perfbench's ``wall_s``: that takes the
+benchmark itself, run on both commits (README, "Measuring a change").
 """
 
 from __future__ import annotations
@@ -72,8 +61,6 @@ import io
 import json
 import os
 import platform
-import resource
-import shutil
 import subprocess
 import sys
 import tarfile
@@ -104,12 +91,12 @@ def extract_base(rev: str, tmp: str) -> Path:
     return Path(tmp) / "src" / "gbcluster"
 
 
-def load_package(package: Path, name: str = "gbcluster_base"):
-    """The package in the directory ``package``, imported as ``name``."""
-    spec = importlib.util.spec_from_file_location(name, package / "__init__.py",
+def load_package(package: Path):
+    """The package in the directory ``package``, imported as ``gbcluster_base``."""
+    spec = importlib.util.spec_from_file_location("gbcluster_base", package / "__init__.py",
                                                   submodule_search_locations=[str(package)])
     module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
+    sys.modules["gbcluster_base"] = module
     spec.loader.exec_module(module)
     return module
 
@@ -271,47 +258,6 @@ def _shown(row: dict, pairs: int) -> str:
     return f"ratio {row['ratio_median']:.3f} [IQR {q25:.3f}-{q75:.3f}]  won {row['won']} of {pairs}"
 
 
-def fresh_run(package: Path, name: str) -> dict:
-    """One ``cluster()`` of each point set of the named set by the package in
-    the directory ``package``, in this process: its seconds and minor page
-    faults, and the process's ``ru_maxrss`` afterwards in MiB."""
-    data = points(name)
-    pkg = load_package(package, "gbcluster_side")
-    sets = [pkg.core.Dataset(points=ds.points) for ds in data]
-    before, start = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
-    for ds in sets:
-        pkg.differentiation.cluster(ds)
-    seconds, after = time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF)
-    return {"seconds": seconds, "minflt": after.ru_minflt - before.ru_minflt,
-            "maxrss_mib": after.ru_maxrss / 1024}  # KiB on Linux
-
-
-def measure_fresh(name: str, packages: tuple[Path, Path], pairs: int) -> dict:
-    """The row of one set with each side in a fresh process (``fresh_run``):
-    the paired ratios of the times, and each side's median ru_maxrss and
-    faults, with the pairs in which the change's were lower."""
-    def child(j):
-        out = subprocess.run([sys.executable, __file__, "--child", str(packages[j]),
-                              "--sets", name], capture_output=True, text=True, check=True).stdout
-        run = json.loads(out)
-        return run["seconds"], run["maxrss_mib"], run["minflt"]
-
-    runs = _pairs(pairs, child)
-    row = {"name": name, "cluster": {
-        "base_median_s": float(np.median(runs[:, 0, 0])),
-        "change_median_s": float(np.median(runs[:, 1, 0])), **_ratios(runs[..., 0])}}
-    for k, key in ((1, "maxrss_mib"), (2, "minflt")):
-        row[key] = {"base": float(np.median(runs[:, 0, k])),
-                    "change": float(np.median(runs[:, 1, k])),
-                    "lower": int((runs[:, 1, k] < runs[:, 0, k]).sum())}
-    rss, faults = row["maxrss_mib"], row["minflt"]
-    print(f"{name}: cluster {_shown(row['cluster'], pairs)}  ru_maxrss {rss['base']:.2f} base, "
-          f"{rss['change']:.2f} change MiB, lower in {rss['lower']}  minor faults "
-          f"{faults['base']:,.0f} base, {faults['change']:,.0f} change, lower in {faults['lower']}",
-          flush=True)
-    return row
-
-
 def _git(*args: str) -> str:
     return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True,
                           check=True).stdout
@@ -324,9 +270,6 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=30, help="pairs of calls per stage")
     parser.add_argument("--sets", default=",".join(SETS),
                         help=f"comma-separated set names (default: all): {', '.join(SETS)}")
-    parser.add_argument("--fresh", action="store_true",
-                        help="time one cluster() a side in fresh processes, one at a time")
-    parser.add_argument("--child", help=argparse.SUPPRESS)  # a --fresh side: its package dir
     parser.add_argument("--out", help="JSON file to write, BENCH_<label>.json by convention")
     args = parser.parse_args(argv)
     names = args.sets.split(",")
@@ -336,9 +279,6 @@ def main(argv=None) -> int:
     import gbcluster
     if Path(gbcluster.__file__).resolve().parent != ROOT / "src" / "gbcluster":
         parser.error(f"gbcluster was not imported from {ROOT / 'src'}")
-    if args.child:
-        print(json.dumps(fresh_run(Path(args.child), names[0])))
-        return 0
     result = {"base": {"rev": args.base,
                        "sha": _git("rev-parse", "--verify", f"{args.base}^{{commit}}").strip()},
               "change": {"sha": _git("rev-parse", "HEAD").strip(),
@@ -346,26 +286,19 @@ def main(argv=None) -> int:
               "numpy": np.__version__, "python": platform.python_version(),
               "machine": {"platform": platform.platform(), "cpus": os.cpu_count(),
                           "processor": platform.processor() or platform.machine()},
-              "pairs": args.pairs, "shuffle_seed": SHUFFLE_SEED, "fresh": args.fresh,
-              "sets": []}
+              "pairs": args.pairs, "shuffle_seed": SHUFFLE_SEED, "sets": []}
     with tempfile.TemporaryDirectory() as tmp:
         base = extract_base(args.base, tmp)
         lines = result["src_lines"] = src_lines(base, ROOT / "src" / "gbcluster")
         print(f"src/gbcluster lines: net {lines['net']:+d}; " + ", ".join(
             f"{m} {lines['change'].get(m, 0) - lines['base'].get(m, 0):+d}"
             for m in sorted({*lines["base"], *lines["change"]})), flush=True)
-        print(f"base {args.base} against this checkout's src, {args.pairs} pairs "
-              f"{'of fresh processes' if args.fresh else 'a stage'}", flush=True)
-        if args.fresh:
-            change = Path(tmp) / "change" / "gbcluster"
-            shutil.copytree(ROOT / "src" / "gbcluster", change,
-                            ignore=shutil.ignore_patterns("__pycache__"))
-            result["sets"] = [measure_fresh(name, (base, change), args.pairs) for name in names]
-        else:
-            packages = (load_package(base), gbcluster)
-            for name in names:
-                result["sets"].append(measure(name, packages, points(name), args.pairs,
-                                              tmp if SETS[name] is None else None))
+        print(f"base {args.base} against this checkout's src, {args.pairs} pairs a stage",
+              flush=True)
+        packages = (load_package(base), gbcluster)
+        for name in names:
+            result["sets"].append(measure(name, packages, points(name), args.pairs,
+                                          tmp if SETS[name] is None else None))
     if args.out:
         Path(args.out).write_text(json.dumps(result, indent=1, allow_nan=False) + "\n")
         print(f"wrote {args.out}")
