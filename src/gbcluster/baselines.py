@@ -37,7 +37,7 @@ class DbscanConfig:
     min_pts: int
 
     def __post_init__(self):
-        if self.eps <= 0:
+        if not self.eps > 0:  # NaN fails it
             raise ValueError("eps must be > 0")
         if self.min_pts < 1:
             raise ValueError("min_pts must be >= 1")
@@ -49,7 +49,7 @@ class DpeakConfig:
     k: int
 
     def __post_init__(self):
-        if self.dc <= 0:
+        if not self.dc > 0:  # NaN fails it
             raise ValueError("dc must be > 0")
         if self.k < 1:
             raise ValueError("k must be >= 1")

@@ -12,8 +12,8 @@ import math
 import os
 import stat
 import warnings
+from array import array
 from dataclasses import dataclass
-from itertools import chain, islice
 from typing import Sequence
 
 import numpy as np
@@ -22,8 +22,8 @@ from .core import BallSet, ClusterAssignment, Dataset
 
 FAMILIES = ("moons", "blobs", "circles", "spirals")
 
-# Rows per chunk when writing CSV, and when ``_load_csv_python`` reads it:
-# holds the Python strings of one chunk, never of the whole file.
+# Rows per chunk when writing CSV: holds the Python strings of one chunk,
+# never of the whole file.
 _CHUNK_ROWS = 256
 # Characters per block when scanning a file before numpy's C reader takes it.
 _BLOCK_CHARS = 2 ** 18
@@ -79,8 +79,9 @@ class GeneratorSpec:
                 if not all(0 < p < math.inf for p in self.proportions):
                     raise ValueError(f"proportions must be finite and positive, got {self.proportions}")
         if self.family == "circles" and self.radii is not None:
-            if not all(0 < r < math.inf for r in self.radii):
-                raise ValueError(f"circle radii must be finite and positive, got {self.radii}")
+            if not self.radii or not all(0 < r < math.inf for r in self.radii):
+                raise ValueError(f"circle radii must be one or more finite and positive values, "
+                                 f"got {self.radii}")
         if self.family == "spirals" and not 0 < self.turns < math.inf:
             raise ValueError(f"spiral turns must be finite and positive, got {self.turns}")
 
@@ -199,42 +200,6 @@ def _is_int64(v):
     return (v == np.trunc(v)) & (v >= -2.0**63) & (v < 2.0**63)
 
 
-def _first_fault(path, row_nos, rows, width, label_col) -> str:
-    """The error for the first bad row or cell in row-major order (the error path)."""
-    for row_no, row in zip(row_nos, rows):
-        if len(row) != width:
-            return f"{path}: row {row_no} has {len(row)} columns, expected {width}"
-        for col_no, cell in enumerate(row):
-            at = f"{path}: row {row_no}, column {col_no}"
-            kind = "label" if col_no == label_col else "value"
-            try:
-                val = float(cell)
-            except ValueError:
-                return f"{at}: cannot parse {kind} {cell!r}"
-            if kind == "label" and not _is_int64(val):
-                return f"{at}: label {cell!r} is not an integer"
-            if kind == "value" and not math.isfinite(val):
-                return f"{at}: non-finite value {cell!r}"
-    raise AssertionError("a chunk failed validation with no bad row or cell")
-
-
-def _parse_rows(path, row_nos, rows, width, label_col) -> np.ndarray:
-    """The rows as a float64 table: every cell goes through ``float()`` in
-    one pass, then the checks run on the table."""
-    table = None
-    if set(map(len, rows)) == {width}:
-        try:
-            table = np.fromiter(map(float, chain.from_iterable(rows)), np.float64,
-                                len(rows) * width).reshape(len(rows), width)
-        except ValueError:  # float() rejected a cell
-            pass
-    # a label must be finite too, so every cell is tested for that
-    if table is not None and np.isfinite(table).all() and (
-            label_col is None or _is_int64(table[:, label_col]).all()):
-        return table
-    raise ValueError(_first_fault(path, row_nos, rows, width, label_col))
-
-
 def _dataset(table: np.ndarray, label_col: int | None) -> Dataset:
     if label_col is None:
         return Dataset(points=table)
@@ -283,7 +248,8 @@ def load_csv(path, has_header: bool = False, label_column: int | None = None) ->
     Where numpy accepts a cell it yields ``float()``'s bits, so this is what
     ``_load_csv_python`` returns.  Any other file (quoted cells, ``1_0``,
     non-ASCII digits, whitespace-only lines, a fault, no data rows) is read
-    again by ``_load_csv_python``, which accepts it or names its first fault.
+    by ``_load_csv_python``, one cell at a time in file order, which accepts
+    it or names its first fault, at about 5 times the C reader's time.
     """
     table = _c_table(path, has_header)
     if table is not None and len(table) and np.isfinite(table).all():
@@ -296,33 +262,43 @@ def load_csv(path, has_header: bool = False, label_column: int | None = None) ->
 
 
 def _load_csv_python(path, has_header: bool = False, label_column: int | None = None) -> Dataset:
-    """``load_csv`` by the ``csv`` module and ``float()``, ``_CHUNK_ROWS``
-    rows at a time: the reference reader, and the one that names faults."""
-    tables = []
+    """``load_csv`` by the ``csv`` module and ``float()``, one cell at a time
+    in file order: the reference reader, and the one that names faults."""
+    values = array("d")  # 8 bytes a cell, never a Python float per cell
     width = label_col = None
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        done = int(has_header)  # records read so far; row numbers count them from 1
         if has_header:
             next(reader, None)
-        while rows := list(islice(reader, _CHUNK_ROWS)):
-            row_nos = range(done + 1, done + 1 + len(rows))
-            done += len(rows)
-            if min(map(len, rows)) < 2:  # blank or whitespace-only records are skipped
-                keep = [i for i, row in enumerate(rows) if len(row) > 1 or (row and row[0].strip())]
-                row_nos, rows = [row_nos[i] for i in keep], [rows[i] for i in keep]
-                if not rows:
-                    continue
+        # row numbers count records from 1, the header and skipped ones included
+        for row_no, row in enumerate(reader, 1 + int(has_header)):
+            if len(row) < 2 and not (row and row[0].strip()):
+                continue  # a blank or whitespace-only record
             if width is None:
-                width = len(rows[0])
+                width = len(row)
                 if label_column is not None and not -width <= label_column < width:
                     raise ValueError(f"{path}: label column {label_column} out of range "
                                      f"for {width} columns")
                 label_col = None if label_column is None else label_column % width
-            tables.append(_parse_rows(path, row_nos, rows, width, label_col))
-    if not tables:
+            if len(row) != width:
+                raise ValueError(f"{path}: row {row_no} has {len(row)} columns, expected {width}")
+            for col_no, cell in enumerate(row):
+                kind = "label" if col_no == label_col else "value"
+                try:
+                    val = float(cell)
+                except ValueError:
+                    raise ValueError(f"{path}: row {row_no}, column {col_no}: "
+                                     f"cannot parse {kind} {cell!r}") from None
+                if kind == "label" and not _is_int64(val):
+                    raise ValueError(f"{path}: row {row_no}, column {col_no}: "
+                                     f"label {cell!r} is not an integer")
+                if kind == "value" and not math.isfinite(val):
+                    raise ValueError(f"{path}: row {row_no}, column {col_no}: "
+                                     f"non-finite value {cell!r}")
+                values.append(val)
+    if width is None:
         raise ValueError(f"{path}: no data rows")
-    return _dataset(np.concatenate(tables), label_col)
+    return _dataset(np.frombuffer(values).reshape(-1, width), label_col)
 
 
 def _write_table(path, header: list[str], floats: list[np.ndarray], ints: list[np.ndarray]) -> None:

@@ -252,11 +252,10 @@ def _pairwise_center_distances(ballset: BallSet) -> _Sweep:
     r_leaf = np.maximum.reduceat(r_bound, starts)
     strip = np.searchsorted(strips.bounds, starts, side="right") - 1
     end = np.searchsorted(bounds, reach_end[strip])  # past the last leaf a leaf can meet
-    noise_at = np.flatnonzero(np.isnan(r))  # the positions of the noise balls
 
     def tiles(l0, l1):
         """Rows and columns, [row0, row1) x [col0, col1), of the tiles of the row
-        leaves [l0, l1), and whether each holds a noise ball."""
+        leaves [l0, l1)."""
         # every leaf A against the leaves B from A up to the end of the next strip
         count = end[l0:l1] - np.arange(l0, l1)
         a = np.repeat(np.arange(l0, l1), count)
@@ -293,9 +292,7 @@ def _pairwise_center_distances(ballset: BallSet) -> _Sweep:
         row0, row1, col0, col1, step = (np.repeat(v, pieces) for v in (row0, row1, col0, col1, step))
         col0 += k * step
         col1 = np.minimum(col1, col0 + step)
-        noisy = ((np.searchsorted(noise_at, row1) > np.searchsorted(noise_at, row0))
-                 | (np.searchsorted(noise_at, col1) > np.searchsorted(noise_at, col0)))
-        return row0.tolist(), row1.tolist(), col0.tolist(), col1.tolist(), noisy.tolist()
+        return row0.tolist(), row1.tolist(), col0.tolist(), col1.tolist()
 
     kept, held, joins = [], [], []  # every leaf meets itself, so some tile is held
     near_noise = [(root[:0], np.empty(0), root[:0])]
@@ -307,11 +304,10 @@ def _pairwise_center_distances(ballset: BallSet) -> _Sweep:
         counts[:] += np.bincount(a, minlength=m) + np.bincount(b, minlength=m)
         _hook(root, a, b)
 
-    def keep(noisy):
+    def keep():
         """The exact test on the held entries of the tiles: overlapping pairs
-        go to be counted and joined, the other pairs within reach are kept,
-        and so are the near pairs of a noise and a live ball, when a tile
-        held a noise ball (``noisy``)."""
+        go to be counted and joined; the other pairs within reach are kept,
+        and so are the near pairs of a noise and a live ball."""
         i, j, acc = (np.concatenate(part) for part in zip(*held))
         held.clear()
         ri, rj = r[i], r[j]
@@ -325,16 +321,15 @@ def _pairwise_center_distances(ballset: BallSet) -> _Sweep:
         upper = j > i
         hit = np.flatnonzero(upper & (gap < 0))
         joins.append((ball[i[hit]], ball[j[hit]]))
-        if noisy:
-            # a NaN gap has a noise ball in its pair; the live ball of the pair,
-            # if one is, is near when fl(d - r_live) <= r_mean
-            one = np.flatnonzero(np.isnan(gap))
-            one = one[upper[one] & (np.isnan(ri[one]) != np.isnan(rj[one]))]
-            swap = np.isnan(rj[one])
-            noise, live = np.where(swap, j[one], i[one]), np.where(swap, i[one], j[one])
-            d = dist[one] - r[live]
-            close = d <= r_mean
-            near_noise.append((ball[noise[close]], d[close], ball[live[close]]))
+        # a NaN gap has a noise ball in its pair; the live ball of the pair,
+        # if one is, is near when fl(d - r_live) <= r_mean
+        one = np.flatnonzero(np.isnan(gap))
+        one = one[upper[one] & (np.isnan(ri[one]) != np.isnan(rj[one]))]
+        swap = np.isnan(rj[one])
+        noise, live = np.where(swap, j[one], i[one]), np.where(swap, i[one], j[one])
+        d = dist[one] - r[live]
+        close = d <= r_mean
+        near_noise.append((ball[noise[close]], d[close], ball[live[close]]))
         near = np.flatnonzero(upper & (gap >= 0) & (gap < np.minimum(ri, rj)))
         a, b = ball[i[near]], ball[j[near]]
         kept.append((np.stack((np.minimum(a, b), np.maximum(a, b)), axis=1), gap[near]))
@@ -344,17 +339,16 @@ def _pairwise_center_distances(ballset: BallSet) -> _Sweep:
     span = reach_end[strip] - starts
     chunk = (np.cumsum(span) - span) // _TILE
     edges = np.append(np.flatnonzero(np.diff(chunk, prepend=-1)), starts.size).tolist()
-    size, noisy = 0, False
-    for a0, a1, c0, c1, has_noise in (t for l0, l1 in zip(edges[:-1], edges[1:])
-                                      for t in zip(*tiles(l0, l1))):
+    size = 0
+    for a0, a1, c0, c1 in (t for l0, l1 in zip(edges[:-1], edges[1:]) for t in zip(*tiles(l0, l1))):
         acc = squared_distances(c[:, a0:a1, None], c[:, None, c0:c1])
         r_col = r_bound[c0:c1].max()
         lim = r_bound[a0:a1] + r_col
         lim += r_col
         at = np.flatnonzero(acc <= _squared_bound(lim)[:, None])
         if size + at.size > _TILE:  # a batch holds _TILE entries at the most, as a tile does
-            keep(noisy)
-            size, noisy = 0, False
+            keep()
+            size = 0
             # a round of hooking costs O(m), so overlapping pairs wait until there are m
             if sum(a.size for a, _ in joins) >= m:
                 join()
@@ -363,8 +357,7 @@ def _pairwise_center_distances(ballset: BallSet) -> _Sweep:
         j += c0
         held.append((i, j, acc.take(at)))
         size += at.size
-        noisy |= has_noise
-    keep(noisy)
+    keep()
     join()
     return _Sweep(counts, root, kept, tuple(np.concatenate(part) for part in zip(*near_noise)))
 

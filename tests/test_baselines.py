@@ -1,5 +1,7 @@
 """Baseline algorithms: K-Means, DBSCAN, DPeak."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -177,4 +179,9 @@ def test_config_validation():
         DpeakConfig(dc=-1.0, k=1)
     with pytest.raises(ValueError):
         DpeakConfig(dc=1.0, k=0)
+    # NaN fails every comparison, so a check written as ``eps <= 0`` lets it through
+    with pytest.raises(ValueError, match="eps"):
+        DbscanConfig(eps=math.nan, min_pts=2)
+    with pytest.raises(ValueError, match="dc"):
+        DpeakConfig(dc=math.nan, k=1)
 

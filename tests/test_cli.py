@@ -112,6 +112,18 @@ def test_algorithms_without_a_seed_reject_the_flag(tmp_path, capsys, algo, given
     assert not (tmp_path / f"{algo}_points.csv").exists()
 
 
+@pytest.mark.parametrize("algo, given", [
+    ("dbscan", ["--eps", "nan", "--min-pts", "2"]),
+    ("dpeak", ["--dc", "nan", "--k", "1"]),
+])
+def test_baselines_reject_a_nan_radius(tmp_path, capsys, algo, given):
+    data = _gen(tmp_path)
+    code = main(["run", "--algo", algo, "--in", str(data), "--out", str(tmp_path / algo), *given])
+    assert code == EXIT_INVALID
+    assert f"{given[0][2:]} must be > 0" in capsys.readouterr().err
+    assert not (tmp_path / f"{algo}_points.csv").exists()
+
+
 def test_gen_checks_the_seed_that_a_bundled_dataset_overrides(tmp_path, capsys):
     code = main(["gen", "--dataset", "moons1k", "--seed", "-3", "--out", str(tmp_path / "m.csv")])
     assert code == EXIT_INVALID

@@ -48,6 +48,8 @@ def test_generator_validation():
         GeneratorSpec(family="blobs", n=5, centers=((0, 0), (1, 1)), scales=(0.1,))
     with pytest.raises(ValueError):
         GeneratorSpec(family="circles", n=5, radii=(1.0, -2.0))
+    with pytest.raises(ValueError, match="radii"):
+        GeneratorSpec(family="circles", n=10, radii=())
     with pytest.raises(ValueError):
         GeneratorSpec(family="spirals", n=5, turns=0.0)
 
@@ -243,8 +245,8 @@ def test_written_bytes_match_golden_digests(tmp_path, name):
     assert got == GOLDEN_SHA256[name]
 
 
-# Each input's parsed points and labels, or its exact error, as the per-cell
-# float() loop that the chunked reader replaced gave them.  (text, kwargs,
+# Each input's parsed points and labels, or its exact error, as a per-cell
+# float() loop over the csv records in file order gives them.  (text, kwargs,
 # expected): expected is (points, labels) or an error message with {path}.
 PARSE_TABLE = {
     "quoted_and_spaces": ('"1.5", 2 ,"  3e0 "\n" -4",5,6\n', {},
@@ -489,7 +491,7 @@ def test_label_at_int64_minimum_is_kept(tmp_path):
 
 def test_row_numbers_and_faults_past_the_first_chunks(tmp_path):
     # 1,000 data rows with blank and whitespace-only records sprinkled in, so
-    # chunks hold skipped records and row numbers are not data-row counts.
+    # that row numbers are not data-row counts, and faults far into the file.
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(1000, 3))
     lines, row_of = ["a,b,c,label"], []
@@ -540,14 +542,19 @@ def _traced_peak_mb(fn):
 
 
 def test_csv_io_memory_is_bounded_by_a_chunk(tmp_path):
-    # Peaks on blobs10k (Python 3.11, numpy 2.4) of the per-cell csv loops
-    # that the chunked reader and writer replaced: load_csv 1.93 MB (a list
-    # of Python floats per row), save_results 0.203 MB.  The chunked versions
-    # measure 0.51 and 0.083 MB; reading or writing the whole file in one go
-    # measures 2.69 and 1.73 MB, so these bounds catch it.
+    # Peaks on blobs10k (Python 3.11, numpy 2.4) of csv loops that held a
+    # list of Python floats per row: load_csv 1.93 MB, save_results 0.203 MB.
+    # numpy's C reader and the chunked writer measure 0.51 and 0.083 MB, and
+    # so does the Python reader on a quoted copy (0.51 MB), which numpy's
+    # reader refuses; reading or writing the whole file in one go measures
+    # 2.69 and 1.73 MB, so these bounds catch it.
     ds = generate(BUNDLED_DATASETS["blobs10k"])
     assignment, ballset = cluster(ds)
-    path = tmp_path / "blobs10k.csv"
+    path, quoted = tmp_path / "blobs10k.csv", tmp_path / "quoted.csv"
     save_dataset(path, ds)
-    assert _traced_peak_mb(lambda: load_csv(path, has_header=True, label_column=2)) <= 1.93
+    with open(path, newline="") as src, open(quoted, "w", newline="") as dst:
+        csv.writer(dst, quoting=csv.QUOTE_ALL).writerows(csv.reader(src))
+    assert _c_table(quoted, has_header=True) is None
+    for p in (path, quoted):
+        assert _traced_peak_mb(lambda: load_csv(p, has_header=True, label_column=2)) <= 1.93
     assert _traced_peak_mb(lambda: save_results(tmp_path / "r", ds, assignment, ballset)) <= 0.203
