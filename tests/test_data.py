@@ -491,7 +491,7 @@ def test_label_at_int64_minimum_is_kept(tmp_path):
 
 def test_row_numbers_and_faults_past_the_first_chunks(tmp_path):
     # 1,000 data rows with blank and whitespace-only records sprinkled in, so
-    # that row numbers are not data-row counts, and faults far into the file.
+    # that row numbers are not data-row counts, and faults sit far into the file.
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(1000, 3))
     lines, row_of = ["a,b,c,label"], []
