@@ -13,28 +13,26 @@ import csv
 import json
 import sys
 import time
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from typing import Sequence
 
 import numpy as np
 
 from . import __version__
 from .baselines import DbscanConfig, DpeakConfig, KMeansConfig, dbscan, dpeak, kmeans
-from .core import Dataset
 from .data import (BUNDLED_DATASETS, FAMILIES, GeneratorSpec, generate,
                    load_csv, save_dataset, save_results)
 from .differentiation import cluster
 from .division import DivisionTrace
 from .metrics import BenchReport, benchmark, rand_index
 
-# Each baseline's function, config class and run flags, with an example
-# value of each for the usage message.  A flag's dest is also the config
-# field it sets; ``--seed``, optional, goes to the configs that have a seed
-# and is a usage error for the others.
+# Each baseline's function and config class.  The config's fields are the
+# baseline's `run` flags (``min_pts`` is ``--min-pts``), and a field without
+# a default is a required flag.  Any other baseline flag is a usage error.
 BASELINES = {
-    "kmeans": (kmeans, KMeansConfig, {"--k": "2"}),
-    "dbscan": (dbscan, DbscanConfig, {"--eps": "0.2", "--min-pts": "5"}),
-    "dpeak": (dpeak, DpeakConfig, {"--dc": "0.2", "--k": "2"}),
+    "kmeans": (kmeans, KMeansConfig),
+    "dbscan": (dbscan, DbscanConfig),
+    "dpeak": (dpeak, DpeakConfig),
 }
 ALGORITHMS = ("gbc", *BASELINES)
 
@@ -131,55 +129,33 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _detect_label_column(path, has_header: bool) -> int | None:
-    if not has_header:
-        return None
-    with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
-    if header is None:
-        raise ValueError(f"{path}: no data rows")
-    names = [h.strip().lower() for h in header]
-    return names.index("label") if "label" in names else None
-
-
-def _load_run_input(args) -> Dataset:
-    has_header = not args.no_header
-    label_col = args.label_column
-    if label_col is None:
-        label_col = _detect_label_column(args.infile, has_header)
-    return load_csv(args.infile, has_header=has_header, label_column=label_col)
-
-
-def _dest(flag: str) -> str:
-    return flag[2:].replace("-", "_")
-
-
-def _run_baseline(args, dataset: Dataset):
-    run, config, flags = BASELINES[args.algo]
-    values = {_dest(flag): getattr(args, _dest(flag)) for flag in flags}
-    if None in values.values():
-        raise UsageError(f"{args.algo} needs {' and '.join(flags)}; "
-                         f"try {' '.join(f'{flag} {value}' for flag, value in flags.items())}")
-    if args.seed is not None:
-        values["seed"] = args.seed
-    return run(dataset, config(**values))
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _cmd_run(args) -> int:
-    takes = []
-    if args.algo in BASELINES:
-        _, config, flags = BASELINES[args.algo]
-        takes = [*flags, *(["--seed"] if "seed" in {f.name for f in fields(config)} else [])]
-    every = [*dict.fromkeys(flag for _, _, flags in BASELINES.values() for flag in flags), "--seed"]
-    extra = [flag for flag in every if getattr(args, _dest(flag)) is not None and flag not in takes]
+    run, config = BASELINES.get(args.algo, (None, None))
+    params = fields(config) if config else ()
+    takes = [f.name for f in params]
+    # every baseline's fields, those without a default first, so that --seed is last
+    every = sorted({f.name: f for _, c in BASELINES.values() for f in fields(c)}.values(),
+                   key=lambda f: f.default is not MISSING)
+    extra = [_flag(f.name) for f in every if getattr(args, f.name) is not None and f.name not in takes]
     if extra:
-        what = f"takes only {' and '.join(takes)}" if takes else "takes no algorithm parameters"
+        what = (f"takes only {' and '.join(map(_flag, takes))}" if takes
+                else "takes no algorithm parameters")
         raise UsageError(f"{', '.join(extra)}: {args.algo} {what}; drop the flag or pick "
                          f"{'another algorithm' if takes else 'a baseline'} with --algo")
+    needs = [f.name for f in params if f.default is MISSING]
+    if any(getattr(args, name) is None for name in needs):
+        example = BENCH_BASELINES["moons1k"][args.algo]
+        raise UsageError(f"{args.algo} needs {' and '.join(map(_flag, needs))}; try "
+                         + " ".join(f"{_flag(name)} {getattr(example, name)}" for name in needs))
     if args.verbose and args.algo != "gbc":
         raise UsageError(f"--verbose: {args.algo} has no division trace to print; "
                          "drop the flag or pick gbc with --algo")
-    dataset = _load_run_input(args)
+    label_column = "label" if args.label_column is None and not args.no_header else args.label_column
+    dataset = load_csv(args.infile, has_header=not args.no_header, label_column=label_column)
     trace = None
     ballset = None
     t0 = time.perf_counter()
@@ -187,7 +163,8 @@ def _cmd_run(args) -> int:
         trace = DivisionTrace()
         assignment, ballset = cluster(dataset, trace=trace)
     else:
-        assignment = _run_baseline(args, dataset)
+        given = {name: getattr(args, name) for name in takes}
+        assignment = run(dataset, config(**{k: v for k, v in given.items() if v is not None}))
     wall = time.perf_counter() - t0
 
     if args.verbose and trace is not None:
@@ -273,16 +250,14 @@ def _cmd_bench(args) -> int:
                   f"rand_index={report.rand_index:.4f}  clusters={report.cluster_count}  "
                   f"noise={report.noise_count}")
     if args.out:
+        rows = [r.as_dict() for r in reports]
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["algorithm", "dataset", "wall_time_s", "rand_index",
-                             "cluster_count", "noise_count"])
-            for r in reports:
-                writer.writerow([r.algorithm, r.dataset, f"{r.wall_time:.6f}",
-                                 "" if r.rand_index is None else f"{r.rand_index:.6f}",
-                                 r.cluster_count, r.noise_count])
+            writer.writerow(rows[0])
+            writer.writerows(["" if v is None else f"{v:.6f}" if isinstance(v, float) else v
+                              for v in row.values()] for row in rows)
         with open(args.out + ".json", "w") as fh:
-            json.dump([r.as_dict() for r in reports], fh, indent=2, sort_keys=True)
+            json.dump(rows, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"wrote {args.out}")
     return EXIT_OK

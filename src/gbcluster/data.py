@@ -99,58 +99,36 @@ def _split_counts(n: int, k: int, proportions: Sequence[float] | None = None) ->
 
 
 def _gen_moons(spec: GeneratorSpec, rng: np.random.Generator):
-    n_out = spec.n // 2
-    n_in = spec.n - n_out
-    t_out = np.linspace(0.0, math.pi, max(n_out, 1))[:n_out]
-    t_in = np.linspace(0.0, math.pi, max(n_in, 1))[:n_in]
-    outer = np.column_stack([np.cos(t_out), np.sin(t_out)])
-    inner = np.column_stack([1.0 - np.cos(t_in), 0.5 - np.sin(t_in)])
-    pts = np.vstack([outer, inner])
-    labels = np.array([0] * n_out + [1] * n_in)
-    return pts, labels
+    t_out = np.linspace(0.0, math.pi, spec.n // 2)
+    t_in = np.linspace(0.0, math.pi, spec.n - spec.n // 2)
+    return [np.column_stack([np.cos(t_out), np.sin(t_out)]),
+            np.column_stack([1.0 - np.cos(t_in), 0.5 - np.sin(t_in)])]
 
 
 def _gen_blobs(spec: GeneratorSpec, rng: np.random.Generator):
     centers = np.asarray(spec.centers if spec.centers is not None else [(0.0, 0.0)], dtype=float)
-    k = centers.shape[0]
-    if spec.scales is None:
-        scales = [spec.noise_sigma] * k
-    elif isinstance(spec.scales, (int, float)):
-        scales = [float(spec.scales)] * k
-    else:
-        scales = list(spec.scales)
-    counts = _split_counts(spec.n, k, spec.proportions)
-    chunks, labels = [], []
-    for i, (c, s, cnt) in enumerate(zip(centers, scales, counts)):
-        chunks.append(c + rng.normal(0.0, s, size=(cnt, centers.shape[1])) if s > 0
-                      else np.tile(c, (cnt, 1)))
-        labels += [i] * cnt
-    return np.vstack([ch for ch in chunks if len(ch)]), np.array(labels)
+    k, dim = centers.shape
+    scales = np.broadcast_to(spec.noise_sigma if spec.scales is None else spec.scales, k)
+    return [c + rng.normal(0.0, s, size=(cnt, dim)) if s > 0 else np.tile(c, (cnt, 1))
+            for c, s, cnt in zip(centers, scales, _split_counts(spec.n, k, spec.proportions))]
 
 
 def _gen_circles(spec: GeneratorSpec, rng: np.random.Generator):
     radii = spec.radii if spec.radii is not None else (1.0, 2.0)
-    counts = _split_counts(spec.n, len(radii))
-    chunks, labels = [], []
-    for i, (r, cnt) in enumerate(zip(radii, counts)):
-        t = np.linspace(0.0, 2.0 * math.pi, max(cnt, 1), endpoint=False)[:cnt]
-        chunks.append(np.column_stack([r * np.cos(t), r * np.sin(t)]))
-        labels += [i] * cnt
-    return np.vstack([ch for ch in chunks if len(ch)]), np.array(labels)
+    ts = [np.linspace(0.0, 2.0 * math.pi, cnt, endpoint=False)
+          for cnt in _split_counts(spec.n, len(radii))]
+    return [np.column_stack([r * np.cos(t), r * np.sin(t)]) for r, t in zip(radii, ts)]
 
 
 def _gen_spirals(spec: GeneratorSpec, rng: np.random.Generator):
     # Two arms offset by pi; radius grows by 1/pi per radian so the gap
     # between neighbouring arm passes stays ~1.0 everywhere.
-    counts = _split_counts(spec.n, 2)
-    chunks, labels = [], []
-    for arm, cnt in enumerate(counts):
-        t = np.linspace(0.0, spec.turns * 2.0 * math.pi, max(cnt, 1))[:cnt]
-        r = 0.5 + t / math.pi
-        phase = t + arm * math.pi
-        chunks.append(np.column_stack([r * np.cos(phase), r * np.sin(phase)]))
-        labels += [arm] * cnt
-    return np.vstack([ch for ch in chunks if len(ch)]), np.array(labels)
+    parts = []
+    for arm, cnt in enumerate(_split_counts(spec.n, 2)):
+        t = np.linspace(0.0, spec.turns * 2.0 * math.pi, cnt)
+        r, phase = 0.5 + t / math.pi, t + arm * math.pi
+        parts.append(np.column_stack([r * np.cos(phase), r * np.sin(phase)]))
+    return parts
 
 
 _GENERATORS = {
@@ -164,7 +142,9 @@ _GENERATORS = {
 def generate(spec: GeneratorSpec) -> Dataset:
     """Generate a labelled dataset; identical specs yield identical bits."""
     rng = np.random.default_rng(spec.seed)
-    pts, labels = _GENERATORS[spec.family](spec, rng)
+    parts = _GENERATORS[spec.family](spec, rng)  # one point array per component
+    pts = np.vstack(parts)
+    labels = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
     if spec.family != "blobs" and spec.noise_sigma > 0:
         pts = pts + rng.normal(0.0, spec.noise_sigma, size=pts.shape)
     return Dataset(points=pts, labels=labels)
@@ -235,24 +215,36 @@ def _c_table(path, has_header: bool = False) -> np.ndarray | None:
         return None
 
 
-def load_csv(path, has_header: bool = False, label_column: int | None = None) -> Dataset:
+def _column_named(header: list[str], name: str) -> int | None:
+    """Where ``name`` is in the header, case and surrounding spaces aside, or None."""
+    names = [h.strip().lower() for h in header]
+    return names.index(name.strip().lower()) if name.strip().lower() in names else None
+
+
+def load_csv(path, has_header: bool = False, label_column: int | str | None = None) -> Dataset:
     """Load a dataset from a comma-delimited file.
 
     Every non-label cell must parse as a finite real; rows must all have the
-    same width.  ``label_column`` (0-based) must hold integers that fit in
-    int64, and is removed from the features.  The first fault in the file is
-    reported.
+    same width.  ``label_column``, a 0-based index or a header name (matched
+    case and surrounding spaces aside; where none matches, there are no
+    labels), must hold integers that fit in int64, and is removed from the
+    features.  The first fault in the file is reported.
 
     numpy's C reader parses the file first, and its table is returned when
     the reader takes every record and the table passes the checks above.
     Where numpy accepts a cell it yields ``float()``'s bits, so this is what
     ``_load_csv_python`` returns.  Any other file (quoted cells, ``1_0``,
-    non-ASCII digits, whitespace-only lines, a fault, no data rows) is read
-    by ``_load_csv_python``, one cell at a time in file order, which accepts
-    it or names its first fault, at about 5 times the C reader's time.
+    non-ASCII digits, whitespace-only lines, a fault, no data rows, a pipe)
+    is read by ``_load_csv_python``, one cell at a time in file order, which
+    accepts it or names its first fault, at about 5 times the C reader's time.
     """
+    if isinstance(label_column, str) and not has_header:
+        raise ValueError(f"{path}: label column {label_column!r} is a name, but there is no header")
     table = _c_table(path, has_header)
     if table is not None and len(table) and np.isfinite(table).all():
+        if isinstance(label_column, str):  # a regular file with no quotes: read its header again
+            with open(path) as fh:
+                label_column = _column_named(fh.readline().split(","), label_column)
         if label_column is None:
             return _dataset(table, None)
         width = table.shape[1]
@@ -261,41 +253,46 @@ def load_csv(path, has_header: bool = False, label_column: int | None = None) ->
     return _load_csv_python(path, has_header, label_column)
 
 
-def _load_csv_python(path, has_header: bool = False, label_column: int | None = None) -> Dataset:
+def _load_csv_python(path, has_header: bool = False, label_column: int | str | None = None) -> Dataset:
     """``load_csv`` by the ``csv`` module and ``float()``, one cell at a time
     in file order: the reference reader, and the one that names faults."""
     values = array("d")  # 8 bytes a cell, never a Python float per cell
     width = label_col = None
+    row_no = 0  # the last record read; records count from 1, the header and skipped ones included
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        if has_header:
-            next(reader, None)
-        # row numbers count records from 1, the header and skipped ones included
-        for row_no, row in enumerate(reader, 1 + int(has_header)):
-            if len(row) < 2 and not (row and row[0].strip()):
-                continue  # a blank or whitespace-only record
-            if width is None:
-                width = len(row)
-                if label_column is not None and not -width <= label_column < width:
-                    raise ValueError(f"{path}: label column {label_column} out of range "
-                                     f"for {width} columns")
-                label_col = None if label_column is None else label_column % width
-            if len(row) != width:
-                raise ValueError(f"{path}: row {row_no} has {len(row)} columns, expected {width}")
-            for col_no, cell in enumerate(row):
-                kind = "label" if col_no == label_col else "value"
-                try:
-                    val = float(cell)
-                except ValueError:
-                    raise ValueError(f"{path}: row {row_no}, column {col_no}: "
-                                     f"cannot parse {kind} {cell!r}") from None
-                if kind == "label" and not _is_int64(val):
-                    raise ValueError(f"{path}: row {row_no}, column {col_no}: "
-                                     f"label {cell!r} is not an integer")
-                if kind == "value" and not math.isfinite(val):
-                    raise ValueError(f"{path}: row {row_no}, column {col_no}: "
-                                     f"non-finite value {cell!r}")
-                values.append(val)
+        try:
+            if has_header:
+                header, row_no = next(reader, []), 1
+                if isinstance(label_column, str):
+                    label_column = _column_named(header, label_column)
+            for row_no, row in enumerate(reader, row_no + 1):
+                if len(row) < 2 and not (row and row[0].strip()):
+                    continue  # a blank or whitespace-only record
+                if width is None:
+                    width = len(row)
+                    if label_column is not None and not -width <= label_column < width:
+                        raise ValueError(f"{path}: label column {label_column} out of range "
+                                         f"for {width} columns")
+                    label_col = None if label_column is None else label_column % width
+                if len(row) != width:
+                    raise ValueError(f"{path}: row {row_no} has {len(row)} columns, expected {width}")
+                for col_no, cell in enumerate(row):
+                    kind = "label" if col_no == label_col else "value"
+                    try:
+                        val = float(cell)
+                    except ValueError:
+                        raise ValueError(f"{path}: row {row_no}, column {col_no}: "
+                                         f"cannot parse {kind} {cell!r}") from None
+                    if kind == "label" and not _is_int64(val):
+                        raise ValueError(f"{path}: row {row_no}, column {col_no}: "
+                                         f"label {cell!r} is not an integer")
+                    if kind == "value" and not math.isfinite(val):
+                        raise ValueError(f"{path}: row {row_no}, column {col_no}: "
+                                         f"non-finite value {cell!r}")
+                    values.append(val)
+        except csv.Error as exc:  # a record the csv module refuses: a cell over its field limit
+            raise ValueError(f"{path}: row {row_no + 1}: {exc}") from None
     if width is None:
         raise ValueError(f"{path}: no data rows")
     return _dataset(np.frombuffer(values).reshape(-1, width), label_col)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import warnings
 
 import pytest
@@ -177,6 +178,14 @@ def test_baselines_reject_verbose(tmp_path, capsys, algo, given):
     assert not (tmp_path / f"{algo}_points.csv").exists()
 
 
+def test_baseline_flags_are_checked_before_the_input_is_read(tmp_path, capsys):
+    # a missing flag is a usage error (exit 1) even when the input is missing too
+    code = main(["run", "--algo", "dbscan", "--in", str(tmp_path / "nope.csv")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: dbscan needs --eps and --min-pts; "
+                                              "try --eps 0.1 --min-pts 5\n")
+
+
 def test_missing_input_is_io_error(tmp_path, capsys):
     code = main(["run", "--algo", "gbc", "--in", str(tmp_path / "nope.csv")])
     assert code == EXIT_IO
@@ -198,6 +207,63 @@ def test_non_integer_label_is_validation_error(tmp_path, capsys, label):
     code = main(["run", "--algo", "gbc", "--in", str(bad), "--out", str(tmp_path / "r")])
     assert code == EXIT_INVALID
     assert f"{bad}: row 3, column 1: label '{label}' is not an integer" in capsys.readouterr().err
+
+
+def _files(prefix):
+    return [open(f"{prefix}{suffix}", "rb").read() for suffix in ("_points.csv", "_balls.csv")]
+
+
+def test_run_reads_a_pipe_once(tmp_path):
+    # the whole file comes through the pipe, header included, and gives the
+    # file's own output
+    data = _gen(tmp_path, "blobs5.csv", "blobs5")
+    assert main(["run", "--algo", "gbc", "--in", str(data), "--out", str(tmp_path / "file")]) == EXIT_OK
+    r, w = os.pipe()
+    writer = threading.Thread(target=lambda: [os.write(w, data.read_bytes()), os.close(w)])
+    writer.start()  # the file is larger than a pipe's buffer
+    try:
+        code = main(["run", "--algo", "gbc", "--in", f"/dev/fd/{r}", "--out", str(tmp_path / "pipe")])
+    finally:
+        writer.join()
+        os.close(r)
+    assert code == EXIT_OK
+    assert _files(tmp_path / "pipe") == _files(tmp_path / "file")
+    summary = json.loads((tmp_path / "pipe_summary.json").read_text())
+    assert summary["n_points"] == 2500 and summary["rand_index"] == 1.0
+
+
+def test_run_finds_the_label_column_by_its_name(tmp_path):
+    data = _gen(tmp_path, "blobs5.csv", "blobs5")
+    text = data.read_text()
+    spaced = tmp_path / "spaced.csv"
+    spaced.write_text(text.replace(",label\n", ", Label \n", 1))
+    for given, name, prefix in (([], data, "auto"), (["--label-column", "2"], data, "index"),
+                                ([], spaced, "spaced")):
+        assert main(["run", "--algo", "gbc", "--in", str(name), "--out", str(tmp_path / prefix),
+                     *given]) == EXIT_OK
+        summary = json.loads((tmp_path / f"{prefix}_summary.json").read_text())
+        assert summary["dim"] == 2 and summary["rand_index"] == 1.0
+        assert _files(tmp_path / prefix) == _files(tmp_path / "auto")
+
+
+def test_no_header_on_a_file_with_one_names_row_1(tmp_path, capsys):
+    data = _gen(tmp_path)
+    code = main(["run", "--algo", "gbc", "--in", str(data), "--no-header", "--out", str(tmp_path / "r")])
+    assert code == EXIT_INVALID
+    assert f"{data}: row 1, column 0: cannot parse value 'x0'" in capsys.readouterr().err
+    assert not (tmp_path / "r_points.csv").exists()
+
+
+@pytest.mark.parametrize("cell", ['"1.' + "0" * 140_000 + '"', "1" * 140_000], ids=["quoted", "inf"])
+def test_a_cell_past_the_csv_field_limit_is_validation_error(tmp_path, capsys, cell):
+    # quoted, or read by numpy as inf, the cell reaches the Python reader,
+    # whose csv module refuses it
+    bad = tmp_path / "long.csv"
+    bad.write_text(f"x0,label\n1.0,0\n{cell},1\n")
+    assert main(["run", "--algo", "gbc", "--in", str(bad), "--out", str(tmp_path / "r")]) == EXIT_INVALID
+    assert f"{bad}: row 3: field larger than field limit" in capsys.readouterr().err
+    assert main(["eval", "--truth", str(bad), "--pred", str(bad)]) == EXIT_INVALID
+    assert f"{bad}: row 3: field larger than field limit" in capsys.readouterr().err
 
 
 def test_one_labelled_point_writes_every_file_with_null_score(tmp_path, capsys):
