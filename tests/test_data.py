@@ -123,7 +123,7 @@ def test_load_csv_label_column_by_name(tmp_path, text):
         assert ds.points.tolist() == [[1.0, 3.0], [4.0, 6.0]] and ds.labels.tolist() == [2, 5]
         ds = reader(p, has_header=True, label_column="truth")
         assert ds.points.shape == (2, 3) and ds.labels is None
-    with pytest.raises(ValueError, match="'label' is a name, but the file has no header"):
+    with pytest.raises(ValueError, match="'label' is a name, but there is no header"):
         load_csv(p, label_column="label")
 
 
