@@ -88,7 +88,7 @@ def _build_parser() -> _Parser:
     run.add_argument("--no-header", action="store_true", help="input has no header row")
     run.add_argument("--label-column", type=int, default=None,
                      help="0-based ground-truth column to strip (default: a column "
-                          "literally named 'label', when the file has a header)")
+                          "named 'label', case and spaces aside, when the file has a header)")
     run.add_argument("--seed", type=int, default=None,
                      help="seed for seeded algorithms (kmeans; default 0)")
     run.add_argument("--k", type=int, default=None, help="cluster count (kmeans, dpeak)")
