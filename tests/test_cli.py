@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +49,14 @@ def test_gbc_rejects_algorithm_parameters(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
     assert "gbc takes no algorithm parameters" in captured.err
+
+
+def test_unused_flags_are_named_in_one_order(tmp_path, capsys):
+    # the baselines' required flags in config order, then --seed
+    data = _gen(tmp_path)
+    code = main(["run", "--algo", "gbc", "--in", str(data), "--seed", "2", "--dc", "1", "--k", "3"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: --k, --dc, --seed: gbc takes no algorithm parameters;")
 
 
 def test_baselines_require_their_flags(tmp_path, capsys):
@@ -210,7 +219,7 @@ def test_non_integer_label_is_validation_error(tmp_path, capsys, label):
 
 
 def _files(prefix):
-    return [open(f"{prefix}{suffix}", "rb").read() for suffix in ("_points.csv", "_balls.csv")]
+    return [Path(f"{prefix}{suffix}").read_bytes() for suffix in ("_points.csv", "_balls.csv")]
 
 
 def test_run_reads_a_pipe_once(tmp_path):
@@ -219,13 +228,19 @@ def test_run_reads_a_pipe_once(tmp_path):
     data = _gen(tmp_path, "blobs5.csv", "blobs5")
     assert main(["run", "--algo", "gbc", "--in", str(data), "--out", str(tmp_path / "file")]) == EXIT_OK
     r, w = os.pipe()
-    writer = threading.Thread(target=lambda: [os.write(w, data.read_bytes()), os.close(w)])
+
+    def feed():
+        with open(w, "wb") as fh:
+            fh.write(data.read_bytes())
+
+    writer = threading.Thread(target=feed)
     writer.start()  # the file is larger than a pipe's buffer
     try:
         code = main(["run", "--algo", "gbc", "--in", f"/dev/fd/{r}", "--out", str(tmp_path / "pipe")])
     finally:
-        writer.join()
-        os.close(r)
+        os.close(r)  # a writer still blocked on a full pipe fails at once
+        writer.join(timeout=10)
+    assert not writer.is_alive()
     assert code == EXIT_OK
     assert _files(tmp_path / "pipe") == _files(tmp_path / "file")
     summary = json.loads((tmp_path / "pipe_summary.json").read_text())
