@@ -92,10 +92,8 @@ class _Strips:
         self.reach = 4 * r_max
         width = max(self.reach, float(span.max()) * _FILL / len(centers)) or 1.0
         strip = np.floor((centers[:, self.axes[0]] - low[self.axes[0]]) / width).astype(np.int64)
-        y = centers[:, self.axes[-1]]
-        self.order = np.lexsort((y, strip))
+        self.order = np.lexsort((centers[:, self.axes[-1]], strip))
         self.centers = centers.take(self.order, axis=0).T.copy()  # (d, m), coordinates first
-        self.y = y[self.order]
         strip = strip[self.order]
         starts = np.flatnonzero(np.diff(strip, prepend=strip[:1] - 1))  # of the runs of one strip
         self.bounds = np.append(starts, strip.size)
@@ -243,7 +241,7 @@ def _pairwise_center_distances(ballset: BallSet) -> _Sweep:
     reach_end = np.append(strips.bounds[2:], strips.bounds[-1])
     order, bounds = _leaves(strips.centers, strips.bounds,
                             np.maximum(_FILL, _TILE // (reach_end - strips.bounds[:-1])))
-    c, y, w = strips.centers.take(order, axis=1), strips.y[order], strips.reach
+    c, w, ax = strips.centers.take(order, axis=1), strips.reach, strips.axes[-1]
     ball = strips.order[order]
     r = np.where(alone, np.nan, ballset.radii)[ball]
     r_bound = np.where(alone, r_mean, ballset.radii)[ball]
@@ -276,7 +274,7 @@ def _pairwise_center_distances(ballset: BallSet) -> _Sweep:
         leaf, col0, col1 = a[first], bounds[b[first]], bounds[b[last] + 1]
         width = col1 - col0
         col = _runs(col0, width)
-        ax, ys = strips.axes[-1], y[col]
+        ys = c[ax][col]
         inside = (ys >= np.repeat(lo[ax][leaf] - w, width)) & (ys <= np.repeat(hi[ax][leaf] + w, width))
         tile_start = np.cumsum(width) - width
         col0 = np.minimum.reduceat(np.where(inside, col, c.shape[1]), tile_start)

@@ -71,15 +71,16 @@ class DivisionTrace:
         self.partitions.append(sorted(balls, key=lambda ball: ball[0]))
 
 
-def _partition(to_a: np.ndarray, sizes: np.ndarray, starts: np.ndarray):
+def _partition(to_a: np.ndarray, sizes: np.ndarray, starts: np.ndarray, tried: np.ndarray):
     """The stable sort by (segment, side) of the rows of the segments, runs
-    ``sizes`` from ``starts``, that ``to_a`` splits in two (``ok``), in O(n):
-    a segment is a run of all a-rows and a run of all b-rows, gathered in
-    turn.  Returns ok, the side sizes a0, b0, a1, ... and the positions."""
+    ``sizes`` from ``starts``, that ``to_a`` splits in two (``ok``) among
+    those in the mask ``tried``, in O(n): a segment is a run of all a-rows
+    and a run of all b-rows, gathered in turn.  Returns ok, the side sizes
+    a0, b0, a1, ... and the positions."""
     a_rows = np.flatnonzero(to_a)
     a_before = np.searchsorted(a_rows, np.append(starts, to_a.size))
     n_a = np.diff(a_before)
-    ok = (n_a > 0) & (n_a < sizes)
+    ok = tried & (n_a > 0) & (n_a < sizes)
     a_before = a_before[:-1][ok]
     side_starts = np.column_stack((a_before, a_rows.size + starts[ok] - a_before)).ravel()
     side_sizes = np.column_stack((n_a[ok], sizes[ok] - n_a[ok])).ravel()
@@ -88,19 +89,21 @@ def _partition(to_a: np.ndarray, sizes: np.ndarray, starts: np.ndarray):
     return ok, side_sizes, by_side.take(_runs(side_starts, side_sizes))
 
 
-def _sides(pts: np.ndarray, far: np.ndarray, sizes: np.ndarray, centers: np.ndarray):
-    """Assign the members of every ball, a run ``sizes`` of the columns of pts
-    (d, n), to its two children; ``far`` holds each ball's offset of its
-    member farthest from its centre (``centers``, d by k).
+def _sides(pts: np.ndarray, far: np.ndarray, sizes: np.ndarray, centers: np.ndarray,
+           tried: np.ndarray):
+    """Assign the members of every ball in the mask ``tried``, a run ``sizes``
+    of the columns of pts (d, n), to its two children; ``far`` holds each
+    ball's offset of its member farthest from its centre (``centers``, d by
+    k).  The other balls' columns go through the same passes, unused.
 
     The seeds are that member, p1, and the member farthest from p1, p2 (ties
     to the lowest point index).  Member x joins child a when |x - p1|² -
     |x - p2|² <= (|c - p1|² - |c - p2|²) / 2, that is, by the parallelogram
     law, when it is no farther from the midpoint of c and p1 than from that
     of c and p2; the distances to p1 are those that found p2.  Returns
-    ``ok`` (k,), False where a side ends up empty (coincident members); the
-    child sizes; and the positions of the columns of the ok balls, children
-    in the order a0, b0, a1, ..., members ascending.
+    ``ok`` (k,), False outside ``tried`` or where a side ends up empty
+    (coincident members); the child sizes; and the positions of the columns
+    of the ok balls, children a0, b0, a1, ..., members ascending.
     """
     starts = np.cumsum(sizes) - sizes
     p1 = pts.take(starts + far, axis=1)
@@ -110,7 +113,7 @@ def _sides(pts: np.ndarray, far: np.ndarray, sizes: np.ndarray, centers: np.ndar
     cut = (squared_distances(centers, p1) - squared_distances(centers, p2)) / 2.0
     to_a = diff <= np.repeat(cut, sizes)
     del diff
-    return _partition(to_a, sizes, starts)
+    return _partition(to_a, sizes, starts, tried)
 
 
 def _fit_children(child_pts: np.ndarray, child_sizes: np.ndarray):
@@ -122,10 +125,7 @@ def _fit_children(child_pts: np.ndarray, child_sizes: np.ndarray):
 
 def _pick(tables: tuple, pts: np.ndarray, ids: np.ndarray, which: np.ndarray) -> tuple:
     """The balls ``which`` (a mask) of ``tables``, whose last axis runs over
-    the balls, sizes first, with their runs of the columns pts and ids; the
-    arrays themselves when every ball is picked."""
-    if which.all():
-        return (*tables, pts, ids)
+    the balls, sizes first, with their runs of the columns pts and ids."""
     cols = np.repeat(which, tables[0])
     return (*[table[..., which] for table in tables], pts.compress(cols, axis=1), ids[cols])
 
@@ -140,8 +140,8 @@ def split_once(dataset: Dataset, ball: BallSet):
         raise ValueError("split_once needs a BallSet of one ball with at least 2 members")
     pts = dataset.points.take(ball.order, axis=0).T.copy()
     center = ball.centers.T
-    ok, sizes, part = _sides(
-        pts, first_argmax(distances(pts, center), np.array([0]), ball.sizes), ball.sizes, center)
+    ok, sizes, part = _sides(pts, first_argmax(distances(pts, center), np.array([0]), ball.sizes),
+                             ball.sizes, center, np.array([True]))
     if not ok[0]:
         return None
     centers, radii, sums, _ = _fit_children(pts.take(part, axis=1), sizes)
@@ -184,9 +184,10 @@ def generate_balls(dataset: Dataset, trace: DivisionTrace | None = None) -> Ball
     of columns, members ascending, of the points (d, n) and their ids, so
     each ball is fitted once; tables hold the sizes, centres (d, k), radii,
     distance sums and the offset in its run of the member farthest from the
-    centre.  In phase 1 these hold the balls that the round tries, in phase 2
-    every ball.  About one copy of the columns is live at a time: a round
-    drops its parent columns once it has gathered the children's.
+    centre.  In phase 1 they hold the last round's children, of which a round
+    tries those of accepted splits with at least MIN_SPLIT_SIZE members; in
+    phase 2, every ball.  About one copy of the columns is live at a time: a
+    round drops its parent columns once it has gathered the children's.
     """
     if trace is None:
         trace = DivisionTrace()
@@ -199,23 +200,20 @@ def generate_balls(dataset: Dataset, trace: DivisionTrace | None = None) -> Ball
     # Phase 1: quality-driven splitting.  Each ball is examined once; a ball
     # whose split fails or is rejected is final, its children otherwise
     # re-enter the queue.  The columns of the final balls lie in the order
-    # that they became final.  The accepted children (``kids``, columns pts
-    # and ids, with those of the rejected splits' children) under
-    # MIN_SPLIT_SIZE are final at once, the others are the next round's
-    # arrays, and a rejected ball's ascending columns are taken back from its
-    # children.
+    # that they became final.  A round's tables (``kids``, columns pts and
+    # ids) hold the last round's children.  It tries the live ones, those of
+    # accepted splits, of at least MIN_SPLIT_SIZE members, and the other live
+    # ones are final.  The gather of its children drops the columns of the
+    # final balls and of the rejected splits' children, from which their
+    # parent's ascending columns were taken back.
     final = []  # pieces: sizes, centres, radii, sums, farthest offsets, columns and ids
-    accepted, done = np.array([True]), 0
-    while accepted.any():
-        small = accepted & (kids[0] < MIN_SPLIT_SIZE)
-        if small.any():
-            final.append(_pick(kids, pts, ids, small))
-        sizes, centers, radii, sums, far, pts, ids = _pick(kids, pts, ids, accepted ^ small)
-        tried = (sizes, centers, radii, sums, far)
+    live, done = np.array([True]), 0
+    while live.any():
+        sizes, centers, radii, sums, far = kids
         starts = np.cumsum(sizes) - sizes
-        ok, c_sizes, part = _sides(pts, far, sizes, centers)
-        if not ok.all():
-            final.append(_pick(tried, pts, ids, ~ok))
+        ok, c_sizes, part = _sides(pts, far, sizes, centers, live & (sizes >= MIN_SPLIT_SIZE))
+        if (live & ~ok).any():
+            final.append(_pick(kids, pts, ids, live & ~ok))
         ids = ids[part]  # the parent ids and then columns go here, one at a time
         pts = pts.take(part, axis=1)
         kids = (c_sizes, *_fit_children(pts, c_sizes))
@@ -228,16 +226,16 @@ def generate_balls(dataset: Dataset, trace: DivisionTrace | None = None) -> Ball
             back = np.empty(sizes.sum(), dtype=np.int64)  # part's inverse
             back[part] = np.arange(part.size)
             cols = back[_runs(starts[rejected], sizes[rejected])]
-            final.append((*(table[..., rejected] for table in tried),
+            final.append((*(table[..., rejected] for table in (sizes, centers, radii, sums, far)),
                           pts.take(cols, axis=1), ids[cols]))
             del back, cols
-        del part, tried
+        del part
         splits = int(better.sum())
-        accepted, done = np.repeat(better, 2), done + int(small.sum()) + sizes.size - splits
+        live, done = np.repeat(better, 2), done + int(live.sum()) - splits
         trace.rounds.append(RoundStats("divide", done + 2 * splits, splits, 0))
         if trace.capture_partitions:
             trace._snapshot([(f[0], f[6]) for f in final] + [
-                (c_sizes[accepted], ids[np.repeat(accepted, c_sizes)])])
+                (c_sizes[live], ids[np.repeat(live, c_sizes)])])
     *tables, pts, ids = zip(*final)
     del final, kids
     pts = np.concatenate(pts, axis=1)  # the pieces of columns go once joined
@@ -263,7 +261,8 @@ def generate_balls(dataset: Dataset, trace: DivisionTrace | None = None) -> Ball
         rounds += 1
         pos = _runs(starts[over], sizes[over])
         c_pts = pts.take(pos, axis=1)
-        ok, c_sizes, part = _sides(c_pts, far[over], sizes[over], centers.take(over, axis=1))
+        ok, c_sizes, part = _sides(c_pts, far[over], sizes[over], centers.take(over, axis=1),
+                                   np.ones(over.size, dtype=bool))
         c_pts = c_pts.take(part, axis=1)  # the gathered copy goes before the fit
         fit = _fit_children(c_pts, c_sizes)
         split_pos = pos[np.repeat(ok, sizes[over])]

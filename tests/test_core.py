@@ -136,7 +136,7 @@ def _seeds(ds, ball):
 
     division.first_argmax = recorded
     try:
-        division._sides(pts, far, ball.sizes, ball.centers.T)
+        division._sides(pts, far, ball.sizes, ball.centers.T, np.array([True]))
     finally:
         division.first_argmax = kernel
     (p2,), = found

@@ -479,12 +479,39 @@ def test_partition_is_the_stable_sort_of_the_ok_segments():
         side = rng.uniform(size=sizes.size) < 0.5
         side[:2] = True, False
         to_a = np.where(one_side[seg], side[seg], to_a)
-        ok, side_sizes, part = _partition(to_a, sizes, starts)
+        # segments a round does not try, with rows on both sides or on one
+        tried = rng.uniform(size=sizes.size) < 0.7
+        tried[2:4] = False
+        ok, side_sizes, part = _partition(to_a, sizes, starts, tried)
         n_a = np.bincount(seg, weights=to_a, minlength=sizes.size).astype(np.int64)
-        assert np.array_equal(ok, (n_a > 0) & (n_a < sizes))
+        assert np.array_equal(ok, tried & (n_a > 0) & (n_a < sizes))
+        assert not ok[~tried].any() and not np.isin(seg[part], np.flatnonzero(~tried)).any()
         assert np.array_equal(side_sizes, np.column_stack((n_a[ok], sizes[ok] - n_a[ok])).ravel())
         by_side = np.argsort(seg * 2 + ~to_a, kind="stable")
         assert np.array_equal(part, by_side[ok[seg[by_side]]])
+
+
+@pytest.mark.parametrize("name", ["blobs10k", "rounded"])
+def test_phase_1_hands_each_point_to_sides_once_outside_a_tried_ball(monkeypatch, name):
+    # A round hands _sides the columns of every ball it holds, tried or not.
+    # The live balls it does not split are final, and the children's gather
+    # drops them with the rejected splits' children, so a point goes through
+    # _sides at most once in a ball that its round does not try.
+    if name == "blobs10k":
+        ds = generate(BUNDLED_DATASETS["blobs10k"])
+    else:  # about 60 distinct values on a line, so that many splits fail
+        ds = Dataset(points=np.round(np.random.default_rng(3).normal(size=(5_000, 1)), 1))
+    untried, sides = [], division._sides
+
+    def counted(pts, far, sizes, centers, tried):
+        untried.append(pts.shape[1] - int(sizes[tried].sum()))
+        return sides(pts, far, sizes, centers, tried)
+
+    monkeypatch.setattr(division, "_sides", counted)
+    trace = DivisionTrace()
+    generate_balls(ds, trace)
+    phase_1 = untried[:sum(r.phase == "divide" for r in trace.rounds)]
+    assert 0 < sum(phase_1) <= len(ds)
 
 
 def _reduceat_sum(x):
