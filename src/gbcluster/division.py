@@ -184,60 +184,61 @@ def generate_balls(dataset: Dataset, trace: DivisionTrace | None = None) -> Ball
     of columns, members ascending, of the points (d, n) and their ids, so
     each ball is fitted once; tables hold the sizes, centres (d, k), radii,
     distance sums and the offset in its run of the member farthest from the
-    centre.  In phase 1 they hold the last round's children, of which a round
-    tries those of accepted splits with at least MIN_SPLIT_SIZE members; in
-    phase 2, every ball.  About one copy of the columns is live at a time: a
-    round drops its parent columns once it has gathered the children's.
+    centre.  In phase 1 they hold the balls that the last round left, of
+    which a round tries the children of accepted splits with at least
+    MIN_SPLIT_SIZE members; in phase 2, every ball.  About one copy of the
+    columns is live at a time: a round drops its parent columns once it has
+    gathered the children's.
     """
     if trace is None:
         trace = DivisionTrace()
     root = fit_ball(dataset, np.arange(len(dataset)))
     pts, ids = _columns(dataset.points), root.order
     far = first_argmax(distances(pts, root.centers.T), np.array([0]), root.sizes)
-    kids = (root.sizes, root.centers.T, root.radii, root.sum_radius, far)
+    balls = (root.sizes, root.centers.T, root.radii, root.sum_radius, far)
     del root
 
     # Phase 1: quality-driven splitting.  Each ball is examined once; a ball
     # whose split fails or is rejected is final, its children otherwise
-    # re-enter the queue.  The columns of the final balls lie in the order
-    # that they became final.  A round's tables (``kids``, columns pts and
-    # ids) hold the last round's children.  It tries the live ones, those of
-    # accepted splits, of at least MIN_SPLIT_SIZE members, and the other live
-    # ones are final.  The gather of its children drops the columns of the
-    # final balls and of the rejected splits' children, from which their
-    # parent's ascending columns were taken back.
+    # re-enter the queue.  A round holds what the last one left (``balls``,
+    # columns pts and ids): the children of its accepted splits, which are
+    # live, and the parents of its rejected ones, whose ascending columns
+    # were put back in place of the children's.  It tries the live balls of
+    # at least MIN_SPLIT_SIZE members; the others are final, leave in one
+    # pick and drop out of the children's gather.  The columns of the final
+    # balls lie in the order that they became final.
     final = []  # pieces: sizes, centres, radii, sums, farthest offsets, columns and ids
-    live, done = np.array([True]), 0
+    live = np.array([True])
     while live.any():
-        sizes, centers, radii, sums, far = kids
-        starts = np.cumsum(sizes) - sizes
+        sizes, centers, radii, sums, far = balls
         ok, c_sizes, part = _sides(pts, far, sizes, centers, live & (sizes >= MIN_SPLIT_SIZE))
-        if (live & ~ok).any():
-            final.append(_pick(kids, pts, ids, live & ~ok))
+        if not ok.all():
+            final.append(_pick(balls, pts, ids, ~ok))
         ids = ids[part]  # the parent ids and then columns go here, one at a time
         pts = pts.take(part, axis=1)
-        kids = (c_sizes, *_fit_children(pts, c_sizes))
+        balls = (c_sizes, *_fit_children(pts, c_sizes))
         parent_ad = sums[ok] / sizes[ok]
-        child_ad = (kids[3] / c_sizes).reshape(-1, 2)
+        child_ad = (balls[3] / c_sizes).reshape(-1, 2)
         better = should_split(parent_ad, child_ad[:, 0], child_ad[:, 1])
-        rejected = ok.copy()
-        rejected[ok] = ~better
-        if rejected.any():
+        live = np.repeat(better, better + 1)  # a rejected split keeps one row, its parent's
+        if not better.all():
+            rejected = np.flatnonzero(ok)[~better]
             back = np.empty(sizes.sum(), dtype=np.int64)  # part's inverse
             back[part] = np.arange(part.size)
-            cols = back[_runs(starts[rejected], sizes[rejected])]
-            final.append((*(table[..., rejected] for table in (sizes, centers, radii, sums, far)),
-                          pts.take(cols, axis=1), ids[cols]))
-            del back, cols
+            cols = back[_runs((np.cumsum(sizes) - sizes)[rejected], sizes[rejected])]
+            at = _runs((np.cumsum(c_sizes) - c_sizes)[::2][~better], sizes[rejected])
+            pts[:, at], ids[at] = pts.take(cols, axis=1), ids[cols]
+            del back, cols, at
+            balls = [np.delete(table, 2 * np.flatnonzero(~better) + 1, axis=-1) for table in balls]
+            for table, parent in zip(balls, (sizes, centers, radii, sums, far)):
+                table[..., ~live] = parent[..., rejected]
         del part
-        splits = int(better.sum())
-        live, done = np.repeat(better, 2), done + int(live.sum()) - splits
-        trace.rounds.append(RoundStats("divide", done + 2 * splits, splits, 0))
+        trace.rounds.append(RoundStats(
+            "divide", sum(f[0].size for f in final) + live.size, int(better.sum()), 0))
         if trace.capture_partitions:
-            trace._snapshot([(f[0], f[6]) for f in final] + [
-                (c_sizes[live], ids[np.repeat(live, c_sizes)])])
-    *tables, pts, ids = zip(*final)
-    del final, kids
+            trace._snapshot([(f[0], f[6]) for f in final] + [(balls[0], ids)])
+    *tables, pts, ids = zip(*final, (*balls, pts, ids))
+    del final, balls
     pts = np.concatenate(pts, axis=1)  # the pieces of columns go once joined
     ids = np.concatenate(ids)
     sizes, centers, radii, sums, far = (np.concatenate(t, axis=-1) for t in tables)

@@ -494,9 +494,9 @@ def test_partition_is_the_stable_sort_of_the_ok_segments():
 @pytest.mark.parametrize("name", ["blobs10k", "rounded"])
 def test_phase_1_hands_each_point_to_sides_once_outside_a_tried_ball(monkeypatch, name):
     # A round hands _sides the columns of every ball it holds, tried or not.
-    # The live balls it does not split are final, and the children's gather
-    # drops them with the rejected splits' children, so a point goes through
-    # _sides at most once in a ball that its round does not try.
+    # A ball that it does not split is final and drops out of the children's
+    # gather, so a point goes through _sides at most once in a ball that its
+    # round does not try.
     if name == "blobs10k":
         ds = generate(BUNDLED_DATASETS["blobs10k"])
     else:  # about 60 distinct values on a line, so that many splits fail
