@@ -221,15 +221,14 @@ def generate_balls(dataset: Dataset, trace: DivisionTrace | None = None) -> Ball
         child_ad = (balls[3] / c_sizes).reshape(-1, 2)
         better = should_split(parent_ad, child_ad[:, 0], child_ad[:, 1])
         live = np.repeat(better, better + 1)  # a rejected split keeps one row, its parent's
-        if not better.all():
+        if not better.all():  # the parent's columns, ascending, go back in place of its children's
             rejected = np.flatnonzero(ok)[~better]
-            back = np.empty(sizes.sum(), dtype=np.int64)  # part's inverse
-            back[part] = np.arange(part.size)
-            cols = back[_runs((np.cumsum(sizes) - sizes)[rejected], sizes[rejected])]
             at = _runs((np.cumsum(c_sizes) - c_sizes)[::2][~better], sizes[rejected])
+            cols = at[np.argsort(part[at], kind="stable")]
             pts[:, at], ids[at] = pts.take(cols, axis=1), ids[cols]
-            del back, cols, at
-            balls = [np.delete(table, 2 * np.flatnonzero(~better) + 1, axis=-1) for table in balls]
+            del at, cols
+            keep = np.column_stack((np.ones_like(better), better)).ravel()  # child a's row stays
+            balls = [table[..., keep] for table in balls]
             for table, parent in zip(balls, (sizes, centers, radii, sums, far)):
                 table[..., ~live] = parent[..., rejected]
         del part
