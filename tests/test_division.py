@@ -494,9 +494,9 @@ def test_partition_is_the_stable_sort_of_the_ok_segments():
 @pytest.mark.parametrize("name", ["blobs10k", "rounded"])
 def test_phase_1_hands_each_point_to_sides_once_outside_a_tried_ball(monkeypatch, name):
     # A round hands _sides the columns of every ball it holds, tried or not.
-    # A ball that it does not split is final and drops out of the children's
-    # gather, so a point goes through _sides at most once in a ball that its
-    # round does not try.
+    # One that it does not try is final, or the child of a rejected split,
+    # whose parent is; either way the children's gather drops it, so a point
+    # goes through _sides at most once in a ball that its round does not try.
     if name == "blobs10k":
         ds = generate(BUNDLED_DATASETS["blobs10k"])
     else:  # about 60 distinct values on a line, so that many splits fail
@@ -593,11 +593,14 @@ def test_division_memory_at_8_dimensions():
     # 12.40 MiB (8.1 times the input) while division carried a distance per
     # member through every round and kept each round's copies alive; 7.73 MiB
     # (5.1 times) with a farthest-member offset per ball and the copies
-    # freed; 4.70 MiB (3.08 times) since a round drops its parent columns
-    # once it has gathered the children's, carries only the balls it tries
-    # and keeps no accepted splits without a caller's trace
+    # freed; 4.70 MiB (3.08 times) once a round dropped its parent columns
+    # as soon as it had gathered the children's, carried only the balls it
+    # tried and kept no accepted splits without a caller's trace; 4.88 MiB
+    # (3.20 times) since a round carries the balls it does not try to its
+    # children's gather in place of compacting its copy
     (100_000, 2, 3.5),
-    # 6.60 MiB (5.4 times), then 4.33 MiB (3.5 times), now 2.82 MiB (2.31 times)
+    # 6.60 MiB (5.4 times), then 4.33 MiB (3.5 times), then 2.82 MiB (2.31
+    # times), now 2.76 MiB (2.26 times)
     (20_000, 8, 2.75),
 ], ids=["2d-100k", "8d-20k"])
 def test_division_working_set_in_input_bytes(n, dim, times):
