@@ -184,8 +184,8 @@ def generate_balls(dataset: Dataset, trace: DivisionTrace | None = None) -> Ball
     of columns, members ascending, of the points (d, n) and their ids, so
     each ball is fitted once; tables hold the sizes, centres (d, k), radii,
     distance sums and the offset in its run of the member farthest from the
-    centre.  In phase 1 they hold the last round's children, of which a
-    round tries, by a mask, those of accepted splits with at least
+    centre.  In phase 1 they hold the balls that the last round left, of
+    which a round tries the children of accepted splits with at least
     MIN_SPLIT_SIZE members; in phase 2, every ball.  About one copy of the
     columns is live at a time: a round drops its parent columns once it has
     gathered the children's.
@@ -195,48 +195,48 @@ def generate_balls(dataset: Dataset, trace: DivisionTrace | None = None) -> Ball
     root = fit_ball(dataset, np.arange(len(dataset)))
     pts, ids = _columns(dataset.points), root.order
     far = first_argmax(distances(pts, root.centers.T), np.array([0]), root.sizes)
-    kids = (root.sizes, root.centers.T, root.radii, root.sum_radius, far)
+    balls = (root.sizes, root.centers.T, root.radii, root.sum_radius, far)
     del root
 
     # Phase 1: quality-driven splitting.  Each ball is examined once; a ball
     # whose split fails or is rejected is final, its children otherwise
-    # re-enter the queue.  A round's tables (``kids``, columns pts and ids)
-    # hold the last round's children.  It tries the live ones, those of
-    # accepted splits, of at least MIN_SPLIT_SIZE members; the other live
-    # ones and the failed splits are final and leave in one pick.  A rejected
-    # split's parent takes its ascending columns back from its children.  The
-    # gather of the children drops the final balls and the rejected splits'
-    # children, so the carry is never compacted.  The columns of the final
-    # balls lie in the order that they became final.
+    # re-enter the queue.  A round holds what the last one left (``balls``,
+    # columns pts and ids): the accepted splits' children, which are live,
+    # and each rejected split's parent, in child a's row, its columns put
+    # back.  It tries the live balls of at least MIN_SPLIT_SIZE members; the
+    # others and the failed splits are final, leave in one pick and drop out
+    # of the children's gather, so the carry is never compacted.
     final = []  # pieces: sizes, centres, radii, sums, farthest offsets, columns and ids
     live = np.array([True])
     while live.any():
-        sizes, centers, radii, sums, far = kids
+        sizes, centers, radii, sums, far = balls
         ok, c_sizes, part = _sides(pts, far, sizes, centers, live & (sizes >= MIN_SPLIT_SIZE))
-        if (live & ~ok).any():
-            final.append(_pick(kids, pts, ids, live & ~ok))
+        if not ok.all():
+            final.append(_pick(balls, pts, ids, ~ok))
         ids = ids[part]  # the parent ids and then columns go here, one at a time
         pts = pts.take(part, axis=1)
-        kids = (c_sizes, *_fit_children(pts, c_sizes))
+        balls = (c_sizes, *_fit_children(pts, c_sizes))
         parent_ad = sums[ok] / sizes[ok]
-        child_ad = (kids[3] / c_sizes).reshape(-1, 2)
+        child_ad = (balls[3] / c_sizes).reshape(-1, 2)
         better = should_split(parent_ad, child_ad[:, 0], child_ad[:, 1])
-        if not better.all():
+        live = np.repeat(better, better + 1)  # a rejected split keeps one row, its parent's
+        if not better.all():  # the parent's columns, ascending, go back in place of its children's
             rejected = np.flatnonzero(ok)[~better]
             at = _runs((np.cumsum(c_sizes) - c_sizes)[::2][~better], sizes[rejected])
-            cols = at[np.argsort(part[at], kind="stable")]  # merges the ascending runs a and b
-            final.append((*(table[..., rejected] for table in (sizes, centers, radii, sums, far)),
-                          pts.take(cols, axis=1), ids[cols]))
+            cols = at[np.argsort(part[at], kind="stable")]
+            pts[:, at], ids[at] = pts.take(cols, axis=1), ids[cols]
             del at, cols
+            stay = np.flatnonzero(np.column_stack((np.ones_like(better), better)))  # child a's row
+            balls = [table.take(stay, axis=-1) for table in balls]
+            for table, parent in zip(balls, (sizes, centers, radii, sums, far)):
+                table[..., ~live] = parent.take(rejected, axis=-1)
         del part
-        live, splits = np.repeat(better, 2), int(better.sum())
         trace.rounds.append(RoundStats(
-            "divide", sum(f[0].size for f in final) + 2 * splits, splits, 0))
+            "divide", sum(f[0].size for f in final) + live.size, int(better.sum()), 0))
         if trace.capture_partitions:
-            trace._snapshot([(f[0], f[6]) for f in final] + [
-                (c_sizes[live], ids[np.repeat(live, c_sizes)])])
-    *tables, pts, ids = zip(*final)
-    del final, kids
+            trace._snapshot([(f[0], f[6]) for f in final] + [(balls[0], ids)])
+    *tables, pts, ids = zip(*final, (*balls, pts, ids))
+    del final, balls
     pts = np.concatenate(pts, axis=1)  # the pieces of columns go once joined
     ids = np.concatenate(ids)
     sizes, centers, radii, sums, far = (np.concatenate(t, axis=-1) for t in tables)

@@ -494,9 +494,10 @@ def test_partition_is_the_stable_sort_of_the_ok_segments():
 @pytest.mark.parametrize("name", ["blobs10k", "rounded"])
 def test_phase_1_hands_each_point_to_sides_once_outside_a_tried_ball(monkeypatch, name):
     # A round hands _sides the columns of every ball it holds, tried or not.
-    # One that it does not try is final, or the child of a rejected split,
-    # whose parent is; either way the children's gather drops it, so a point
-    # goes through _sides at most once in a ball that its round does not try.
+    # One that it does not try is final: a child below the floor, or a
+    # rejected split's parent, put back in place of its children.  It leaves
+    # in one pick and the children's gather drops it, so a point goes
+    # through _sides at most once in a ball that its round does not try.
     if name == "blobs10k":
         ds = generate(BUNDLED_DATASETS["blobs10k"])
     else:  # about 60 distinct values on a line, so that many splits fail
@@ -595,12 +596,13 @@ def test_division_memory_at_8_dimensions():
     # (5.1 times) with a farthest-member offset per ball and the copies
     # freed; 4.70 MiB (3.08 times) once a round dropped its parent columns
     # as soon as it had gathered the children's, carried only the balls it
-    # tried and kept no accepted splits without a caller's trace; 4.88 MiB
-    # (3.20 times) since a round carries the balls it does not try to its
+    # tried and kept no accepted splits without a caller's trace; 4.68 MiB
+    # (3.07 times) since a round carries the balls it does not try to its
     # children's gather in place of compacting its copy
     (100_000, 2, 3.5),
     # 6.60 MiB (5.4 times), then 4.33 MiB (3.5 times), then 2.82 MiB (2.31
-    # times), now 2.76 MiB (2.26 times)
+    # times), now 2.77 MiB (2.27 times): the peak left the carry's
+    # compaction for the children's gather
     (20_000, 8, 2.75),
 ], ids=["2d-100k", "8d-20k"])
 def test_division_working_set_in_input_bytes(n, dim, times):
