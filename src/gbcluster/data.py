@@ -200,7 +200,7 @@ def _c_table(path, has_header: bool = False) -> np.ndarray | None:
     try:
         # opened here, in the Python reader's encoding: given the path,
         # numpy would pick a decompressor by its suffix (.gz, .bz2, .xz, ...)
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             # a quote may open a cell that runs over lines, and U+001C..U+001F
             # are whitespace to numpy's float parser, not to float()
             while block := fh.read(_BLOCK_CHARS):
@@ -228,7 +228,8 @@ def load_csv(path, has_header: bool = False, label_column: int | str | None = No
     same width.  ``label_column``, a 0-based index or a header name (matched
     case and surrounding spaces aside; where none matches, there are no
     labels), must hold integers that fit in int64, and is removed from the
-    features.  The first fault in the file is reported.
+    features.  A leading UTF-8 byte-order mark is skipped.  The first fault
+    in the file is reported.
 
     numpy's C reader parses the file first, and its table is returned when
     the reader takes every record and the table passes the checks above.
@@ -243,7 +244,7 @@ def load_csv(path, has_header: bool = False, label_column: int | str | None = No
     table = _c_table(path, has_header)
     if table is not None and len(table) and np.isfinite(table).all():
         if isinstance(label_column, str):  # a regular file with no quotes: read its header again
-            with open(path) as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 label_column = _column_named(fh.readline().split(","), label_column)
         if label_column is None:
             return _dataset(table, None)
@@ -259,7 +260,7 @@ def _load_csv_python(path, has_header: bool = False, label_column: int | str | N
     values = array("d")  # 8 bytes a cell, never a Python float per cell
     width = label_col = None
     row_no = 0  # the last record read; records count from 1, the header and skipped ones included
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             if has_header:

@@ -22,7 +22,8 @@ from gbcluster.differentiation import (_pairwise_center_distances, cluster, coun
                                        distance_evaluations, merge_adjacent, tau)
 from gbcluster.division import DivisionTrace, detect_oversized, generate_balls
 from gbcluster.metrics import benchmark, rand_index
-from reference_gbc import accepted_splits, adjacent, array_ballset, pair_adjacent
+import reference_gbc
+from reference_gbc import accepted_splits, array_ballset, pair_adjacent
 
 
 @contextmanager
@@ -154,7 +155,7 @@ def test_criterion_6d_adjacency_symmetry_and_overlap():
             bi, bj = _random_ball(rng), _random_ball(rng)
             oi, oj = int(rng.integers(0, 12)), int(rng.integers(0, 12))
             assert pair_adjacent(bi, bj, oi, oj) == pair_adjacent(bj, bi, oj, oi)
-            if float(np.sqrt(((bi[0] - bj[0]) ** 2).sum())) < bi[1] + bj[1]:
+            if reference_gbc.sweep(array_ballset(*zip(bi, bj), [False, False])).counts[0]:
                 assert pair_adjacent(bi, bj, oi, oj)
 
 
@@ -183,21 +184,7 @@ def test_criterion_6f_merge_matches_transitive_closure():
             sweep = _pairwise_center_distances(bs)
             bs.overlap_counts = count_overlaps(bs, sweep)
             got = merge_adjacent(bs, sweep)
-
-            live = np.flatnonzero(~flags)
-            adj = np.eye(live.size, dtype=bool)
-            for a in range(live.size):
-                for b in range(a + 1, live.size):
-                    adj[a, b] = adj[b, a] = adjacent(bs, live[a], live[b])
-            for _ in range(max(live.size, 1)):
-                adj = adj | (adj @ adj)
-            expected = np.full(m, -1, dtype=int)
-            next_id = 0
-            for a in range(live.size):
-                if expected[live[a]] == -1:
-                    expected[live[np.flatnonzero(adj[a])]] = next_id
-                    next_id += 1
-            assert got.tolist() == expected.tolist()
+            assert got.tolist() == reference_gbc.merge(bs, reference_gbc.sweep(bs)).tolist()
 
 
 def _canonical_partitions(n, max_labels=3):

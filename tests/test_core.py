@@ -9,6 +9,7 @@ from gbcluster import division
 from gbcluster.core import (ClusterAssignment, Dataset, distances, first_argmax, fit_ball,
                             fit_segments, squared_distances)
 from gbcluster.division import split_once
+from reference_gbc import squares
 
 
 def test_dataset_validation():
@@ -174,14 +175,6 @@ def test_farthest_pair_seed_needs_two_members():
         split_once(ds, fit_ball(ds, [1]))
 
 
-def _in_order(squares):
-    """Sum over the last axis, one coordinate after another."""
-    acc = squares[..., 0].copy()
-    for j in range(1, squares.shape[-1]):
-        acc += squares[..., j]
-    return acc
-
-
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 15, 16, 17, 32, 64, 128, 129, 200])
 def test_distances_bit_equal_to_row_sum(d):
     # Coordinates lead: rows (d, n), rows against a centre table, and tiles
@@ -196,18 +189,18 @@ def test_distances_bit_equal_to_row_sum(d):
     rows[rng.uniform(size=(n, d)) < 0.05] = 0.0
     lead = np.ascontiguousarray(pts.T)
     for to in (rows, rows[:1], np.full((1, d), -0.0)):
-        squared = _in_order((pts - to) ** 2)
+        squared = squares(pts, to)
         if d < 8:
             assert squared.tobytes() == ((pts - to) ** 2).sum(axis=1).tobytes()
         assert distances(lead, np.ascontiguousarray(to.T)).tobytes() == np.sqrt(squared).tobytes()
     # rows against a table of centres, centre i serving the next sizes[i] rows
     table, sizes = rows[:40], rng.multinomial(n, np.full(40, 1 / 40))
-    reference = np.sqrt(_in_order((pts - np.repeat(table, sizes, axis=0)) ** 2))
+    reference = np.sqrt(squares(pts, np.repeat(table, sizes, axis=0)))
     assert distances(lead, np.ascontiguousarray(table.T), sizes).tobytes() == reference.tobytes()
     # tiles, as the geometry pass and noise attachment use them
     for b, w in ((37, 53), (1, 40), (40, 1), (300, 200)):
         p, t = pts[:b, None], rows[n - w:][None]
-        squared = _in_order((p - t) ** 2)
+        squared = squares(p, t)
         p, t = np.moveaxis(p, -1, 0), np.moveaxis(t, -1, 0)
         assert squared_distances(p, t).tobytes() == squared.tobytes()
         assert squared_distances(t.transpose(0, 2, 1), p.transpose(0, 2, 1)).tobytes() == squared.T.tobytes()

@@ -286,6 +286,11 @@ PARSE_TABLE = {
     "signed_zero_tiny_17_digits": (
         "-0,0\n4.9e-324,1e-400\n0.10000000000000001,-1.7976931348623157e308\n", {},
         ([[-0.0, 0.0], [5e-324, 0.0], [0.1, -1.7976931348623157e308]], None)),
+    # a leading UTF-8 byte-order mark is not part of the first cell
+    "utf8_bom": ("\ufeff1,2\n3,4\n", {}, ([[1.0, 2.0], [3.0, 4.0]], None)),
+    "utf8_bom_before_a_label_name": ("\ufefflabel,x,y\n0,1,2\n1,3,4\n",
+                                     {"has_header": True, "label_column": "label"},
+                                     ([[1.0, 2.0], [3.0, 4.0]], [0, 1])),
     "header_only": ("x0,x1\n", {"has_header": True}, "{path}: no data rows"),
     "header_then_blank": ("x0,x1\n\n  \n", {"has_header": True}, "{path}: no data rows"),
     "header_skipped_even_blank": ("\n1,2\n", {"has_header": True}, ([[1.0, 2.0]], None)),
@@ -365,7 +370,6 @@ READER_INPUTS = {
     "unclosed_quote_in_header": ('"x\n1,2\n3,4\n', {"has_header": True}),
     "crlf": ("x,y\r\n1,2\r\n3,4\r\n", {"has_header": True}),
     "cr_only": ("x,y\r1,2\r3,4\r", {"has_header": True}),
-    "utf8_bom": ("\ufeff1,2\n3,4\n", {}),
     "utf8_bom_in_header": ("\ufeffx,y\n1,2\n", {"has_header": True}),
     "no_final_newline": ("1,2\n3,4", {}),
     "header_only_no_newline": ("x,y", {"has_header": True}),

@@ -19,7 +19,8 @@ from gbcluster.differentiation import (_pairwise_center_distances, adjacency_gra
                                        assign_noise, cluster, count_overlaps,
                                        distance_evaluations, merge_adjacent, tau)
 from gbcluster.division import DivisionTrace, generate_balls
-from reference_gbc import accepted_splits, adjacent, array_ballset, pair_adjacent
+import reference_gbc
+from reference_gbc import accepted_splits, array_ballset, pair_adjacent
 
 
 def _ball(center, radius, size=5):
@@ -45,14 +46,6 @@ def _fitted(ds, groups):
     sizes = np.array([len(g) for g in groups])
     centers, _, radii, sums = fit_segments(ds.points[order].T.copy(), sizes)
     return BallSet(order=order, sizes=sizes, centers=centers.T, radii=radii, sum_radius=sums)
-
-
-def _overlapping(bs, i, j):
-    """Whether balls i and j of bs overlap, one scalar at a time."""
-    sq = 0.0
-    for a, b in zip(bs.centers[i].tolist(), bs.centers[j].tolist()):
-        sq += (a - b) * (a - b)
-    return math.sqrt(sq) < float(bs.radii[i]) + float(bs.radii[j])
 
 
 def test_count_overlaps_examples():
@@ -129,8 +122,7 @@ def test_adjacency_symmetry_and_overlap_implication():
         bj = _ball(rng.uniform(-2, 2, 2), rng.uniform(0, 1.5))
         oi, oj = int(rng.integers(0, 8)), int(rng.integers(0, 8))
         assert pair_adjacent(bi, bj, oi, oj) == pair_adjacent(bj, bi, oj, oi)
-        dist = float(np.sqrt(((bi[0] - bj[0]) ** 2).sum()))
-        if dist < bi[1] + bj[1]:
+        if reference_gbc.sweep(_ballset([bi, bj])).counts[0]:
             assert pair_adjacent(bi, bj, oi, oj)
 
 
@@ -167,17 +159,10 @@ def test_adjacency_graph_matches_pairwise_predicate():
         graph = adjacency_graph(bs, sweep)
         assert set(graph.nodes) == set(np.flatnonzero(bs.sizes > 1))
         assert all(i < j for i, j in graph.edges)  # no self-loops, one edge per pair
-        edge_set = set(map(tuple, graph.edges.tolist()))
-        root = sweep.root
-        live = list(graph.nodes)
-        for a in range(len(live)):
-            for b in range(a + 1, len(live)):
-                i, j = live[a], live[b]
-                # overlapping pairs are joined by the sweep, the others by tau
-                overlapping = _overlapping(bs, i, j)
-                assert ((i, j) in edge_set) == (adjacent(bs, i, j) and not overlapping)
-                if overlapping:
-                    assert root[i] == root[j]
+        # overlapping pairs are joined by the sweep, the others by tau
+        want = reference_gbc.sweep(bs)
+        assert sweep.root.tolist() == want.root.tolist()
+        assert sorted(graph.edges.tolist()) == reference_gbc.adjacent_kept(bs, want).tolist()
         if expected is not None:
             assert not bs.overlap_counts.any()
             assert graph.edges.tolist() == expected
@@ -204,37 +189,6 @@ def test_merge_two_groups():
 def test_merge_all_noise():
     balls = [_ball([0, 0], 0, size=1), _ball([5, 0], 0, size=1)]
     assert _merged(balls, [True, True]).tolist() == [-1, -1]
-
-
-def _closure_oracle(bs):
-    """Cluster id per ball from the transitive closure of adjacent over all live pairs."""
-    live = np.flatnonzero(~bs.noise_ball_flags)
-    adj = np.eye(live.size, dtype=bool)
-    for a in range(live.size):
-        for b in range(live.size):
-            if a != b:
-                adj[a, b] |= adjacent(bs, live[a], live[b])
-    for _ in range(live.size):  # boolean transitive closure
-        adj = adj | (adj @ adj)
-    expected = np.full(len(bs), -1, dtype=int)
-    next_id = 0
-    for a in range(live.size):
-        if expected[live[a]] == -1:
-            expected[live[np.flatnonzero(adj[a])]] = next_id
-            next_id += 1
-    return expected.tolist()
-
-
-def test_merge_matches_transitive_closure_oracle():
-    rng = np.random.default_rng(23)
-    for _ in range(40):
-        m = int(rng.integers(2, 21))
-        balls = [_ball(rng.uniform(0, 6, 2), rng.uniform(0.05, 1.2)) for _ in range(m)]
-        flags = rng.uniform(size=m) < 0.2
-        bs = _ballset(balls, flags)
-        sweep = _pairwise_center_distances(bs)
-        bs.overlap_counts = count_overlaps(bs, sweep)
-        assert merge_adjacent(bs, sweep).tolist() == _closure_oracle(bs)
 
 
 def test_assign_noise_examples():
@@ -283,18 +237,19 @@ def test_assign_noise_memory_at_32_dimensions():
     bs = BallSet(order=np.arange(n), sizes=np.array([n // 2 - 2, n // 2 - 1, 1, 1, 1]),
                  centers=np.vstack([rng.normal(size=(2, d)), ds.points[-3:]]),
                  radii=np.array([5.0, 5.0, 0.0, 0.0, 0.0]), sum_radius=np.zeros(5))
+    ids = np.array([0, 1, NOISE, NOISE, NOISE])
     tracemalloc.start()
     try:
         sweep = _pairwise_center_distances(bs)
-        labels = assign_noise(ds, bs, np.array([0, 1, NOISE, NOISE, NOISE]), sweep).labels
+        labels = assign_noise(ds, bs, ids, sweep).labels
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 3 * 8 * n
     assert np.array_equal(labels[:-3], np.repeat([0, 1], [n // 2 - 2, n // 2 - 1]))
-    gaps = np.sqrt(((ds.points[-3:, None] - bs.centers[:2]) ** 2).sum(axis=-1)) - 5.0
-    assert (gaps <= 5.0).all()  # within the mean radius: each joins its nearer ball
-    assert np.array_equal(labels[-3:], gaps.argmin(axis=1))
+    # within the mean radius: each joins its nearer ball
+    assert labels.tolist() == reference_gbc.attach(bs, ids, reference_gbc.sweep(bs)).tolist()
+    assert labels.min() >= 0
 
 
 def test_cluster_two_moons():
@@ -321,15 +276,7 @@ def test_cluster_single_blob():
 def test_cluster_fills_overlap_counts():
     ds = generate(BUNDLED_DATASETS["moons1k"])
     _, ballset = cluster(ds)
-    live = np.flatnonzero(~ballset.noise_ball_flags)
-    for i in live[:20]:
-        expected = 0
-        for j in live:
-            if i == j:
-                continue
-            d = np.sqrt(((ballset.centers[i] - ballset.centers[j]) ** 2).sum())
-            expected += d < ballset.radii[i] + ballset.radii[j]
-        assert ballset.overlap_counts[i] == expected
+    assert ballset.overlap_counts.tolist() == reference_gbc.sweep(ballset).counts.tolist()
     assert (ballset.overlap_counts[ballset.noise_ball_flags] == 0).all()
 
 
@@ -416,16 +363,11 @@ def test_overlaps_and_merge_match_all_pairs_oracle():
     rng = np.random.default_rng(7)
     for trial in range(400):
         bs = _random_ballset(rng, d=(1, 2, 3, 8)[trial % 4])
-        live = np.flatnonzero(~bs.noise_ball_flags)
-        expected = np.zeros(len(bs), dtype=np.int64)
-        for i in live:
-            for j in live:
-                dist = np.sqrt(((bs.centers[i] - bs.centers[j]) ** 2).sum())
-                expected[i] += i != j and dist < bs.radii[i] + bs.radii[j]
+        want = reference_gbc.sweep(bs)
         sweep = _pairwise_center_distances(bs)
         bs.overlap_counts = count_overlaps(bs, sweep)
-        assert bs.overlap_counts.tolist() == expected.tolist()
-        assert merge_adjacent(bs, sweep).tolist() == _closure_oracle(bs)
+        assert bs.overlap_counts.tolist() == want.counts.tolist()
+        assert merge_adjacent(bs, sweep).tolist() == reference_gbc.merge(bs, want).tolist()
 
 
 # within reach, yet their squared distance rounds one ulp above fl(lim**2)
@@ -485,21 +427,6 @@ def _sweep_inputs(rng, d):
     yield "noise off small balls", array_ballset(centers, radii, np.arange(m) >= 300)
 
 
-def _components_oracle(m, a, b):
-    """Per node, the lowest node of its component under the edges (a, b): a
-    breadth-first search from each node not yet reached, in index order."""
-    adj = np.zeros((m, m), dtype=bool)
-    adj[a, b] = adj[b, a] = True
-    root = np.full(m, -1)
-    for start in range(m):
-        if root[start] < 0:
-            root[start], frontier = start, [start]
-            while frontier:
-                reached = np.flatnonzero(adj[frontier].any(axis=0) & (root < 0))
-                root[reached], frontier = start, reached.tolist()
-    return root
-
-
 @pytest.mark.parametrize("d", [1, 2, 3, 8, 9, 16])
 def test_pairwise_center_distances_match_all_pairs(d):
     # over all pairs, the squares added in coordinate order: the overlap
@@ -509,43 +436,19 @@ def test_pairwise_center_distances_match_all_pairs(d):
     # within the mean live radius, with that gap's bits
     rng = np.random.default_rng(d)
     for name, bs in _sweep_inputs(rng, d):
-        live = np.flatnonzero(~bs.noise_ball_flags)
-        i, j = np.triu_indices(live.size, 1)
-        a, b = live[i], live[j]
-        c, r = bs.centers, bs.radii
         with np.errstate(over="ignore", invalid="ignore"):
-            squared = (c[a, 0] - c[b, 0]) ** 2
-            for k in range(1, d):
-                squared += (c[a, k] - c[b, k]) ** 2
-            dist = np.sqrt(squared)
-            gap = dist - (r[a] + r[b])
-            near = gap < np.minimum(r[a], r[b])
             sweep = _pairwise_center_distances(bs)
-        overlap = dist < r[a] + r[b]
-        assert np.array_equal(overlap, gap < 0), name
-        assert near.any() == (r[live] > 0).any(), name
-        m = len(bs)
-        counts = np.bincount(a[overlap], minlength=m) + np.bincount(b[overlap], minlength=m)
-        assert sweep.counts.tolist() == counts.tolist(), name
-        assert sweep.root.tolist() == _components_oracle(m, a[overlap], b[overlap]).tolist(), name
-        apart = near & ~overlap
+        want = reference_gbc.sweep(bs)
+        assert (want.kept.size > 0 or want.counts.any()) == (bs.radii[~bs.noise_ball_flags] > 0).any(), name
+        assert sweep.counts.tolist() == want.counts.tolist(), name
+        assert sweep.root.tolist() == want.root.tolist(), name
         pairs, gaps = _kept(sweep)
         order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-        assert pairs[order].tolist() == np.column_stack((a[apart], b[apart])).tolist(), name
-        assert gaps[order].tobytes() == gap[apart].tobytes(), name
-        p = np.repeat(np.flatnonzero(bs.noise_ball_flags), live.size)
-        q = np.tile(live, p.size // live.size)
-        with np.errstate(over="ignore", invalid="ignore"):
-            squared = (c[p, 0] - c[q, 0]) ** 2
-            for k in range(1, d):
-                squared += (c[p, k] - c[q, k]) ** 2
-            gap = np.sqrt(squared) - r[q]
-        close = gap <= r[live].mean()
-        noise, gaps, ball = sweep.noise
-        order = np.lexsort((ball, noise))
-        assert noise[order].tolist() == p[close].tolist(), name
-        assert ball[order].tolist() == q[close].tolist(), name
-        assert gaps[order].tobytes() == gap[close].tobytes(), name
+        assert pairs[order].tolist() == want.kept.tolist(), name
+        assert gaps[order].tobytes() == want.gaps.tobytes(), name
+        order = np.lexsort((sweep.noise[2], sweep.noise[0]))
+        for got, expected in zip(sweep.noise, want.noise):
+            assert got[order].tobytes() == expected.tobytes(), name
 
 
 @pytest.mark.parametrize("d", [2, 8])
@@ -599,11 +502,46 @@ def test_assign_noise_matches_all_balls_oracle(d):
                      sum_radius=np.zeros(m + len(singles)))
         ids = np.r_[np.arange(m) % max(1, m // 3), np.full(len(singles), -1)]
         labels = assign_noise(Dataset(points=pts), bs, ids, _pairwise_center_distances(bs)).labels
-        gaps = np.sqrt(((singles[:, None, :] - centers[None]) ** 2).sum(axis=-1)) - radii
-        least = gaps.min(axis=1)
-        expected = np.where(least <= radii.mean(), ids[np.argmax(gaps == least[:, None], axis=1)], -1)
-        assert labels[2 * m:].tolist() == expected.tolist()
+        expected = reference_gbc.attach(bs, ids, reference_gbc.sweep(bs))
+        assert labels[2 * m:].tolist() == expected[2 * m:].tolist()
         assert labels[:2 * m].tolist() == np.repeat(ids[:m], 2).tolist()
+
+
+def test_cluster_matches_the_reference_pipeline(monkeypatch):
+    # cluster() against reference_gbc.cluster, bit for bit: the balls'
+    # members, centres, radii and distance sums, the overlap counts, the
+    # labels, the division rounds, the splits accepted and why refinement
+    # stopped, under a random split floor and round cap
+    rng = np.random.default_rng(32)
+    stops = Counter()
+    for trial in range(60):
+        n, d = int(rng.integers(1, 2001)), int(rng.choice([1, 2, 3, 8, 16, 129]))
+        if trial % 5 == 0:  # wide tails
+            pts = rng.standard_cauchy(size=(n, d))
+        elif trial % 5 == 1:  # duplicate points
+            pts = rng.normal(size=(n // 8 + 1, d))[rng.integers(0, n // 8 + 1, n)]
+        elif trial % 5 == 2:  # an integer grid, where distinct points tie in distance
+            pts = rng.integers(0, 5, size=(n, d)).astype(float)
+        elif trial % 5 == 3:  # imbalanced blobs
+            centers = rng.uniform(-10, 10, (4, d))
+            pts = centers[rng.choice(4, n, p=[0.85, 0.1, 0.04, 0.01])] + rng.normal(0, 0.5, (n, d))
+        else:
+            pts = rng.normal(size=(n, d))
+        pts = np.ldexp(pts, int(rng.choice([0, 0, 900, -900])))
+        monkeypatch.setattr(gbcluster.division, "MIN_SPLIT_SIZE", int(rng.integers(2, 41)))
+        monkeypatch.setattr(gbcluster.division, "MAX_REFINEMENT_ROUNDS", int(rng.choice([0, 1, 3, 100])))
+        trace = DivisionTrace()
+        with warnings.catch_warnings(record=True) as caught, accepted_splits() as splits:
+            warnings.simplefilter("always")
+            assignment, balls = cluster(Dataset(points=pts), trace)
+        labels, want, div = reference_gbc.cluster(pts)
+        assert len(caught) == (div.stop_reason == "round_cap"), trial  # the cap's warning alone
+        assert (trace.rounds, trace.stop_reason, splits) == (div.rounds, div.stop_reason, div.splits), trial
+        for name in ("order", "sizes", "centers", "radii", "sum_radius", "overlap_counts"):
+            assert getattr(balls, name).tobytes() == getattr(want, name).tobytes(), (trial, name)
+        assert assignment.labels.tobytes() == labels.tobytes(), trial
+        stops[div.stop_reason] += 1
+    assert len(stops) == 3  # premise: refinement stops in each of its three ways
 
 
 _EDGE_INPUTS = {"n=1": np.zeros((1, 2)), "identical": np.ones((50, 2)),

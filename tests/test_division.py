@@ -235,54 +235,9 @@ def test_partition_holds_after_every_round():
             assert np.array_equal(np.sort(seen), np.arange(n))
 
 
-def _by_least_member(members):
-    return sorted(members, key=lambda m: m[0])
-
-
-def _reference_division(ds):
-    """Division one ball at a time, as the method states it, with the fit and
-    split of ``reference_gbc``; the member arrays of every ball after each
-    round, listed by least member.
-
-    Phase 1 is a queue: a ball of at least ``MIN_SPLIT_SIZE`` members is
-    split, and its children join the back of the queue when both improve on
-    its average distance; every other ball is final.  A round is one pass
-    over the queue as it stood.  Phase 2 is a list: each ball that
-    ``detect_oversized`` flags, on the list's radii, is replaced in place by
-    its two children.
-    """
-    pts = ds.points
-    snapshots, final, queue = [], [], [reference_gbc.fit(pts, np.arange(len(ds)))]
-    while queue:
-        pending = []
-        for ball in queue:
-            kids = (reference_gbc.split(pts, ball)
-                    if ball.members.size >= division.MIN_SPLIT_SIZE else None)
-            if kids is not None and should_split(ball.total / ball.members.size,
-                                                 *(k.total / k.members.size for k in kids)):
-                pending += kids
-            else:
-                final.append(ball)
-        queue = pending
-        snapshots.append(_by_least_member(b.members for b in final + queue))
-    balls, rounds = final, 0
-    while rounds < division.MAX_REFINEMENT_ROUNDS:
-        over = detect_oversized([b.radius for b in balls]).tolist()
-        if not over:
-            break
-        rounds += 1
-        kids = {i: reference_gbc.split(pts, balls[i]) for i in over}
-        balls = [part for i, b in enumerate(balls)
-                 for part in ([b] if kids.get(i) is None else kids[i])]
-        snapshots.append(_by_least_member(b.members for b in balls))
-        if any(k is None for k in kids.values()):
-            break
-    return snapshots
-
-
 def test_division_matches_the_per_ball_reference(monkeypatch):
-    # The rounds' balls after every round, as splitting one ball at a time
-    # gives them.
+    # The balls after every round, the rounds' counts and the stop reason, as
+    # splitting one ball at a time gives them.
     rng = np.random.default_rng(19)
     refined = 0
     for trial in range(52):
@@ -298,9 +253,10 @@ def test_division_matches_the_per_ball_reference(monkeypatch):
         monkeypatch.setattr(division, "MIN_SPLIT_SIZE", int(rng.integers(2, 41)))
         trace = DivisionTrace(capture_partitions=True)
         generate_balls(ds, trace=trace)
-        expected = _reference_division(ds)
-        assert len(trace.partitions) == len(expected), trial
-        for got, want in zip(trace.partitions, expected):
+        expected = reference_gbc.divide(ds.points)
+        assert (trace.rounds, trace.stop_reason) == (expected.rounds, expected.stop_reason), trial
+        assert len(trace.partitions) == len(expected.snapshots), trial
+        for got, want in zip(trace.partitions, expected.snapshots):
             assert [m.tolist() for m in got] == [m.tolist() for m in want], trial
         refined += trace.rounds[-1].phase == "refine"
     assert refined >= 10  # premise: phase 2 runs on a good share of the inputs
@@ -515,13 +471,9 @@ def test_phase_1_hands_each_point_to_sides_once_outside_a_tried_ball(monkeypatch
     assert 0 < sum(phase_1) <= len(ds)
 
 
-def _reduceat_sum(x):
-    """A segment's sum as ``np.add.reduceat`` adds it: the first item, then the rest's sum."""
-    return x[0] + x[1:].sum()
-
-
 def test_segment_kernels_match_per_slice_numpy():
-    # centres and distance sums add a segment x[s:e] as x[s] + x[s + 1:e].sum(),
+    # each segment's fit has the bits of reference_gbc.fit: centres and
+    # distance sums add a segment x[s:e] as x[s + 1:e].sum(initial=x[s]),
     # coordinate by coordinate; member distances add the coordinates in order
     rng = np.random.default_rng(5)
     for trial in range(60):
@@ -530,18 +482,12 @@ def test_segment_kernels_match_per_slice_numpy():
         rng.shuffle(sizes)
         pts = rng.normal(0, 1, (sizes.sum(), d)) * 10.0 ** rng.integers(-6, 7, (sizes.sum(), d))
         starts = np.cumsum(sizes) - sizes
-        slices = [slice(s, s + z) for s, z in zip(starts, sizes)]
         centers, dists, radii, dist_sums = fit_segments(np.ascontiguousarray(pts.T), sizes)
-        expected = [[_reduceat_sum(pts[sl, j]) / (sl.stop - sl.start) for sl in slices]
-                    for j in range(d)]
-        assert centers.tobytes() == np.array(expected).tobytes()
-        own = np.repeat(centers.T, sizes, axis=0)
-        squares = (pts[:, 0] - own[:, 0]) ** 2
-        for j in range(1, d):
-            squares += (pts[:, j] - own[:, j]) ** 2
-        assert dists.tobytes() == np.sqrt(squares).tobytes()
-        assert radii.tobytes() == np.array([dists[sl].max() for sl in slices]).tobytes()
-        assert dist_sums.tobytes() == np.array([_reduceat_sum(dists[sl]) for sl in slices]).tobytes()
+        balls = [reference_gbc.fit(pts, np.arange(s, s + z)) for s, z in zip(starts, sizes)]
+        assert centers.T.tobytes() == np.array([b.center for b in balls]).tobytes()
+        assert dists.tobytes() == np.concatenate([b.dists for b in balls]).tobytes()
+        assert radii.tobytes() == np.array([b.radius for b in balls]).tobytes()
+        assert dist_sums.tobytes() == np.array([b.total for b in balls]).tobytes()
 
 
 def test_segment_sums_stay_within_the_pairwise_error_bound():
@@ -562,32 +508,6 @@ def test_segment_sums_stay_within_the_pairwise_error_bound():
         for j in range(2):
             total = math.fsum(pts[j, s:s + z])
             assert abs(centers[j, k] - total / z) <= (bound + u) * total / z
-
-
-def test_division_memory_stays_linear_in_points():
-    ds = blob_points(100_000, 2)
-    tracemalloc.start()
-    try:
-        generate_balls(ds)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 24 * 2 ** 20
-
-
-def test_division_memory_at_8_dimensions():
-    # The tracemalloc peak of generate_balls here was 6.87 MiB before division
-    # moved to coordinate-major arrays, and 5.89 MiB after; the bound allows
-    # the former plus one (d, n) float64 copy of the points.
-    n, d = 20_000, 8
-    ds = blob_points(n, d)
-    tracemalloc.start()
-    try:
-        generate_balls(ds)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 6.87 * 2 ** 20 + 8 * n * d
 
 
 @pytest.mark.parametrize("n, dim, times", [
