@@ -20,6 +20,19 @@ NOISE = -1
 _BLOCK_ROWS = 4096
 
 
+def _is_int64(v):
+    """True where ``v`` is an integer in int64's range [-2**63, 2**63) (never NaN or inf)."""
+    return (v == np.trunc(v)) & (v >= -2.0**63) & (v < 2.0**63)
+
+
+def _integers(values, what: str) -> np.ndarray:
+    """``values`` as int64; anything but integers (a bool mask, 0.5) raises ValueError."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu" and not (arr.dtype.kind == "f" and _is_int64(arr).all()):
+        raise ValueError(f"{what} must be integers")
+    return arr.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """A fixed set of d-dimensional points with optional ground-truth labels.
@@ -40,7 +53,7 @@ class Dataset:
             raise ValueError("points must contain only finite coordinates")
         object.__setattr__(self, "points", pts)
         if self.labels is not None:
-            lab = np.asarray(self.labels, dtype=np.int64)
+            lab = _integers(self.labels, "labels")
             if lab.shape != (pts.shape[0],):
                 raise ValueError("labels must have exactly one entry per point")
             object.__setattr__(self, "labels", lab)
@@ -98,7 +111,7 @@ class ClusterAssignment:
     labels: np.ndarray
 
     def __post_init__(self):
-        lab = np.asarray(self.labels, dtype=np.int64)
+        lab = _integers(self.labels, "cluster labels")
         object.__setattr__(self, "labels", lab)
         # K contiguous ids need K <= n, which also keeps the bincount within n + 1
         if lab.size and (lab.min() < NOISE or lab.max() >= lab.size
@@ -186,12 +199,12 @@ def fit_ball(dataset: Dataset, members: Iterable[int]) -> BallSet:
     """Fit a ball to the given member indices; a BallSet of that one ball.
 
     Members are deduplicated and summed in ascending index order, so fitting
-    the same member set twice is bit-for-bit reproducible.  An int array
-    that is already strictly ascending is used as it is, and a contiguous
-    range of indices is sliced, not gathered.
+    the same member set twice is bit-for-bit reproducible.  A strictly
+    ascending int array is used as it is and a contiguous range is sliced,
+    not gathered; a bool mask or a non-integer member raises ValueError.
     """
-    idx = (np.array(members, dtype=np.int64) if isinstance(members, np.ndarray)
-           else np.fromiter(members, dtype=np.int64))
+    idx = _integers(np.array(members) if isinstance(members, np.ndarray) else list(members),
+                    "members")
     if not (idx[1:] > idx[:-1]).all():
         idx = np.unique(idx)
     if idx.size == 0:

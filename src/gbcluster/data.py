@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BallSet, ClusterAssignment, Dataset
+from .core import BallSet, ClusterAssignment, Dataset, _is_int64
 
 FAMILIES = ("moons", "blobs", "circles", "spirals")
 
@@ -173,11 +173,6 @@ BUNDLED_DATASETS: dict[str, GeneratorSpec] = {
         scales=(0.5, 0.5, 0.5, 0.5, 0.5),
     ),
 }
-
-
-def _is_int64(v):
-    """True where ``v`` is an integer in int64's range [-2**63, 2**63) (never NaN or inf)."""
-    return (v == np.trunc(v)) & (v >= -2.0**63) & (v < 2.0**63)
 
 
 def _dataset(table: np.ndarray, label_col: int | None) -> Dataset:

@@ -123,11 +123,10 @@ def _fit_children(child_pts: np.ndarray, child_sizes: np.ndarray):
     return centers, radii, sums, first_argmax(dists, starts, child_sizes, radii) - starts
 
 
-def _pick(tables: tuple, pts: np.ndarray, ids: np.ndarray, which: np.ndarray) -> tuple:
+def _pick(tables: tuple, ids: np.ndarray, which: np.ndarray) -> tuple:
     """The balls ``which`` (a mask) of ``tables``, whose last axis runs over
-    the balls, sizes first, with their runs of the columns pts and ids."""
-    cols = np.repeat(which, tables[0])
-    return (*[table[..., which] for table in tables], pts.compress(cols, axis=1), ids[cols])
+    the balls, sizes first, with their runs of ids."""
+    return (*[table[..., which] for table in tables], ids[np.repeat(which, tables[0])])
 
 
 def split_once(dataset: Dataset, ball: BallSet):
@@ -181,14 +180,14 @@ def generate_balls(dataset: Dataset, trace: DivisionTrace | None = None) -> Ball
     progress, the round-cap warning flag and why refinement stopped.
 
     Each round splits all of its balls at once, on arrays.  A ball is a run
-    of columns, members ascending, of the points (d, n) and their ids, so
-    each ball is fitted once; tables hold the sizes, centres (d, k), radii,
+    of ids, members ascending; tables hold the sizes, centres (d, k), radii,
     distance sums and the offset in its run of the member farthest from the
     centre.  In phase 1 they hold the balls that the last round left, of
     which a round tries the children of accepted splits with at least
-    MIN_SPLIT_SIZE members; in phase 2, every ball.  About one copy of the
-    columns is live at a time: a round drops its parent columns once it has
-    gathered the children's.
+    MIN_SPLIT_SIZE members, and the points' columns (d, n) travel with the
+    ids, so each ball is fitted once: a round drops its parent columns once
+    it has gathered the children's.  In phase 2 they hold every ball, and a
+    round gathers by id the points of the balls it splits.
     """
     if trace is None:
         trace = DivisionTrace()
@@ -202,17 +201,18 @@ def generate_balls(dataset: Dataset, trace: DivisionTrace | None = None) -> Ball
     # whose split fails or is rejected is final, its children otherwise
     # re-enter the queue.  A round holds what the last one left (``balls``,
     # columns pts and ids): the accepted splits' children, which are live,
-    # and each rejected split's parent, in child a's row, its columns put
-    # back.  It tries the live balls of at least MIN_SPLIT_SIZE members; the
-    # others and the failed splits are final, leave in one pick and drop out
-    # of the children's gather, so the carry is never compacted.
-    final = []  # pieces: sizes, centres, radii, sums, farthest offsets, columns and ids
+    # and each rejected split's parent, in child a's row, its ids put back
+    # (not its columns, which no round reads again).  It tries the live balls
+    # of at least MIN_SPLIT_SIZE members; the others and the failed splits
+    # are final, leave in one pick as rows and ids and drop out of the
+    # children's gather, so the carry is never compacted.
+    final = []  # pieces: sizes, centres, radii, sums, farthest offsets and ids
     live = np.array([True])
     while live.any():
         sizes, centers, radii, sums, far = balls
         ok, c_sizes, part = _sides(pts, far, sizes, centers, live & (sizes >= MIN_SPLIT_SIZE))
         if not ok.all():
-            final.append(_pick(balls, pts, ids, ~ok))
+            final.append(_pick(balls, ids, ~ok))
         ids = ids[part]  # the parent ids and then columns go here, one at a time
         pts = pts.take(part, axis=1)
         balls = (c_sizes, *_fit_children(pts, c_sizes))
@@ -220,12 +220,11 @@ def generate_balls(dataset: Dataset, trace: DivisionTrace | None = None) -> Ball
         child_ad = (balls[3] / c_sizes).reshape(-1, 2)
         better = should_split(parent_ad, child_ad[:, 0], child_ad[:, 1])
         live = np.repeat(better, better + 1)  # a rejected split keeps one row, its parent's
-        if not better.all():  # the parent's columns, ascending, go back in place of its children's
+        if not better.all():  # the parent's ids, ascending, go back in place of its children's
             rejected = np.flatnonzero(ok)[~better]
             at = _runs((np.cumsum(c_sizes) - c_sizes)[::2][~better], sizes[rejected])
-            cols = at[np.argsort(part[at], kind="stable")]
-            pts[:, at], ids[at] = pts.take(cols, axis=1), ids[cols]
-            del at, cols
+            ids[at] = ids[at[np.argsort(part[at], kind="stable")]]
+            del at
             stay = np.flatnonzero(np.column_stack((np.ones_like(better), better)))  # child a's row
             balls = [table.take(stay, axis=-1) for table in balls]
             for table, parent in zip(balls, (sizes, centers, radii, sums, far)):
@@ -234,18 +233,17 @@ def generate_balls(dataset: Dataset, trace: DivisionTrace | None = None) -> Ball
         trace.rounds.append(RoundStats(
             "divide", sum(f[0].size for f in final) + live.size, int(better.sum()), 0))
         if trace.capture_partitions:
-            trace._snapshot([(f[0], f[6]) for f in final] + [(balls[0], ids)])
-    *tables, pts, ids = zip(*final, (*balls, pts, ids))
+            trace._snapshot([(f[0], f[5]) for f in final] + [(balls[0], ids)])
+    del pts
+    sizes, centers, radii, sums, far, ids = (np.concatenate(t, axis=-1)
+                                             for t in zip(*final, (*balls, ids)))
     del final, balls
-    pts = np.concatenate(pts, axis=1)  # the pieces of columns go once joined
-    ids = np.concatenate(ids)
-    sizes, centers, radii, sums, far = (np.concatenate(t, axis=-1) for t in tables)
     starts = np.cumsum(sizes) - sizes
 
     # Phase 2: force-split oversized balls, recomputing the radius statistics
-    # each round because splits shift the mean and median.  Children take
-    # their parent's place in the columns.  In the tables, child a takes its
-    # parent's row and child b's row is appended.
+    # each round because splits shift the mean and median.  A round gathers
+    # their points by id; children take their parent's place in the ids, and
+    # in the tables child a takes its parent's row and child b's is appended.
     trace.stop_reason = "converged"
     rounds = 0
     while True:
@@ -259,15 +257,13 @@ def generate_balls(dataset: Dataset, trace: DivisionTrace | None = None) -> Ball
             break
         rounds += 1
         pos = _runs(starts[over], sizes[over])
-        c_pts = pts.take(pos, axis=1)
+        c_pts = dataset.points.take(ids[pos], axis=0).T.copy()
         ok, c_sizes, part = _sides(c_pts, far[over], sizes[over], centers.take(over, axis=1),
                                    np.ones(over.size, dtype=bool))
         c_pts = c_pts.take(part, axis=1)  # the gathered copy goes before the fit
         fit = _fit_children(c_pts, c_sizes)
-        split_pos = pos[np.repeat(ok, sizes[over])]
-        ids[split_pos] = ids[pos[part]]
-        pts[:, split_pos] = c_pts
-        del pos, part, c_pts, split_pos
+        ids[pos[np.repeat(ok, sizes[over])]] = ids[pos[part]]
+        del pos, part, c_pts
         c_starts = np.repeat(starts[over[ok]], 2)
         c_starts[1::2] += c_sizes[::2]
         tables = (sizes, centers, radii, sums, far, starts)
@@ -285,7 +281,6 @@ def generate_balls(dataset: Dataset, trace: DivisionTrace | None = None) -> Ball
             break
 
     # Balls are numbered by their smallest member, members still ascending.
-    del pts
     rows = np.argsort(ids[starts])
     return BallSet(order=ids[_runs(starts[rows], sizes[rows])], sizes=sizes[rows],
                    centers=centers.T.take(rows, axis=0), radii=radii[rows], sum_radius=sums[rows])

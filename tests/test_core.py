@@ -42,6 +42,20 @@ def test_cluster_assignment_invariants():
     assert ClusterAssignment(labels=np.empty(0)).cluster_count == 0
 
 
+@pytest.mark.parametrize("make", [
+    lambda ds: Dataset(points=ds.points, labels=[0.5, 1.5, 2.0]),
+    lambda ds: Dataset(points=ds.points, labels=[True, False, True]),
+    lambda ds: ClusterAssignment(labels=[0.5, 0.0]),
+    lambda ds: fit_ball(ds, [1.7]),
+    lambda ds: fit_ball(ds, np.array([0.0, 1.5])),
+    lambda ds: fit_ball(ds, np.array([True, False, True])),  # a mask, not indices
+], ids=["float_labels", "bool_labels", "float_cluster_labels", "float_member",
+        "float_member_array", "bool_member_mask"])
+def test_non_integer_labels_and_members_are_rejected(make):
+    with pytest.raises(ValueError, match="integers"):
+        make(Dataset(points=[[0.0], [1.0], [2.0]]))
+
+
 def _avg_distance(ball):
     """The quality measure of a one-ball BallSet."""
     return ball.sum_radius[0] / ball.sizes[0]

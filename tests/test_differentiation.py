@@ -65,13 +65,6 @@ def test_count_overlaps_is_strict_and_skips_noise():
     assert count_overlaps(with_noise, _pairwise_center_distances(with_noise)).tolist() == [0, 0]
 
 
-def test_tau_worked_values():
-    assert tau(0.5, 0.8, 2, 3) == 0.5 / 3
-    assert abs(tau(0.5, 0.8, 2, 3) - 0.1667) <= 1e-3
-    assert tau(0.5, 1.0, 0, 0) == 0.5
-    assert tau(1.0, 1.0, 0, 5) == 1.0
-
-
 def test_are_adjacent_examples():
     # overlapping balls (negative gap) are adjacent for any overlap counts
     for o in ((0, 0), (3, 7), (10, 10)):
@@ -113,29 +106,6 @@ def test_tangent_pair_is_left_to_tau():
     point.overlap_counts = count_overlaps(point, sweep)
     assert point.overlap_counts.tolist() == [0, 0]
     assert merge_adjacent(point, sweep).tolist() == [0, 1]
-
-
-def test_adjacency_symmetry_and_overlap_implication():
-    rng = np.random.default_rng(19)
-    for _ in range(300):
-        bi = _ball(rng.uniform(-2, 2, 2), rng.uniform(0, 1.5))
-        bj = _ball(rng.uniform(-2, 2, 2), rng.uniform(0, 1.5))
-        oi, oj = int(rng.integers(0, 8)), int(rng.integers(0, 8))
-        assert pair_adjacent(bi, bj, oi, oj) == pair_adjacent(bj, bi, oj, oi)
-        if reference_gbc.sweep(_ballset([bi, bj])).counts[0]:
-            assert pair_adjacent(bi, bj, oi, oj)
-
-
-def test_tau_monotone_in_min_overlap():
-    for r in ((0.5, 0.8), (1.0, 1.0), (0.1, 2.0)):
-        values = {}
-        for oi in range(11):
-            for oj in range(11):
-                values.setdefault(min(oi, oj), set()).add(tau(*r, oi, oj))
-        # tau depends only on min(o) and never increases as it grows
-        assert all(len(v) == 1 for v in values.values())
-        seq = [values[k].pop() for k in sorted(values)]
-        assert all(a >= b for a, b in zip(seq, seq[1:]))
 
 
 def _adjacency_inputs():

@@ -187,16 +187,6 @@ def test_generate_balls_moons_granularity_and_radius_rule():
     assert trace.stop_reason == "converged"
 
 
-def test_accepted_splits_strictly_improve():
-    ds = generate(BUNDLED_DATASETS["moons1k"])
-    with accepted_splits() as splits:
-        generate_balls(ds)
-    assert splits
-    for parent_ad, child_a_ad, child_b_ad in splits:
-        assert child_a_ad < parent_ad
-        assert child_b_ad < parent_ad
-
-
 def test_accepted_splits_are_kept_only_in_a_trace_the_caller_passes(monkeypatch):
     # no trace keeps splits now, the run's own or the caller's; the recorder
     # sees the same splits, as many as the divide rounds count, and the same
@@ -221,18 +211,6 @@ def test_accepted_splits_are_kept_only_in_a_trace_the_caller_passes(monkeypatch)
     assert len(splits) == divided > 0 and splits == plain_splits
     for field in ("order", "sizes", "centers", "radii", "sum_radius"):
         assert np.array_equal(getattr(plain, field), getattr(traced, field))
-
-
-def test_partition_holds_after_every_round():
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        n = int(rng.integers(5, 120))
-        ds = Dataset(points=rng.normal(0, 1, size=(n, 2)))
-        trace = DivisionTrace(capture_partitions=True)
-        generate_balls(ds, trace=trace)
-        for snapshot in trace.partitions:
-            seen = np.concatenate(snapshot)
-            assert np.array_equal(np.sort(seen), np.arange(n))
 
 
 def test_division_matches_the_per_ball_reference(monkeypatch):
